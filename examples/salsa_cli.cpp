@@ -9,7 +9,9 @@
 // contains a `schedule` section that schedule is used verbatim; otherwise
 // the design is scheduled at --steps (default: the critical path) with the
 // minimum-FU search.
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -46,40 +48,54 @@ int main(int argc, char** argv) {
   std::string verilog_path;
   std::string html_path;
   std::string vcd_path, tb_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_int = [&](int& out) {
-      if (i + 1 >= argc) fail("missing argument after " + arg);
-      out = std::atoi(argv[++i]);
-    };
-    if (arg == "--steps") {
-      next_int(steps);
-    } else if (arg == "--pipelined") {
-      pipelined = true;
-    } else if (arg == "--extra-regs") {
-      next_int(extra_regs);
-    } else if (arg == "--traditional") {
-      traditional = true;
-    } else if (arg == "--verilog") {
-      if (i + 1 >= argc) fail("missing path after --verilog");
-      verilog_path = argv[++i];
-    } else if (arg == "--html") {
-      if (i + 1 >= argc) fail("missing path after --html");
-      html_path = argv[++i];
-    } else if (arg == "--vcd") {
-      if (i + 1 >= argc) fail("missing path after --vcd");
-      vcd_path = argv[++i];
-    } else if (arg == "--testbench") {
-      if (i + 1 >= argc) fail("missing path after --testbench");
-      tb_path = argv[++i];
-    } else if (arg == "--report") {
-      want_report = true;
-    } else if (arg == "--buses") {
-      want_buses = true;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      return 2;
+  // Flag errors are usage errors: a diagnostic and exit status 2.
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      // The whole value must be a decimal integer within [lo, hi].
+      auto next_int = [&](int& out, long lo, long hi) {
+        if (i + 1 >= argc) fail("missing value after " + arg);
+        const char* text = argv[++i];
+        char* end = nullptr;
+        errno = 0;
+        const long n = std::strtol(text, &end, 10);
+        if (end == text || *end != '\0' || errno == ERANGE || n < lo || n > hi)
+          fail(arg + " expects an integer in [" + std::to_string(lo) + ", " +
+               std::to_string(hi) + "], got '" + text + "'");
+        out = static_cast<int>(n);
+      };
+      if (arg == "--steps") {
+        next_int(steps, 1, 100000);
+      } else if (arg == "--pipelined") {
+        pipelined = true;
+      } else if (arg == "--extra-regs") {
+        next_int(extra_regs, 0, 100000);
+      } else if (arg == "--traditional") {
+        traditional = true;
+      } else if (arg == "--verilog") {
+        if (i + 1 >= argc) fail("missing path after --verilog");
+        verilog_path = argv[++i];
+      } else if (arg == "--html") {
+        if (i + 1 >= argc) fail("missing path after --html");
+        html_path = argv[++i];
+      } else if (arg == "--vcd") {
+        if (i + 1 >= argc) fail("missing path after --vcd");
+        vcd_path = argv[++i];
+      } else if (arg == "--testbench") {
+        if (i + 1 >= argc) fail("missing path after --testbench");
+        tb_path = argv[++i];
+      } else if (arg == "--report") {
+        want_report = true;
+      } else if (arg == "--buses") {
+        want_buses = true;
+      } else {
+        std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+        return 2;
+      }
     }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   try {

@@ -1,6 +1,7 @@
 #include "cdfg/cdfg.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/strings.h"
 
@@ -161,6 +162,26 @@ void Cdfg::validate() const {
         fail("consumer list of value '" + val.name + "' is inconsistent");
     }
   }
+  // A state and its next-iteration value share one storage (core/lifetime.h
+  // merges them, transitively); some value of that storage must be read,
+  // or it has no live range to allocate.
+  std::vector<ValueId> root(static_cast<size_t>(num_values()));
+  std::iota(root.begin(), root.end(), 0);
+  auto find = [&](ValueId v) {
+    while (root[static_cast<size_t>(v)] != v) v = root[static_cast<size_t>(v)];
+    return v;
+  };
+  const std::vector<NodeId> states = state_nodes();
+  for (NodeId id : states)
+    root[static_cast<size_t>(find(node(id).out))] = find(node(id).state_next);
+  std::vector<bool> read(static_cast<size_t>(num_values()), false);
+  for (ValueId v = 0; v < num_values(); ++v)
+    if (!value(v).consumers.empty()) read[static_cast<size_t>(find(v))] = true;
+  for (NodeId id : states)
+    if (!read[static_cast<size_t>(find(node(id).out))])
+      fail("state '" + node(id).name +
+           "' is never read: neither it nor its next-iteration value has a "
+           "consumer");
   // The intra-iteration dependence graph must be acyclic.
   (void)topo_order();
 }

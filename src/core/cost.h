@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/binding.h"
+#include "util/diagnostics.h"
 
 namespace salsa {
 
@@ -46,6 +47,20 @@ struct ConnUse {
 /// Dense orderable keys, used to group and deduplicate connections.
 uint64_t key_of(const Endpoint& e);
 uint64_t key_of(const Pin& p);
+
+/// Compact 32-bit endpoint/pin keys: kind in the top four bits, id below,
+/// so a (sink, source) pair packs into one 64-bit key — the pair key of the
+/// search engine's connection index and of the constructive start's
+/// connection tracker. Ids are node/FU/register indices, far below 2^28.
+inline uint32_t pack(const Endpoint& e) {
+  SALSA_DCHECK(e.id >= 0 && e.id < (1 << 28));
+  return (static_cast<uint32_t>(e.kind) << 28) | static_cast<uint32_t>(e.id);
+}
+
+inline uint32_t pack(const Pin& p) {
+  SALSA_DCHECK(p.id >= 0 && p.id < (1 << 28));
+  return (static_cast<uint32_t>(p.kind) << 28) | static_cast<uint32_t>(p.id);
+}
 
 /// Enumerates every routed data flow of the binding with the control step it
 /// occurs at: operand reads, output samples, producer result latches,

@@ -1,30 +1,78 @@
 #include "core/initial.h"
 
 #include <algorithm>
-#include <set>
+#include <numeric>
+#include <utility>
 
 #include "core/cost.h"
+#include "util/bitplane.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace salsa {
 
 namespace {
 
-// Connection keys a placement would add, against the set accumulated so far.
-class ConnTracker {
+// The connections placements have made so far, indexed for the
+// fewest-new-connections rule. Every connection a storage placement makes
+// ends at the chosen register r: the producer's endpoint feeds `RegIn r`,
+// and each read's sink pin is fed by `RegOut r`. So the tracker keeps, per
+// producer endpoint and per sink pin, the registers already wired to it —
+// the only registers whose placement can add fewer than the maximum number
+// of new connections (DESIGN.md, "Constructive start").
+class WireTracker {
  public:
-  int would_add(const std::vector<std::pair<uint64_t, uint64_t>>& conns) const {
-    int fresh = 0;
-    for (const auto& c : conns)
-      if (!seen_.count(c)) ++fresh;
-    return fresh;
+  WireTracker(int num_fus, int num_nodes)
+      : fus_(num_fus),
+        nodes_(num_nodes),
+        wired_(static_cast<size_t>(3 * num_fus + 2 * num_nodes)) {}
+
+  /// Registers wired to a producer endpoint (RegIn r <- src) or to a sink
+  /// pin (sink <- RegOut r), each listed once.
+  const std::vector<RegId>& wired(const Endpoint& src) const {
+    return wired_[slot(src)];
   }
-  void add(const std::vector<std::pair<uint64_t, uint64_t>>& conns) {
-    for (const auto& c : conns) seen_.insert(c);
+  const std::vector<RegId>& wired(const Pin& sink) const {
+    return wired_[slot(sink)];
+  }
+
+  /// Records the connection; a register joins the wired list the first
+  /// time its (sink, source) pair is seen.
+  void connect(const Endpoint& src, RegId r) {
+    if (seen_.increment(key(Pin{Pin::Kind::kRegIn, r}, src)) == 1)
+      wired_[slot(src)].push_back(r);
+  }
+  void connect(const Pin& sink, RegId r) {
+    if (seen_.increment(key(sink, Endpoint{Endpoint::Kind::kRegOut, r})) == 1)
+      wired_[slot(sink)].push_back(r);
   }
 
  private:
-  std::set<std::pair<uint64_t, uint64_t>> seen_;
+  static uint64_t key(const Pin& sink, const Endpoint& src) {
+    return (static_cast<uint64_t>(pack(sink)) << 32) | pack(src);
+  }
+
+  // Dense list index: FU input pins, output ports, FU outputs, input ports
+  // (the only ends a storage's connections have besides its register).
+  size_t slot(const Pin& p) const {
+    SALSA_DCHECK(p.kind != Pin::Kind::kRegIn);
+    const int base = p.kind == Pin::Kind::kFuIn0   ? 0
+                     : p.kind == Pin::Kind::kFuIn1 ? fus_
+                                                   : 2 * fus_;
+    return static_cast<size_t>(base + p.id);
+  }
+  size_t slot(const Endpoint& e) const {
+    SALSA_DCHECK(e.kind == Endpoint::Kind::kFuOut ||
+                 e.kind == Endpoint::Kind::kInPort);
+    const int base = e.kind == Endpoint::Kind::kFuOut ? 2 * fus_ + nodes_
+                                                      : 3 * fus_ + nodes_;
+    return static_cast<size_t>(base + e.id);
+  }
+
+  int fus_;
+  int nodes_;
+  FlatMap<uint64_t> seen_;  ///< (sink, source) pairs, counted
+  std::vector<std::vector<RegId>> wired_;
 };
 
 }  // namespace
@@ -35,13 +83,15 @@ Binding initial_allocation(const AllocProblem& prob,
   const Schedule& sched = prob.sched();
   const Lifetimes& lt = prob.lifetimes();
   const int L = sched.length();
+  const int R = prob.num_regs();
   Rng rng(opts.seed);
   Binding b(prob);
 
   // ---- operators to FUs, first-available per control step -----------------
-  std::vector<std::vector<bool>> fu_busy(
-      static_cast<size_t>(prob.fus().size()),
-      std::vector<bool>(static_cast<size_t>(L), false));
+  BitPlane fu_busy;  // rows = FUs, bits = control steps
+  fu_busy.resize(prob.fus().size(), L);
+  const std::vector<FuId> alus = prob.fus().of_class(FuClass::kAlu);
+  const std::vector<FuId> muls = prob.fus().of_class(FuClass::kMul);
   std::vector<NodeId> ops = g.operations();
   std::sort(ops.begin(), ops.end(), [&](NodeId a, NodeId c) {
     return sched.start(a) != sched.start(c) ? sched.start(a) < sched.start(c)
@@ -49,116 +99,116 @@ Binding initial_allocation(const AllocProblem& prob,
   });
   for (NodeId n : ops) {
     const OpKind k = g.node(n).kind;
+    const int start = sched.start(n);
     const int occ = sched.hw().occupancy(k);
     FuId chosen = kInvalidId;
-    for (FuId f : prob.fus().of_class(fu_class_of(k))) {
-      bool free = true;
-      for (int t = sched.start(n); t < sched.start(n) + occ; ++t)
-        if (fu_busy[static_cast<size_t>(f)][static_cast<size_t>(t)]) {
-          free = false;
-          break;
-        }
-      if (free) {
+    for (FuId f : fu_class_of(k) == FuClass::kMul ? muls : alus)
+      if (!fu_busy.any_in_range(f, start, occ)) {
         chosen = f;
         break;
       }
-    }
     SALSA_CHECK_MSG(chosen != kInvalidId,
                     "initial allocation: FU pool too small for op '" +
                         g.node(n).name + "'");
-    for (int t = sched.start(n); t < sched.start(n) + occ; ++t)
-      fu_busy[static_cast<size_t>(chosen)][static_cast<size_t>(t)] = true;
+    fu_busy.set_range(chosen, start, occ);
     b.op(n).fu = chosen;
   }
 
   // ---- storages to registers ----------------------------------------------
+  // Placement order: loop I/O first, then storages touching a peak-demand
+  // step, then the rest; long lifetimes early within a rank.
   const int min_regs = lt.min_registers();
-  auto touches_peak = [&](const Storage& s) {
-    for (int seg = 0; seg < s.len; ++seg)
-      if (lt.demand()[static_cast<size_t>(s.step_at(seg, L))] == min_regs)
-        return true;
-    return false;
-  };
+  std::vector<int> rank(static_cast<size_t>(lt.num_storages()), 2);
+  for (int sid = 0; sid < lt.num_storages(); ++sid) {
+    int& r = rank[static_cast<size_t>(sid)];
+    for (ValueId v : lt.storage(sid).members)
+      if (g.node(g.producer(v)).kind == OpKind::kState) r = 0;
+    if (r != 0)
+      for (int step : lt.steps_of(sid))
+        if (lt.demand()[static_cast<size_t>(step)] == min_regs) r = 1;
+  }
   std::vector<int> order(static_cast<size_t>(lt.num_storages()));
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);  // tie-breaking varies with the seed
   std::stable_sort(order.begin(), order.end(), [&](int a, int c) {
-    const Storage& sa = lt.storage(a);
-    const Storage& sc = lt.storage(c);
-    auto rank = [&](const Storage& s) {
-      for (ValueId v : s.members)
-        if (g.node(g.producer(v)).kind == OpKind::kState) return 0;  // loop I/O
-      return touches_peak(s) ? 1 : 2;
-    };
-    const int ra = rank(sa), rc = rank(sc);
+    const int ra = rank[static_cast<size_t>(a)];
+    const int rc = rank[static_cast<size_t>(c)];
     if (ra != rc) return ra < rc;
-    return sa.len > sc.len;  // long lifetimes early
+    return lt.storage(a).len > lt.storage(c).len;  // long lifetimes early
   });
 
-  std::vector<std::vector<int>> reg_sto(
-      static_cast<size_t>(prob.num_regs()),
-      std::vector<int>(static_cast<size_t>(L), -1));
-  ConnTracker tracker;
-
-  // Connections created by serving this storage's reads from `reg` and (for
-  // seg 0) writing it from its producer. Approximate: operand swaps are all
-  // still false at this point.
-  auto placement_conns = [&](int sid, int seg, RegId reg) {
-    const Storage& s = lt.storage(sid);
-    std::vector<std::pair<uint64_t, uint64_t>> conns;
-    if (seg == 0) {
-      const Endpoint src =
-          s.producer == kInvalidId
-              ? Endpoint{Endpoint::Kind::kInPort, g.producer(s.members[0])}
-              : Endpoint{Endpoint::Kind::kFuOut, b.op(s.producer).fu};
-      conns.emplace_back(key_of(Pin{Pin::Kind::kRegIn, reg}), key_of(src));
-    }
+  // The connections a placement makes, as the endpoint or pin at their far
+  // end from the register: the producer (seg 0) and every read, over all
+  // segments when seg < 0, else over segment `seg` alone. Approximate:
+  // operand swaps are all still false at this point.
+  auto for_each_end = [&](const Storage& s, int seg, auto&& fn) {
+    if (seg <= 0)
+      fn(s.producer == kInvalidId
+             ? Endpoint{Endpoint::Kind::kInPort, g.producer(s.members[0])}
+             : Endpoint{Endpoint::Kind::kFuOut, b.op(s.producer).fu});
     for (const StorageRead& r : s.reads) {
-      if (r.seg != seg) continue;
+      if (seg >= 0 && r.seg != seg) continue;
       const Node& cn = g.node(r.consumer);
-      Pin sink = cn.kind == OpKind::kOutput
-                     ? Pin{Pin::Kind::kOutPort, r.consumer}
-                     : Pin{r.operand == 0 ? Pin::Kind::kFuIn0
-                                          : Pin::Kind::kFuIn1,
-                           b.op(r.consumer).fu};
-      conns.emplace_back(key_of(sink),
-                         key_of(Endpoint{Endpoint::Kind::kRegOut, reg}));
+      fn(cn.kind == OpKind::kOutput
+             ? Pin{Pin::Kind::kOutPort, r.consumer}
+             : Pin{r.operand == 0 ? Pin::Kind::kFuIn0 : Pin::Kind::kFuIn1,
+                   b.op(r.consumer).fu});
     }
-    return conns;
+  };
+
+  BitPlane reg_busy;  // rows = control steps, bits = registers
+  reg_busy.resize(L, R);
+  BitPlane busy_over;  // one row: registers busy at any step of a storage
+  busy_over.resize(1, R);
+  WireTracker wires(prob.fus().size(), g.num_nodes());
+  std::vector<int> hits(static_cast<size_t>(R), 0);
+  std::vector<RegId> touched;
+
+  // The register adding the fewest new connections among those clear in
+  // row `row` of `busy`, ties to the lowest index; kInvalidId if none is.
+  // A register's score is the placement's connection count minus its hits,
+  // the connections already present — a connection listed twice (two reads
+  // on one pin) hits twice. Only wired registers have hits, so the best
+  // free wired register wins, and with none the lowest-index free one does.
+  auto pick = [&](const Storage& s, int seg, const BitPlane& busy, int row) {
+    for_each_end(s, seg, [&](const auto& end) {
+      for (RegId r : wires.wired(end))
+        if (hits[static_cast<size_t>(r)]++ == 0) touched.push_back(r);
+    });
+    RegId best = kInvalidId;
+    int best_hits = 0;
+    for (RegId r : touched) {
+      const int h = std::exchange(hits[static_cast<size_t>(r)], 0);
+      if (busy.test(row, r)) continue;
+      if (h > best_hits || (h == best_hits && r < best)) {
+        best = r;
+        best_hits = h;
+      }
+    }
+    touched.clear();
+    if (best != kInvalidId) return best;
+    return popcount_words(busy.row(row), busy.stride()) == R
+               ? kInvalidId
+               : nth_clear_bit(busy.row(row), R, 0);
   };
 
   for (int sid : order) {
     const Storage& s = lt.storage(sid);
-    // Contiguous candidates.
-    RegId best_reg = kInvalidId;
-    int best_score = 0;
-    for (RegId r = 0; r < prob.num_regs(); ++r) {
-      bool free = true;
-      for (int seg = 0; seg < s.len && free; ++seg)
-        free = reg_sto[static_cast<size_t>(r)]
-                      [static_cast<size_t>(s.step_at(seg, L))] == -1;
-      if (!free) continue;
-      std::vector<std::pair<uint64_t, uint64_t>> conns;
-      for (int seg = 0; seg < s.len; ++seg) {
-        auto c = placement_conns(sid, seg, r);
-        conns.insert(conns.end(), c.begin(), c.end());
-      }
-      const int score = tracker.would_add(conns);
-      if (best_reg == kInvalidId || score < best_score) {
-        best_reg = r;
-        best_score = score;
-      }
-    }
+    const std::vector<int>& steps = lt.steps_of(sid);
     StorageBinding& sb = b.sto(sid);
-    if (best_reg != kInvalidId) {
+    // Contiguous: one register free over every live step.
+    busy_over.zero();
+    for (int step : steps)
+      words_or_accumulate(busy_over.row(0), reg_busy.row(step),
+                          reg_busy.stride());
+    const RegId reg = pick(s, -1, busy_over, 0);
+    if (reg != kInvalidId) {
       for (int seg = 0; seg < s.len; ++seg) {
         sb.cells[static_cast<size_t>(seg)].assign(
-            1, Cell{best_reg, seg == 0 ? -1 : 0, kInvalidId});
-        tracker.add(placement_conns(sid, seg, best_reg));
+            1, Cell{reg, seg == 0 ? -1 : 0, kInvalidId});
+        reg_busy.set(steps[static_cast<size_t>(seg)], reg);
       }
-      for (int seg = 0; seg < s.len; ++seg)
-        reg_sto[static_cast<size_t>(best_reg)]
-               [static_cast<size_t>(s.step_at(seg, L))] = sid;
+      for_each_end(s, -1, [&](const auto& end) { wires.connect(end, reg); });
       continue;
     }
     // No contiguous space: split into per-step placements, staying in the
@@ -168,29 +218,16 @@ Binding initial_allocation(const AllocProblem& prob,
            s.name + "'");
     RegId cur = kInvalidId;
     for (int seg = 0; seg < s.len; ++seg) {
-      const int step = s.step_at(seg, L);
-      auto is_free = [&](RegId r) {
-        return reg_sto[static_cast<size_t>(r)][static_cast<size_t>(step)] == -1;
-      };
-      if (cur == kInvalidId || !is_free(cur)) {
-        RegId pick = kInvalidId;
-        int pick_score = 0;
-        for (RegId r = 0; r < prob.num_regs(); ++r) {
-          if (!is_free(r)) continue;
-          const int score = tracker.would_add(placement_conns(sid, seg, r));
-          if (pick == kInvalidId || score < pick_score) {
-            pick = r;
-            pick_score = score;
-          }
-        }
-        SALSA_CHECK_MSG(pick != kInvalidId,
+      const int step = steps[static_cast<size_t>(seg)];
+      if (cur == kInvalidId || reg_busy.test(step, cur)) {
+        cur = pick(s, seg, reg_busy, step);
+        SALSA_CHECK_MSG(cur != kInvalidId,
                         "initial allocation: register demand exceeded");
-        cur = pick;
       }
       sb.cells[static_cast<size_t>(seg)].assign(
           1, Cell{cur, seg == 0 ? -1 : 0, kInvalidId});
-      tracker.add(placement_conns(sid, seg, cur));
-      reg_sto[static_cast<size_t>(cur)][static_cast<size_t>(step)] = sid;
+      for_each_end(s, seg, [&](const auto& end) { wires.connect(end, cur); });
+      reg_busy.set(step, cur);
     }
   }
   return b;

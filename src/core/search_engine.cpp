@@ -7,23 +7,6 @@
 
 namespace salsa {
 
-namespace {
-
-// Compact 32-bit endpoint/pin keys for the connection index (the 64-bit
-// key_of keys would not fit two to a word). Ids are node/FU/register
-// indices — far below 2^28.
-uint32_t pack(const Endpoint& e) {
-  SALSA_DCHECK(e.id >= 0 && e.id < (1 << 28));
-  return (static_cast<uint32_t>(e.kind) << 28) | static_cast<uint32_t>(e.id);
-}
-
-uint32_t pack(const Pin& p) {
-  SALSA_DCHECK(p.id >= 0 && p.id < (1 << 28));
-  return (static_cast<uint32_t>(p.kind) << 28) | static_cast<uint32_t>(p.id);
-}
-
-}  // namespace
-
 SearchEngine::SearchEngine(const Binding& start) : b_(start) {
   build_static();
   init_from_statics();

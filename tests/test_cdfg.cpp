@@ -83,6 +83,29 @@ TEST(Cdfg, StateFedByConstantThrows) {
   EXPECT_THROW(g.set_state_next(st, one), Error);
 }
 
+// A state chained into another (a's next content is b's value) shares b's
+// storage, so a read of b's next content is a read of a's storage too.
+TEST(Cdfg, ChainedStateStorageReadDownstream) {
+  Cdfg g("s");
+  const ValueId x = g.add_input("x");
+  const ValueId a = g.add_state("a");
+  const ValueId b = g.add_state("b");
+  const ValueId n = g.add_op(OpKind::kAdd, x, g.add_const(1), "n");
+  g.set_state_next(a, b);
+  g.set_state_next(b, n);
+  (void)g.add_output(n, "y");
+  EXPECT_NO_THROW(g.validate());
+  Cdfg unread("s");
+  const ValueId ux = unread.add_input("x");
+  const ValueId ua = unread.add_state("a");
+  const ValueId ub = unread.add_state("b");
+  unread.set_state_next(ua, ub);
+  unread.set_state_next(
+      ub, unread.add_op(OpKind::kAdd, ux, unread.add_const(1), "n"));
+  (void)unread.add_output(unread.add_op(OpKind::kMul, ux, ux), "y");
+  EXPECT_THROW(unread.validate(), Error);
+}
+
 TEST(Cdfg, OpKindPredicates) {
   EXPECT_TRUE(is_binary(OpKind::kAdd));
   EXPECT_TRUE(is_binary(OpKind::kSub));

@@ -124,6 +124,26 @@ out y
   EXPECT_NE(sa.state_next, sb.state_next);
 }
 
+// A state whose merged storage is never read — neither the state value nor
+// its next-iteration value has a consumer — is rejected by name when the
+// graph is validated, before lifetime analysis could trip over it.
+TEST(Expr, UnreadStateIsDiagnosedByName) {
+  try {
+    compile_expr_string(R"(design unread
+input x
+state z3
+z3 := x + 1
+y = x * 2
+out y
+)");
+    FAIL() << "expected error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("state 'z3' is never read"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 struct ExprError {
   const char* name;
   const char* text;
