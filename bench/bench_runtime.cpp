@@ -261,71 +261,6 @@ BENCHMARK(BM_ParallelRestarts)
     ->UseRealTime()
     ->Iterations(1);
 
-// Speculative proposal throughput: a full improve() run on the EWF with a
-// (threads x k) grid over the ProposalPipeline. k == 1 / 1 thread is the
-// sequential baseline; the "moves_per_sec" counters are directly comparable
-// across args because the trajectory (and thus the served move stream) is
-// byte-identical for every setting — only the scoring parallelism differs.
-// The "spec_hit" counter reports served / speculated for the batched runs.
-// (On a single-core host every arg degenerates to sequential wall clock;
-// the grid is meant for multicore runs — see EXPERIMENTS.md.)
-void speculative_moves(benchmark::State& state, ProblemBundle& bundle) {
-  const int threads = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  Binding b = initial_allocation(*bundle.problem);
-  long attempted = 0;
-  SpecStats spec;
-  for (auto _ : state) {
-    ImproveParams p;
-    p.max_trials = 4;
-    p.moves_per_trial = 3000;
-    p.stop_after_stale = 4;
-    p.seed = 1;
-    p.speculation.k = k;
-    p.speculation.parallelism.threads = threads;
-    const ImproveResult r = improve(b, p);
-    benchmark::DoNotOptimize(r.cost.total);
-    attempted += r.stats.attempted;
-    spec = r.stats.spec;
-  }
-  state.counters["threads"] = threads;
-  state.counters["k"] = k;
-  state.counters["moves_per_sec"] = benchmark::Counter(
-      static_cast<double>(attempted), benchmark::Counter::kIsRate);
-  state.counters["spec_hit"] =
-      spec.speculated
-          ? static_cast<double>(spec.served) /
-                static_cast<double>(spec.speculated)
-          : 0.0;
-}
-
-void BM_SpeculativeMoves(benchmark::State& state) {
-  speculative_moves(state, ewf17());
-}
-BENCHMARK(BM_SpeculativeMoves)
-    ->Args({1, 1})
-    ->Args({1, 8})
-    ->Args({2, 8})
-    ->Args({4, 8})
-    ->Args({8, 8})
-    ->Args({8, 16})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Iterations(1);
-
-// The same measurement on the DCT, the paper's larger benchmark. The
-// {1, 1} row is the second sequential-throughput acceptance number next to
-// BM_SpeculativeMoves/1/1 (see EXPERIMENTS.md "Move throughput").
-void BM_SpeculativeMovesDct(benchmark::State& state) {
-  speculative_moves(state, dct9());
-}
-BENCHMARK(BM_SpeculativeMovesDct)
-    ->Args({1, 1})
-    ->Args({8, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Iterations(1);
-
 // ---- large-design scaling sweep -------------------------------------------
 // Sequential engine-move throughput vs design size, the wall behind
 // BENCH_scaling.json. Arg 0 selects the design source (0 = the EWF
@@ -439,19 +374,18 @@ void BM_SimulateIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateIteration);
 
-// Display reporter that additionally captures every run carrying a
-// moves_per_sec counter into throughput rows — or, for runs that also carry
-// a design_ops counter, into scaling rows — for the machine-readable
-// records written by main(). Counters reach the reporter already finalized
+// Display reporter that additionally captures every run carrying both a
+// moves_per_sec and a design_ops counter (the BM_ScalingMoves sweep) into
+// scaling rows for the machine-readable record written by main(). Counters
+// reach the reporter already finalized
 // (rates divided by elapsed time). Aggregate rows (mean/median/stddev/cv of
 // repeated runs) are skipped: their counters are statistics of statistics
 // (a stddev row reports the stddev of the threads counter as "threads: 0"),
 // which polluted the committed baseline until PR 8. Because an explicit
 // display reporter is installed, --benchmark_format is ignored — use
 // --benchmark_out=<file> for a full google-benchmark JSON record.
-class ThroughputCapture : public benchmark::ConsoleReporter {
+class ScalingCapture : public benchmark::ConsoleReporter {
  public:
-  std::vector<benchharness::ThroughputRow> rows;
   std::vector<benchharness::ScalingRow> scaling_rows;
 
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -477,16 +411,7 @@ class ThroughputCapture : public benchmark::ConsoleReporter {
             m != run.counters.end())
           row.peak_rss_mb = m->second.value;
         scaling_rows.push_back(std::move(row));
-        continue;
       }
-      benchharness::ThroughputRow row;
-      row.benchmark = run.benchmark_name();
-      row.moves_per_sec = it->second.value;
-      if (const auto t = run.counters.find("threads"); t != run.counters.end())
-        row.threads = static_cast<int>(t->second.value);
-      if (const auto kk = run.counters.find("k"); kk != run.counters.end())
-        row.k = static_cast<int>(kk->second.value);
-      rows.push_back(std::move(row));
     }
     ConsoleReporter::ReportRuns(reports);
   }
@@ -494,28 +419,22 @@ class ThroughputCapture : public benchmark::ConsoleReporter {
 
 }  // namespace
 
-// BENCHMARK_MAIN plus the machine-readable records: every run with a
-// moves_per_sec counter lands in BENCH_throughput.json (override the path
-// with SALSA_BENCH_JSON), and every BM_ScalingMoves run in
-// BENCH_scaling.json (SALSA_SCALING_JSON), both stamped with the tree's
-// `git describe`. The scaling record is written only when the filter
-// actually ran scaling benchmarks, so a throughput-only run cannot clobber
-// the committed wall with an empty array.
+// BENCHMARK_MAIN plus the machine-readable record: every BM_ScalingMoves
+// run lands in BENCH_scaling.json (override the path with
+// SALSA_SCALING_JSON), stamped with the tree's `git describe`. The record
+// is written only when the filter actually ran scaling benchmarks, so any
+// other run cannot clobber the committed wall with an empty array.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ThroughputCapture reporter;
+  ScalingCapture reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  const std::string git = benchharness::git_describe();
-  const char* path = std::getenv("SALSA_BENCH_JSON");
-  benchharness::write_throughput_json(
-      path != nullptr ? path : "BENCH_throughput.json", reporter.rows, git);
   if (!reporter.scaling_rows.empty()) {
     const char* spath = std::getenv("SALSA_SCALING_JSON");
     benchharness::write_scaling_json(
         spath != nullptr ? spath : "BENCH_scaling.json",
-        reporter.scaling_rows, git);
+        reporter.scaling_rows, benchharness::git_describe());
   }
   return 0;
 }

@@ -9,7 +9,6 @@
 // contains a `schedule` section that schedule is used verbatim; otherwise
 // the design is scheduled at --steps (default: the critical path) with the
 // minimum-FU search.
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +29,7 @@
 #include "io/text_format.h"
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
+#include "util/args.h"
 #include "util/rng.h"
 
 using namespace salsa;
@@ -52,24 +52,12 @@ int main(int argc, char** argv) {
   try {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
-      // The whole value must be a decimal integer within [lo, hi].
-      auto next_int = [&](int& out, long lo, long hi) {
-        if (i + 1 >= argc) fail("missing value after " + arg);
-        const char* text = argv[++i];
-        char* end = nullptr;
-        errno = 0;
-        const long n = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || errno == ERANGE || n < lo || n > hi)
-          fail(arg + " expects an integer in [" + std::to_string(lo) + ", " +
-               std::to_string(hi) + "], got '" + text + "'");
-        out = static_cast<int>(n);
-      };
       if (arg == "--steps") {
-        next_int(steps, 1, 100000);
+        steps = static_cast<int>(int_flag(argc, argv, &i, 1, 100000));
       } else if (arg == "--pipelined") {
         pipelined = true;
       } else if (arg == "--extra-regs") {
-        next_int(extra_regs, 0, 100000);
+        extra_regs = static_cast<int>(int_flag(argc, argv, &i, 0, 100000));
       } else if (arg == "--traditional") {
         traditional = true;
       } else if (arg == "--verilog") {

@@ -21,7 +21,6 @@
 #include "analysis/auditor.h"
 #include "core/moves.h"
 #include "core/resources.h"
-#include "core/speculate.h"
 
 namespace salsa {
 
@@ -68,57 +67,6 @@ struct FuzzResult {
 /// Runs the fuzzer on one problem. Does not throw on audit violations —
 /// they are reported through FuzzResult (and as an artifact file).
 FuzzResult run_move_fuzz(const AllocProblem& prob, const FuzzParams& params);
-
-/// Speculation fuzzer parameters: seeded k-way proposal batches driven
-/// through a ProposalPipeline, checked against a sequential (k = 1)
-/// reference run of the same seed. Acceptance is a function of the
-/// candidate alone (its delta and its private RNG stream), so both runs
-/// make identical decisions as long as the speculative run serves the
-/// exact candidates the sequential one does.
-struct SpecFuzzParams {
-  uint64_t seed = 1;
-  /// Candidates served per run (feasible and infeasible).
-  long steps = 4000;
-  int k = 8;        ///< speculative batch width
-  int threads = 2;  ///< scoring thread budget
-  /// Probability of keeping a feasible uphill candidate (downhill ones are
-  /// always kept, so the runs walk a realistic trajectory).
-  double accept_prob = 0.25;
-  MoveConfig moves = MoveConfig::salsa_default();
-  /// Auditor installed on both engines: commits pay the usual battery and
-  /// every audited speculation re-checks its worker against a from-scratch
-  /// evaluation (InvariantAuditor::on_speculate).
-  AuditorOptions audit;
-  /// Reset the pipeline to the best binding seen every this many commits
-  /// (exercises ProposalPipeline::reset_to and worker re-sync); 0 disables.
-  long reset_every = 200;
-  /// On failure, write "<name>-seed<seed>.json" here. Empty = no artifact.
-  std::string artifact_dir;
-  std::string name = "spec";
-  /// Mutation testing (0 = off): let the Nth footprint-conflict hit slip
-  /// through uninvalidated (ProposalPipeline::
-  /// inject_skip_footprint_check_for_test). The replay cross-check or the
-  /// trajectory comparison must catch the stale score.
-  long skip_footprint_check_at = 0;
-};
-
-struct SpecFuzzResult {
-  bool ok = true;
-  std::string failure;        ///< error / divergence message when !ok
-  std::string artifact_path;  ///< written artifact, empty if none
-  long commits = 0;           ///< commits in the speculative run
-  /// Index of the first diverging commit between the sequential and the
-  /// speculative trajectory; -1 when the streams are identical.
-  long divergence = -1;
-  SpecStats spec;  ///< speculative run's hit/discard counters
-};
-
-/// Runs the speculative pipeline against its sequential reference on one
-/// problem. Does not throw — cross-check violations (SALSA_CHECK on
-/// replay), auditor violations and trajectory divergences are all reported
-/// through SpecFuzzResult (and as an artifact file).
-SpecFuzzResult run_speculation_fuzz(const AllocProblem& prob,
-                                    const SpecFuzzParams& params);
 
 struct SegmentDiffResult {
   bool ok = true;

@@ -119,11 +119,10 @@ Comparison run_comparison(const AllocProblem& prob, uint64_t seed) {
 
 namespace {
 
-// The committed walls (BENCH_throughput.json, BENCH_scaling.json) must come
-// from clean trees: a "-dirty" stamp means the record measures uncommitted
-// code against a committed baseline. The record is still written — local
-// iteration needs it — but loudly, so a dirty record is never committed by
-// accident.
+// The committed wall (BENCH_scaling.json) must come from a clean tree: a
+// "-dirty" stamp means the record measures uncommitted code against a
+// committed baseline. The record is still written — local iteration needs
+// it — but loudly, so a dirty record is never committed by accident.
 void warn_if_dirty_tree(const std::string& git_version,
                         const std::string& path) {
   if (git_version.find("-dirty") == std::string::npos) return;
@@ -176,27 +175,6 @@ std::string git_describe(std::string fallback) {
     out.pop_back();
   if (rc != 0 || out.empty()) return fallback;
   return out;
-}
-
-void write_throughput_json(const std::string& path,
-                           const std::vector<ThroughputRow>& rows,
-                           const std::string& git_version) {
-  warn_if_dirty_tree(git_version, path);
-  std::ofstream os(path);
-  SALSA_CHECK_MSG(os.good(), "cannot open throughput record " + path);
-  os << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ThroughputRow& r = rows[i];
-    char rate[32];
-    std::snprintf(rate, sizeof rate, "%.10g", r.moves_per_sec);
-    os << "  {\"benchmark\": \"" << r.benchmark
-       << "\", \"moves_per_sec\": " << rate << ", \"threads\": " << r.threads
-       << ", \"k\": " << r.k << ", \"git\": \"" << git_version << "\"}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-  os.close();
-  SALSA_CHECK_MSG(os.good(), "failed writing throughput record " + path);
 }
 
 void write_scaling_json(const std::string& path,

@@ -84,16 +84,6 @@ std::vector<TableRow> table2_rows(const TableBudget& budget,
 std::vector<TableRow> table3_rows(const TableBudget& budget,
                                   Parallelism parallelism = {});
 
-/// One row of the throughput record bench_runtime emits
-/// (BENCH_throughput.json): a benchmark's served-move rate at one
-/// (threads, k) proposal-pipeline setting.
-struct ThroughputRow {
-  std::string benchmark;
-  double moves_per_sec = 0;
-  int threads = 1;
-  int k = 1;
-};
-
 /// One row of the large-design scaling record bench_runtime emits
 /// (BENCH_scaling.json): sequential engine-move throughput and memory
 /// high-water mark at one design size. `peak_rss_mb` is the process-wide
@@ -115,17 +105,11 @@ struct ScalingRow {
 /// binaries run from arbitrary build directories.
 std::string git_describe(std::string fallback = "unknown");
 
-/// Writes the rows to `path` as a JSON array of {benchmark, moves_per_sec,
-/// threads, k, git} objects. Overwrites; fails hard on I/O errors so CI
-/// artifact uploads never silently archive a stale record.
-void write_throughput_json(const std::string& path,
-                           const std::vector<ThroughputRow>& rows,
-                           const std::string& git_version);
-
 /// Writes the scaling rows to `path` as a JSON array of {benchmark, family,
 /// ops, length, regs, moves_per_sec, ns_per_move, peak_rss_mb, git}
 /// objects (ns_per_move is derived from moves_per_sec at write time).
-/// Overwrites; fails hard on I/O errors like write_throughput_json.
+/// Overwrites; fails hard on I/O errors so CI artifact uploads never
+/// silently archive a stale record.
 void write_scaling_json(const std::string& path,
                         const std::vector<ScalingRow>& rows,
                         const std::string& git_version);

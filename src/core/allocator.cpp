@@ -67,7 +67,6 @@ RestartOutcome run_restart(const AllocProblem& prob,
   init.seed = derive_seed(opts.initial.seed, 2 * rr);
   ImproveParams params = opts.improve;
   params.seed = derive_seed(opts.improve.seed, 2 * rr + 1);
-  params.speculation = opts.speculation;
 
   // Checked mode: this restart's engines run under their own invariant
   // auditor (restarts may run on different threads; the auditor is

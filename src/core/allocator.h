@@ -79,13 +79,8 @@ struct AllocatorOptions {
   /// traditional move set, then let the extended moves strip interconnect
   /// from that allocation. Disable for the pure-extended-search ablation.
   bool warm_start_traditional = true;
-  /// Speculative proposal batching *inside* each restart's engine
-  /// (core/speculate.h): per sweep, k candidate moves are scored in
-  /// parallel against a frozen snapshot and committed in proposal order.
-  /// Byte-identical results for any width/thread count; defaults to the
-  /// SALSA_SPECULATION environment variable, else off. This is copied into
-  /// every restart's ImproveParams (overriding improve.speculation).
-  SpeculationConfig speculation;
+  /// Inert (see RetiredSpeculationConfig in core/improver.h).
+  RetiredSpeculationConfig speculation;
   /// Self-checking level (see CheckMode above). Defaults to the SALSA_CHECK
   /// environment variable, else kFinal.
   CheckMode checked = default_check_mode();

@@ -21,8 +21,6 @@ struct AnnealParams {
   std::ostream* trace = nullptr;
   /// Optional transaction observer (see ImproveParams::observer).
   SearchObserver* observer = nullptr;
-  /// Speculative proposal batching (see ImproveParams::speculation).
-  SpeculationConfig speculation;
 };
 
 /// Runs simulated annealing from `start` (Metropolis acceptance). Returns

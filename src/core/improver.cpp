@@ -11,17 +11,14 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
   SearchEngine eng(start);
   eng.set_trace(params.trace);
   eng.set_observer(params.observer);
-  // All proposals flow through the speculation pipeline: candidate i draws
-  // from its own derived RNG stream and is either scored speculatively
-  // against a snapshot or proposed live — the served trajectory is the
-  // same either way. Traced runs are forced sequential so the JSONL stream
-  // interleaves with engine state exactly as written.
-  ProposalPipeline pipe(eng, params.moves, params.speculation, params.seed,
-                        params.trace != nullptr);
   Binding best = start;
   double best_cost = eng.total();
 
   ImproveStats stats;
+  // Candidate i of the run draws from its own stream derive_seed(seed, i).
+  // The counter runs on across reset_to, so a restart from the best
+  // binding never replays the candidates that led away from it.
+  uint64_t i = 0;
   int stale = 0;
   for (int trial = 0; trial < params.max_trials; ++trial) {
     ++stats.trials;
@@ -29,17 +26,21 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
     bool improved = false;
     for (int m = 0; m < params.moves_per_trial; ++m) {
       eng.set_trace_aux("uphill_left", uphill_left);
-      const auto c = pipe.next();
-      if (!c.feasible) continue;
+      Rng r(derive_seed(params.seed, i++));
+      const auto delta = eng.propose(params.moves.pick(r), r);
+      if (!delta) continue;
       ++stats.attempted;
-      bool accept = c.delta <= 0;
-      if (!accept && uphill_left > 0 && c.delta <= params.max_uphill_delta) {
+      bool accept = *delta <= 0;
+      if (!accept && uphill_left > 0 && *delta <= params.max_uphill_delta) {
         accept = true;
         --uphill_left;
         ++stats.uphill;
       }
-      pipe.decide(accept);
-      if (!accept) continue;
+      if (!accept) {
+        eng.rollback();
+        continue;
+      }
+      eng.commit();
       ++stats.accepted;
       if (eng.total() < best_cost - 1e-9) {
         best = eng.binding();
@@ -51,12 +52,11 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
       stale = 0;
     } else {
       // Return to the best known allocation before exploring again.
-      pipe.reset_to(best);
+      eng.reset_to(best);
       if (++stale >= params.stop_after_stale) break;
     }
   }
-  stats.by_kind = pipe.kind_stats();
-  stats.spec = pipe.spec_stats();
+  stats.by_kind = eng.kind_stats();
   check_legal(best);
   CostBreakdown final_cost = evaluate_cost(best);
   return ImproveResult{std::move(best), final_cost, stats};

@@ -18,11 +18,19 @@
 #include "core/binding.h"
 #include "core/cost.h"
 #include "core/moves.h"
-#include "core/speculate.h"
+#include "util/thread_pool.h"
 
 namespace salsa {
 
 class SearchObserver;  // core/search_engine.h
+
+/// Inert: nothing in src/ reads it. The end-to-end benchmark driver
+/// (perfbench/e2e.cpp) still sets these fields, so they stay until the
+/// next change to the benchmark deletes them together with those lines.
+struct RetiredSpeculationConfig {
+  int k = 1;
+  Parallelism parallelism;
+};
 
 struct ImproveParams {
   MoveConfig moves = MoveConfig::salsa_default();
@@ -44,10 +52,8 @@ struct ImproveParams {
   /// invariant auditor (src/analysis/auditor.h) hooks in here. Not owned;
   /// nullptr (the default) costs one null check per transaction.
   SearchObserver* observer = nullptr;
-  /// Speculative proposal batching (core/speculate.h): width k and thread
-  /// budget. Defaults to the SALSA_SPECULATION environment variable, else
-  /// off. Trajectories are byte-identical for every setting.
-  SpeculationConfig speculation;
+  /// Inert (see RetiredSpeculationConfig).
+  RetiredSpeculationConfig speculation;
 };
 
 struct ImproveStats {
@@ -57,15 +63,8 @@ struct ImproveStats {
   long uphill = 0;     ///< kept despite a cost increase
   long kicks = 0;      ///< cost-blind perturbation moves (ILS only)
   /// Per-move-kind attempted/accepted/delta breakdown (see
-  /// io/report.h:search_stats_report for a rendering). Counts the served
-  /// trajectory only: candidates from discarded speculations are excluded
-  /// (they were never part of the search), so this is identical for every
-  /// speculation width and thread count.
+  /// io/report.h:search_stats_report for a rendering).
   std::array<MoveKindStats, kNumMoveKinds> by_kind{};
-  /// Speculation hit/discard counters (all zero when speculation is off).
-  /// Deterministic for a fixed k, but *dependent* on k — callers comparing
-  /// stats across speculation settings compare everything but this field.
-  SpecStats spec;
 
   ImproveStats& operator+=(const ImproveStats& o) {
     trials += o.trials;
@@ -75,7 +74,6 @@ struct ImproveStats {
     kicks += o.kicks;
     for (int k = 0; k < kNumMoveKinds; ++k)
       by_kind[static_cast<size_t>(k)] += o.by_kind[static_cast<size_t>(k)];
-    spec += o.spec;
     return *this;
   }
 

@@ -389,28 +389,21 @@ bool move_val_move(SearchEngine& eng, Rng& rng) {
     // steps into one register mask — O(len x R/64) words instead of an
     // AND-any probe per register — and draw a clear bit. `cur` is busy on
     // its own arc, so it falls out of the mask automatically: same
-    // candidate set, same ascending order as the per-register loop. The
-    // mask lives in the engine's bound batch scratch when one is present
-    // (the speculation pipeline's contiguous per-candidate arena), with
-    // thread-local scratch as the sequential fallback; accumulation and
-    // reduction run through the word kernels of util/bitplane.h.
+    // candidate set, same ascending order as the per-register loop.
+    // Accumulation and reduction run through the word kernels of
+    // util/bitplane.h.
     const std::vector<int>& steps = lt.steps_of(sid);
     const BitPlane& bt = occ.reg_busy_t;
     const int words = bt.stride();
-    static thread_local std::vector<uint64_t> busy_union_tl;
-    uint64_t* busy_union = eng.batch_scratch(words);
-    if (busy_union != nullptr) {
-      std::fill_n(busy_union, static_cast<size_t>(words), 0);
-    } else {
-      busy_union_tl.assign(static_cast<size_t>(words), 0);
-      busy_union = busy_union_tl.data();
-    }
-    for (const int t : steps) words_or_accumulate(busy_union, bt.row(t), words);
-    const int busy = popcount_words(busy_union, words);
+    static thread_local std::vector<uint64_t> busy_union;
+    busy_union.assign(static_cast<size_t>(words), 0);
+    for (const int t : steps)
+      words_or_accumulate(busy_union.data(), bt.row(t), words);
+    const int busy = popcount_words(busy_union.data(), words);
     const int nregs = b.prob().num_regs();
     const int nfree = nregs - busy;
     if (nfree == 0) return false;
-    r = nth_clear_bit(busy_union, nregs, rng.uniform(nfree));
+    r = nth_clear_bit(busy_union.data(), nregs, rng.uniform(nfree));
   } else if (lt.storage(sid).len <= b.prob().sched().length()) {
     // General (split/multi-register) form, transposed: eligibility is
     // busy(r) ∧ live(sid) ∧ ¬own(r) empty, so OR per-step (busy ∧ ¬own)
@@ -424,14 +417,8 @@ bool move_val_move(SearchEngine& eng, Rng& rng) {
     const StorageBinding& sb = b.sto(sid);
     const BitPlane& bt = occ.reg_busy_t;
     const int words = bt.stride();
-    static thread_local std::vector<uint64_t> busy_union_tl;
-    uint64_t* busy_union = eng.batch_scratch(words);
-    if (busy_union != nullptr) {
-      std::fill_n(busy_union, static_cast<size_t>(words), 0);
-    } else {
-      busy_union_tl.assign(static_cast<size_t>(words), 0);
-      busy_union = busy_union_tl.data();
-    }
+    static thread_local std::vector<uint64_t> busy_union;
+    busy_union.assign(static_cast<size_t>(words), 0);
     // salsa-lint: allow(thread-local-scratch-discipline) every word is copy_n-overwritten from the busy row before any read
     static thread_local std::vector<uint64_t> step_tmp;
     step_tmp.resize(static_cast<size_t>(words));
@@ -441,12 +428,12 @@ bool move_val_move(SearchEngine& eng, Rng& rng) {
       for (const Cell& c : sb.cells[seg])
         step_tmp[static_cast<size_t>(c.reg) >> 6] &=
             ~(uint64_t{1} << (static_cast<unsigned>(c.reg) & 63u));
-      words_or_accumulate(busy_union, step_tmp.data(), words);
+      words_or_accumulate(busy_union.data(), step_tmp.data(), words);
     }
     const int nregs = b.prob().num_regs();
-    const int nfree = nregs - popcount_words(busy_union, words);
+    const int nfree = nregs - popcount_words(busy_union.data(), words);
     if (nfree == 0) return false;
-    r = nth_clear_bit(busy_union, nregs, rng.uniform(nfree));
+    r = nth_clear_bit(busy_union.data(), nregs, rng.uniform(nfree));
   } else {
     // Wrapped lifetime (len > L): several segments can share a control
     // step, and the own mask must union across them before any step's

@@ -23,19 +23,20 @@
 //
 // The connection index lives in two FlatMap tables (util/flat_map.h):
 // packed (sink, source) pair -> refcount and packed sink -> distinct-source
-// count. Every index mutation a transaction performs — map increments and
-// decrements, occupancy-slot writes, FU/register refcount updates — is
-// additionally recorded in an undo journal, so rollback() restores the
-// derived state by replaying the journal in reverse (O(journal), no
-// re-enumeration of the touched units' uses) and restoring the saved
-// binding units; the cost breakdown returns wholesale to its
-// propose()-entry value. Commit is O(1): the journal is simply dropped.
+// count. Transactions are staged: propose() retires the touched units'
+// claims and uses, evaluates the re-adds read-only (netted use deltas
+// probed against the index, claim re-adds counted against the refcount
+// rows) and leaves every shared table write pending. commit() applies the
+// pending writes; rollback() restores the saved binding units, re-claims
+// them, and drops the pending writes, so a rejected move never writes the
+// index at all. The cost breakdown returns wholesale to its propose()-entry
+// value.
 //
 // The problem-side static tables (per-operation generator lists, constant
 // layout) are immutable after construction and shared between engines of
-// the same problem via shared_ptr — the speculation pipeline's worker
-// engines (core/speculate.h) score candidates against the very rows the
-// main engine reads, and constructing a worker no longer re-derives them.
+// the same problem via shared_ptr, so the rebuild cross-check
+// (index_matches_rebuild) constructs its reference engine without
+// re-deriving them.
 //
 // Consistency is guarded two ways: in !NDEBUG builds every commit
 // cross-checks the incremental breakdown against a fresh evaluate_cost
@@ -60,19 +61,20 @@
 namespace salsa {
 
 class SearchEngine;
-struct MoveFootprint;  // core/footprint.h
 
 /// Mutation-testing hooks for the segment-windowed transaction path
 /// (salsa_audit --break-segment-window): when armed, the Nth windowed
 /// claim re-add deliberately narrows its window by one segment on the
 /// add side only — touch-time removals keep the full window — so the
 /// occupancy grid, refcounts and connection index drift from the binding
-/// and the audit wall must catch it. Process-wide cumulative counters,
-/// armed relative to the current count (break_after = windowed_txns + N),
-/// one-shot. No effect unless a test arms them.
+/// and the audit wall must catch it. `windowed_txns` counts windowed
+/// re-adds while the hook is armed (process-wide), so arm relative to it
+/// (break_after = windowed_txns + N). One-shot. Like the other mutation
+/// hooks, never set outside single-threaded tests: restarts on other
+/// threads would race on the counter.
 namespace seg_window_hooks {
 inline long break_claim_window_after = 0;  ///< 0 = disarmed
-inline long windowed_txns = 0;  ///< cumulative windowed (non-whole) re-adds
+inline long windowed_txns = 0;  ///< windowed re-adds counted while armed
 }  // namespace seg_window_hooks
 
 /// Transaction observer: the seam the SalsaCheck invariant auditor
@@ -89,18 +91,6 @@ inline long windowed_txns = 0;  ///< cumulative windowed (non-whole) re-adds
 ///                    to its pre-move state
 /// Observers may inspect the engine (it is passed const) but must not drive
 /// transactions on it from inside a callback.
-///
-/// The speculative proposal pipeline (core/speculate.h) adds two callbacks
-/// of its own. They are invoked by the pipeline, not by an engine:
-///   on_speculate — a speculation was scored on a worker engine; called
-///                  with that worker engine while its transaction is still
-///                  open (so the observer can compare the speculative
-///                  incremental cost against a from-scratch evaluation).
-///                  May be called from a pool thread, but never
-///                  concurrently — the pipeline serializes observer calls.
-///   on_discard   — a pending speculation was invalidated because a move
-///                  that committed before it wrote state in its footprint;
-///                  called with the main engine.
 class SearchObserver {
  public:
   virtual ~SearchObserver() = default;
@@ -108,8 +98,6 @@ class SearchObserver {
   virtual void on_txn_abort(const SearchEngine&) {}
   virtual void on_commit(const SearchEngine&, double /*delta*/) {}
   virtual void on_rollback(const SearchEngine&) {}
-  virtual void on_speculate(const SearchEngine&, double /*delta*/) {}
-  virtual void on_discard(const SearchEngine&) {}
 };
 
 class SearchEngine {
@@ -120,8 +108,7 @@ class SearchEngine {
 
   /// Builds an engine over `start` sharing `other`'s immutable problem-side
   /// static tables (per-op generator lists) instead of re-deriving them.
-  /// Both bindings must be of the same AllocProblem. This is how the
-  /// speculation pipeline stamps out worker engines cheaply.
+  /// Both bindings must be of the same AllocProblem.
   SearchEngine(const Binding& start, const SearchEngine& other);
 
   const Binding& binding() const { return b_; }
@@ -137,15 +124,7 @@ class SearchEngine {
   /// applied tentatively and the exact cost delta is returned; the caller
   /// must then commit() or rollback(). Returns nullopt when no feasible
   /// instance was found (no transaction is left open).
-  ///
-  /// When `fp` is non-null the transaction's footprint is captured into it
-  /// (see core/footprint.h): the per-kind read mask, every connection-index
-  /// sink key retired or charged, the net-changed FU/register refcount
-  /// rows, and the write categories derived from the touched set. The
-  /// footprint is finalize()d before propose returns; rollback is not part
-  /// of the capture.
-  std::optional<double> propose(MoveKind kind, Rng& rng,
-                                MoveFootprint* fp = nullptr);
+  std::optional<double> propose(MoveKind kind, Rng& rng);
   /// Keeps the proposed move. In !NDEBUG builds cross-checks the
   /// incremental breakdown against a fresh evaluate_cost.
   void commit();
@@ -172,10 +151,8 @@ class SearchEngine {
   /// outside it is untouched by construction, so the windowed transaction
   /// produces cost integers identical to the whole-storage walk (the
   /// salsa_audit --segment differential proves it). Falls back to the
-  /// whole-storage touch during footprint capture (speculation needs
-  /// whole-unit sink sets for conflict invalidation) and when segment
-  /// windows are disabled. Repeated touches of one storage extend the
-  /// window to the convex hull.
+  /// whole-storage touch when segment windows are disabled. Repeated
+  /// touches of one storage extend the window to the convex hull.
   StorageBinding& touch_sto(int sid, int mlo, int mhi);
   /// Read-retarget touch: only read_cell will be mutated — no cell, reg or
   /// via changes. Saves read_cell, retires the read generator and leaves
@@ -188,6 +165,10 @@ class SearchEngine {
   /// side of the salsa_audit --segment window-vs-whole differential.
   void set_segment_windows(bool on) { seg_windows_ = on; }
   bool segment_windows() const { return seg_windows_; }
+  /// Claim re-adds that took a segment window narrower than the whole
+  /// storage, over the engine's lifetime — the coverage count of the
+  /// window-vs-whole differential.
+  long windowed_readds() const { return windowed_readds_; }
 
   // Cached problem-side candidate tables for move proposers (equal to
   // cdfg().operations(), fus().of_class(c) and fus().pass_capable(), but
@@ -224,8 +205,8 @@ class SearchEngine {
     return statics_->live_at[static_cast<size_t>(step)];
   }
 
-  // Incrementally maintained per-storage binding statistics (journaled like
-  // every other derived scalar, so they are transaction-consistent). Move
+  // Incrementally maintained per-storage binding statistics (refreshed at
+  // commit, so they describe the binding between transactions). Move
   // proposers use them to skip storages that cannot contribute a candidate
   // — e.g. a storage with num_cells == len has no multi-cell segment — and
   // to map a uniform cell draw through prefix sums instead of materializing
@@ -374,24 +355,6 @@ class SearchEngine {
   void set_observer(SearchObserver* obs) { observer_ = obs; }
   SearchObserver* observer() const { return observer_; }
 
-  /// Binds a caller-owned register-mask scratch row (`n` words; nullptr
-  /// clears). Move proposers that accumulate a register mask use it instead
-  /// of thread-local heap scratch — the speculation pipeline binds one row
-  /// of a contiguous per-chunk arena per worker engine so batch scoring
-  /// stays on one cache-resident block (see ProposalPipeline::fill_batch).
-  /// The row is dead storage between proposals; contents never survive a
-  /// call, so binding or clearing it cannot change any result.
-  void bind_batch_scratch(uint64_t* words, int n) {
-    scratch_row_ = words;
-    scratch_row_words_ = n;
-  }
-  /// The bound scratch row if it holds at least `n` words, else nullptr
-  /// (callers fall back to their own scratch).
-  uint64_t* batch_scratch(int n) const {
-    return scratch_row_ != nullptr && n <= scratch_row_words_ ? scratch_row_
-                                                              : nullptr;
-  }
-
   /// Test-only fault injection: the next rollback() skips restoring the
   /// touched units' saved state — a deliberately broken undo. Exists so the
   /// auditor's digest check can be proven to catch silent state drift (the
@@ -413,11 +376,11 @@ class SearchEngine {
     bool has_const_ins = false;
   };
   /// Immutable problem-side rows, derived once per problem and shared
-  /// between the main engine and its speculation workers (see the second
-  /// constructor): which generators each operation feeds, the generator id
-  /// layout, whether constant operands are charged, and the candidate
-  /// tables the move proposers scan every proposal (operation nodes, FUs
-  /// by class, pass-capable FUs) — cached here so proposals stop paying an
+  /// between engines of that problem (see the second constructor): which
+  /// generators each operation feeds, the generator id layout, whether
+  /// constant operands are charged, and the candidate tables the move
+  /// proposers scan every proposal (operation nodes, FUs by class,
+  /// pass-capable FUs) — cached here so proposals stop paying an
   /// allocation per Cdfg::operations()/FuPool::of_class() call.
   struct EngineStatics {
     std::vector<OpInfo> op_info;  // indexed by NodeId (ops only populated)
@@ -473,19 +436,11 @@ class SearchEngine {
   };
 
   /// One reversed scalar write: *p held `old` before the transaction's
-  /// mutation (occupancy slots and fu_refs_/reg_refs_ rows; the pointees
+  /// mutation (the write generators' per-segment key counts; the pointees
   /// are stable for the life of a transaction).
   struct IntUndo {
     int* p;
     int old;
-  };
-  /// One reversed bitplane word write: the occupancy busy-plane word at *p
-  /// held `old` before the transaction's claims touched it. Replayed in
-  /// reverse like IntUndo, so the first-journaled (pre-transaction) value
-  /// is restored last.
-  struct WordUndo {
-    uint64_t* p;
-    uint64_t old;
   };
   /// One netted connection-index delta awaiting commit: the packed
   /// (sink, source) pair key and its net use-count change this transaction.
@@ -524,11 +479,11 @@ class SearchEngine {
   /// its cache — the commit-side half of retire/re-add. Capacity-stable on
   /// both sides, so steady-state commits never allocate.
   void install_fresh_gen_caches();
-  /// Windowed write-generator refresh (sequential path): builds the
-  /// generator's replacement key list in the stash slot by splicing the
-  /// cached pre-move list's unchanged prefix and suffix around a fresh
-  /// enumeration of just the touched window — the per-segment key counts
-  /// (write_seg_keys_) locate the window inside the flat cached list.
+  /// Windowed write-generator refresh: builds the generator's replacement
+  /// key list in the stash slot by splicing the cached pre-move list's
+  /// unchanged prefix and suffix around a fresh enumeration of just the
+  /// touched window — the per-segment key counts (write_seg_keys_) locate
+  /// the window inside the flat cached list.
   /// Produces the exact key list a full re-enumeration would
   /// (out-of-window segments are byte-identical), so the generic
   /// old-vs-new netting downstream is unchanged. `whi` is the window the
@@ -537,10 +492,10 @@ class SearchEngine {
   /// mutation hook).
   void add_write_gen_spliced(int sid, size_t stash_idx, int wlo, int whi,
                              int whi_add);
-  /// Windowed read-generator refresh (sequential path): a read generator
-  /// emits exactly one key per StorageRead, and read ri's key can change
-  /// only if its segment lies inside the cell-mutation window, its
-  /// read_cell retargeted, or its consumer op was touched this epoch.
+  /// Windowed read-generator refresh: a read generator emits exactly one
+  /// key per StorageRead, and read ri's key can change only if its segment
+  /// lies inside the cell-mutation window, its read_cell retargeted, or its
+  /// consumer op was touched this epoch.
   /// Every other entry is copied from the cached pre-move list verbatim;
   /// the changed ones are recomputed in place with the same logic as
   /// enum_gen_uses' read branch. Returns false (caller falls back to the
@@ -567,64 +522,44 @@ class SearchEngine {
   void journal_int(int& slot) {
     if (in_txn_) undo_ints_.push_back({&slot, slot});
   }
-  /// Records a busy-plane word about to be overwritten. Journaled per word
-  /// (not per bit): a claim window or scattered cell steps may touch the
-  /// same word repeatedly, but reverse replay restores the first-journaled
-  /// pre-transaction value last, so duplicates are harmless.
-  void journal_word(uint64_t& w) {
-    if (in_txn_) undo_words_.push_back({&w, w});
-  }
-  /// Journals every word of plane row `r` covered by the linear bit range
-  /// [start, start + len) — the companion of a ranged claim/release.
-  void journal_range_words(BitPlane& plane, int r, int start, int len) {
-    uint64_t* row = plane.row(r);
-    for (int i = start >> 6; i <= (start + len - 1) >> 6; ++i)
-      journal_word(row[i]);
-  }
 
-  void add_op_claims(NodeId n);
-  void remove_op_claims(NodeId n);
-  /// Storage claim walks, restricted to segments [lo, hi] (a whole-storage
-  /// walk passes [0, len - 1]). A segment's claims are self-contained: the
+  /// Touch-time claim releases (occupancy + refcounts), unjournaled. The
+  /// storage walk is restricted to segments [lo, hi] (a whole-storage walk
+  /// passes [0, len - 1]). A segment's claims are self-contained: the
   /// cell's register at its own step plus, for a via, the pass-through FU
-  /// at the previous step — so a ranged walk releases/claims exactly the
-  /// window's slots.
-  void add_sto_claims(int sid, int lo, int hi);
+  /// at the previous step — so a ranged walk releases exactly the window's
+  /// slots.
+  void remove_op_claims(NodeId n);
   void remove_sto_claims(int sid, int lo, int hi);
-  /// Read-only twins of add_op_claims/add_sto_claims for the sequential
-  /// (no-footprint) path: they only accumulate which fu/reg refcount rows
-  /// are about to gain claims (fu_stage_/reg_stage_ scratch), writing
-  /// nothing — no occupancy slots, no plane words, no journal entries.
+  /// Staged re-adds: they only accumulate which fu/reg refcount rows are
+  /// about to gain claims (fu_stage_/reg_stage_ scratch), writing nothing —
+  /// no occupancy slots, no plane words, no journal entries.
   /// settle_staged_claims then advances cost_.fus_used/regs_used from the
   /// scratch against the still-at-removal refcounts, and the actual table
   /// writes wait until commit (apply_pending_claims). A rejected move
-  /// never re-adds its claims at all, and rollback's journal replay only
-  /// carries the touch-time removals.
+  /// never re-adds its claims at all.
   void stage_op_claims(NodeId n);
   /// Fuses Binding::normalize_storage with the storage claim staging into
-  /// a single walk over the storage's cells (sequential path only; the
-  /// footprint path normalises and re-adds separately). Ranged like the
-  /// claim walks above.
+  /// a single walk over the storage's cells, ranged like the releases.
   void normalize_and_stage_sto(int sid, int lo, int hi);
   void settle_staged_claims();
   /// Claims every touched unit's occupancy from its *current* binding
   /// state, without journaling or cost accounting. Serves two symmetric
-  /// callers: commit (binding holds the accepted mutation) and sequential
-  /// rollback (binding just restored to the saved units — re-claiming
-  /// them is the exact inverse of the unjournaled touch-time removals).
+  /// callers: commit (binding holds the accepted mutation) and rollback
+  /// (binding just restored to the saved units — re-claiming them is the
+  /// exact inverse of the unjournaled touch-time removals).
   void apply_claims_walk();
   /// Commit-side apply of the staged claims: replays the touched sets
-  /// through the real claim writes (occupancy + refcounts), skipping the
-  /// journal (the transaction is ending) and the cost accounting
-  /// (settle_staged_claims already charged it). No-op unless
-  /// finish_mutation ran in staged mode (claims_pending_).
+  /// through the real claim writes (occupancy + refcounts) without cost
+  /// accounting (settle_staged_claims already charged it), then refreshes
+  /// the touched storages' candidate statistics.
   void apply_pending_claims();
   /// Recounts sto_cells_/sto_vias_/sto_xfers_ (and total_cells_) for one
-  /// storage from its current binding, journaling the overwritten values.
+  /// storage from its current binding. Outside transactions only.
   void refresh_sto_stats(int sid);
-  /// Windowed stats refresh (sequential commit only): folds the difference
-  /// between the saved pre-move window (sto_save_) and the current binding
-  /// window into the counters instead of recounting the whole storage.
+  /// Windowed stats refresh (commit only): folds the difference between
+  /// the saved pre-move window (sto_save_) and the current binding window
+  /// into the counters instead of recounting the whole storage.
   /// Out-of-window cells are byte-identical on both sides, so the diffed
   /// counts equal a full recount exactly (integer arithmetic, no
   /// approximation). Leaf counting extends one segment left (a window's
@@ -664,18 +599,14 @@ class SearchEngine {
   std::vector<int> fu_refs_;
   std::vector<int> reg_refs_;
 
-  // Staged-claims scratch (sequential path only): per-fu/per-reg pending
-  // add-claim counts plus the dedup lists of rows touched this
-  // transaction. Nonzero only between stage_*_claims and
-  // settle_staged_claims inside one finish_mutation call.
+  // Staged-claims scratch: per-fu/per-reg pending add-claim counts plus
+  // the dedup lists of rows touched this transaction. Nonzero only between
+  // stage_*_claims and settle_staged_claims inside one finish_mutation
+  // call.
   std::vector<int> fu_stage_;
   std::vector<int> reg_stage_;
   std::vector<int> fu_staged_;
   std::vector<int> reg_staged_;
-  // True while a finished transaction's claim re-adds are staged but not
-  // yet written: commit (or the broken-undo test path) must call
-  // apply_pending_claims before end_txn; rollback just drops the flag.
-  bool claims_pending_ = false;
 
   // Per-storage candidate statistics (see the accessors above).
   std::vector<int> sto_cells_;
@@ -689,8 +620,7 @@ class SearchEngine {
   std::vector<int> sto_fat_reads_;
   // Fenwick selection indexes over the five per-storage statistics (see
   // the public accessors): refresh_sto_stats feeds them the per-storage
-  // deltas, journaling every touched node so footprint-path transactions
-  // roll them back like any other derived scalar.
+  // deltas.
   Fenwick fw_cells_;
   Fenwick fw_vias_;
   Fenwick fw_xfers_;
@@ -754,14 +684,16 @@ class SearchEngine {
   // Keys the write generator's cache holds per segment, flat-indexed by
   // sto_seg_off[sid] + seg (a hold emits 0, a via 2, a transfer or a
   // segment-0 latch 1). Locates a window inside the flat cached key list
-  // for the spliced refresh; journaled like every other derived scalar.
+  // for the spliced refresh. The only journaled state: a transaction
+  // rewrites the counts of the segments it re-enumerates, and rollback
+  // replays the journal to restore them.
   std::vector<int> write_seg_keys_;
   // Segment-windowed transactions enabled (see set_segment_windows).
   bool seg_windows_ = true;
+  long windowed_readds_ = 0;  ///< see windowed_readds()
   std::vector<int> removed_gens_;
-  // Undo journal (see the class comment): replayed in reverse by rollback.
+  // Undo journal: replayed in reverse by rollback.
   std::vector<IntUndo> undo_ints_;
-  std::vector<WordUndo> undo_words_;
   // Netted index deltas awaiting commit (see PendingUse): applied by
   // commit, discarded by rollback.
   std::vector<PendingUse> pending_uses_;
@@ -774,16 +706,12 @@ class SearchEngine {
   MoveKind pending_kind_{};
   double pending_delta_ = 0;
 
-  MoveFootprint* fp_ = nullptr;  ///< capture target during propose(), else null
-
   std::array<MoveKindStats, kNumMoveKinds> kind_stats_{};
   long steps_ = 0;
   std::ostream* trace_ = nullptr;
   const char* aux_name_ = nullptr;
   double aux_ = 0;
   SearchObserver* observer_ = nullptr;
-  uint64_t* scratch_row_ = nullptr;  ///< see bind_batch_scratch
-  int scratch_row_words_ = 0;
   bool break_next_undo_ = false;
 };
 

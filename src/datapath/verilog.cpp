@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "util/strings.h"
+
 namespace salsa {
 
 namespace {
@@ -20,7 +22,7 @@ std::string sanitize(const std::string& name) {
 std::string endpoint_expr(const Cdfg& g, const Endpoint& e) {
   switch (e.kind) {
     case Endpoint::Kind::kRegOut:
-      return "r" + std::to_string(e.id);
+      return numbered("r", e.id);
     case Endpoint::Kind::kFuOut:
       return "fu" + std::to_string(e.id) + "_out";
     case Endpoint::Kind::kInPort:

@@ -6,6 +6,7 @@
 #include "core/cost.h"
 #include "core/mux_merge.h"
 #include "core/verify.h"
+#include "util/strings.h"
 
 namespace salsa {
 
@@ -36,7 +37,7 @@ std::string endpoint_label(const Cdfg& g, const FuPool& fus,
                            const Endpoint& e) {
   switch (e.kind) {
     case Endpoint::Kind::kFuOut: return fus.fu(e.id).name;
-    case Endpoint::Kind::kRegOut: return "R" + std::to_string(e.id);
+    case Endpoint::Kind::kRegOut: return numbered("R", e.id);
     case Endpoint::Kind::kInPort: return "in:" + g.node(e.id).name;
     case Endpoint::Kind::kConstPort: return "const:" + g.node(e.id).name;
   }
@@ -47,7 +48,7 @@ std::string pin_label(const Cdfg& g, const FuPool& fus, const Pin& p) {
   switch (p.kind) {
     case Pin::Kind::kFuIn0: return fus.fu(p.id).name + ".a";
     case Pin::Kind::kFuIn1: return fus.fu(p.id).name + ".b";
-    case Pin::Kind::kRegIn: return "R" + std::to_string(p.id) + ".in";
+    case Pin::Kind::kRegIn: return numbered("R", p.id) + ".in";
     case Pin::Kind::kOutPort: return "out:" + g.node(p.id).name;
   }
   return "?";

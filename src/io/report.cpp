@@ -97,16 +97,6 @@ std::string search_stats_report(const ImproveStats& stats) {
   os << "trials " << stats.trials << ", attempted " << stats.attempted
      << ", accepted " << stats.accepted << ", uphill " << stats.uphill
      << ", kicks " << stats.kicks << "\n";
-  if (stats.spec.batches > 0) {
-    const double hit = stats.spec.speculated
-                           ? 100.0 * static_cast<double>(stats.spec.served) /
-                                 static_cast<double>(stats.spec.speculated)
-                           : 0.0;
-    os << "speculation: " << stats.spec.batches << " batches, "
-       << stats.spec.speculated << " speculated, " << stats.spec.served
-       << " served (" << fmt(hit) << "% hit), " << stats.spec.discarded
-       << " discarded, " << stats.spec.rescored << " rescored\n";
-  }
   return os.str();
 }
 

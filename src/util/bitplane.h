@@ -1,7 +1,6 @@
 // BitPlane: fixed-stride uint64_t bitplane matrix — the word-parallel
-// backing behind occupancy legality checks (core/binding.h), cyclic
-// lifetime masks (core/lifetime.h) and move-footprint conflict detection
-// (core/footprint.h). Modeled on the value/defined bitplane idiom of
+// backing behind occupancy legality checks (core/binding.h) and cyclic
+// lifetime masks (core/lifetime.h). Modeled on the value/defined bitplane idiom of
 // gatery's reference simulator DataState (see SNIPPETS.md): one flat
 // uint64_t array, rows at a fixed word stride, bit-level accessors plus
 // word-level combine/query kernels.
@@ -266,9 +265,7 @@ inline bool words_and_any(const uint64_t* a, const uint64_t* b, int n) {
 /// acc |= row over n words — the accumulate half of the batched
 /// register-mask scoring kernel: proposers OR the transposed busy rows of a
 /// storage's live steps into one mask, then reduce it with popcount_words /
-/// nth_clear_bit (util/bits.h). The speculation pipeline points `acc` into
-/// a contiguous per-candidate scratch arena so batch scoring across k
-/// candidates streams through one cache-resident block. On AVX2 targets the
+/// nth_clear_bit (util/bits.h). On AVX2 targets the
 /// packed path runs four words per vector op; the scalar-reference build
 /// runs the per-bit loop and produces identical words.
 inline void words_or_accumulate(uint64_t* acc, const uint64_t* row, int n) {
@@ -362,45 +359,5 @@ inline int nth_set_bit(const uint64_t* w, int bits, int k) {
   SALSA_DCHECK(false);  // k exceeded the set-bit count
   return -1;
 }
-
-/// BitWords: a growable flat bitset — the word-wise representation of a
-/// move footprint's sink-key and refcount-row sets (core/footprint.h).
-/// Unlike BitPlane it has no fixed shape: set() grows the word array to
-/// cover the bit, clear_all() keeps the capacity, and intersection is an
-/// AND-any over the common word prefix (absent words are zero). Two sets
-/// built from the same id universe therefore intersect exactly like their
-/// sorted-vector counterparts did.
-class BitWords {
- public:
-  void clear_all() { std::fill(w_.begin(), w_.end(), 0); }
-
-  void set(int bit) {
-    const size_t i = static_cast<size_t>(bit) >> 6;
-    if (i >= w_.size()) w_.resize(i + 1, 0);
-    w_[i] |= 1ull << (bit & 63);
-  }
-
-  bool test(int bit) const {
-    const size_t i = static_cast<size_t>(bit) >> 6;
-    return i < w_.size() && ((w_[i] >> (bit & 63)) & 1ull);
-  }
-
-  bool any() const {
-    for (uint64_t w : w_)
-      if (w != 0) return true;
-    return false;
-  }
-
-  size_t words() const { return w_.size(); }
-  const uint64_t* data() const { return w_.data(); }
-
-  friend bool bitwords_intersect(const BitWords& a, const BitWords& b) {
-    const size_t n = a.w_.size() < b.w_.size() ? a.w_.size() : b.w_.size();
-    return words_and_any(a.w_.data(), b.w_.data(), static_cast<int>(n));
-  }
-
- private:
-  std::vector<uint64_t> w_;
-};
 
 }  // namespace salsa

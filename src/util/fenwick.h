@@ -3,13 +3,8 @@
 // selection (core/search_engine.h). The move proposers draw a uniform
 // variate over a total candidate count and map it to the owning item
 // (storage, live-list position) without walking every item; the counts are
-// maintained incrementally as per-item deltas.
-//
-// Mutations take a journal callback invoked with each tree node *before*
-// it is overwritten, so the engine's transaction undo (journal_int) can
-// restore the tree by replaying scalar writes — the same discipline every
-// other derived count in the engine follows. Callers outside a transaction
-// pass a no-op journal.
+// maintained incrementally as per-item deltas, outside the engine's move
+// transactions (a rejected move never touches them).
 #pragma once
 
 #include <vector>
@@ -34,19 +29,12 @@ class Fenwick {
   /// Sum of all counts. O(1) — maintained alongside the nodes.
   int total() const { return total_; }
 
-  /// counts[i] += delta. `journal` receives each node (and the cached
-  /// total) before it changes, enabling transactional undo by replay.
-  template <typename J>
-  void add(int i, int delta, J&& journal) {
+  /// counts[i] += delta.
+  void add(int i, int delta) {
     SALSA_DCHECK(i >= 0 && i < n_);
     if (delta == 0) return;
-    journal(total_);
     total_ += delta;
-    for (int k = i + 1; k <= n_; k += k & -k) {
-      int& node = t_[static_cast<size_t>(k)];
-      journal(node);
-      node += delta;
-    }
+    for (int k = i + 1; k <= n_; k += k & -k) t_[static_cast<size_t>(k)] += delta;
   }
 
   /// Sum of counts[0, i).

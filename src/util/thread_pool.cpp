@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "util/annotations.h"
+#include "util/args.h"
 #include "util/diagnostics.h"
 #include "util/mutex.h"
 
@@ -166,8 +167,8 @@ class Pool {
 
 int default_thread_count() {
   if (const char* env = std::getenv("SALSA_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
+    const long long v = parse_int("SALSA_THREADS", env, 0, 4096);
+    if (v >= 1) return static_cast<int>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? static_cast<int>(hw) : 1;

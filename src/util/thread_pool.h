@@ -55,7 +55,9 @@ struct Parallelism {
   static Parallelism sequential_only() { return Parallelism{1}; }
 };
 
-/// SALSA_THREADS if set (clamped to >= 1), else hardware concurrency.
+/// SALSA_THREADS if set to a positive count, else hardware concurrency.
+/// SALSA_THREADS must be an integer in [0, 4096] (0 = hardware
+/// concurrency); anything else fails.
 int default_thread_count();
 
 /// Runs fn(0), ..., fn(n-1) with at most `par.resolve()` concurrent

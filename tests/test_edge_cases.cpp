@@ -11,6 +11,7 @@
 #include "datapath/simulator.h"
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
+#include "util/strings.h"
 
 namespace salsa {
 namespace {
@@ -168,7 +169,7 @@ TEST(EdgeCases, EveryOpOnOneFuSerialSchedule) {
   ValueId v = a;
   for (int i = 0; i < 5; ++i)
     v = g.add_op(i % 2 ? OpKind::kMul : OpKind::kAdd, v, c,
-                 "n" + std::to_string(i));
+                 numbered("n", i));
   g.add_output(v, "o");
   g.validate();
   HwSpec hw;
@@ -187,7 +188,7 @@ TEST(EdgeCases, ManyOutputsShareOneValue) {
   const ValueId a = g.add_input("a");
   const ValueId c = g.add_const(2);
   const ValueId v = g.add_op(OpKind::kAdd, a, c, "v");
-  for (int i = 0; i < 4; ++i) g.add_output(v, "o" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) g.add_output(v, numbered("o", i));
   g.validate();
   HwSpec hw;
   std::unique_ptr<Cdfg> kg;

@@ -116,72 +116,6 @@ TEST(SalsaCheckMutation, BrokenUndoCaughtAtEngineLevel) {
   FAIL() << "no feasible move found";
 }
 
-// --- speculation fuzz -------------------------------------------------------
-
-class SpeculationFuzz : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(SpeculationFuzz, BatchedTrajectoriesMatchSequential) {
-  // Seeded k-way proposal batches against the sequential reference, with the
-  // auditor spot-checking worker engines mid-speculation. Any footprint
-  // miss, replay mismatch or stats drift fails here.
-  FuzzTarget target(GetParam());
-  SpecFuzzParams p;
-  p.seed = 20260807;
-  p.steps = 1500;
-  p.k = 8;
-  p.threads = 2;
-  p.audit.every = 32;
-  const SpecFuzzResult res = run_speculation_fuzz(target.prob(), p);
-  EXPECT_TRUE(res.ok) << res.failure;
-  EXPECT_EQ(res.divergence, -1);
-  EXPECT_GT(res.commits, 0);
-  EXPECT_GT(res.spec.batches, 0);
-  EXPECT_GT(res.spec.served, 0);
-  EXPECT_EQ(res.spec.speculated, res.spec.batches * p.k);
-}
-
-INSTANTIATE_TEST_SUITE_P(StandardTargets, SpeculationFuzz,
-                         ::testing::ValuesIn(FuzzTarget::names()),
-                         [](const auto& info) { return info.param; });
-
-TEST(SalsaCheckMutation, SkippedFootprintCheckIsCaught) {
-  // Mutation test for the speculation wall: let the Nth footprint-conflict
-  // hit slip through uninvalidated and require the stale candidate to be
-  // caught — by the replay cross-check (SALSA_CHECK) or by the trajectory
-  // digest comparison. A single skip can be a false-positive conflict
-  // (the masks are conservative), so scan N until one misfires.
-  FuzzTarget target("ewf");
-  const auto artifacts =
-      std::filesystem::temp_directory_path() / "salsa-spec-artifacts";
-  std::filesystem::create_directories(artifacts);
-  bool caught = false;
-  for (long nth = 1; nth <= 40 && !caught; ++nth) {
-    SpecFuzzParams p;
-    p.seed = 11;
-    p.steps = 1000;
-    p.k = 8;
-    p.threads = 2;
-    p.audit.every = 64;  // throttled: the structural checks must catch it
-    p.artifact_dir = artifacts.string();
-    p.name = "skip-footprint";
-    p.skip_footprint_check_at = nth;
-    const SpecFuzzResult res = run_speculation_fuzz(target.prob(), p);
-    if (res.ok) continue;
-    caught = true;
-    // The failure artifact was written for CI upload.
-    ASSERT_FALSE(res.artifact_path.empty());
-    std::ifstream in(res.artifact_path);
-    ASSERT_TRUE(in.good());
-    std::stringstream content;
-    content << in.rdbuf();
-    EXPECT_NE(content.str().find("\"k\": 8"), std::string::npos);
-    EXPECT_NE(content.str().find("\"binding\""), std::string::npos);
-    std::filesystem::remove(res.artifact_path);
-  }
-  EXPECT_TRUE(caught)
-      << "40 skipped footprint checks all slipped past the audit wall";
-}
-
 // --- digest canonicality ---------------------------------------------------
 
 TEST(BindingDigest, EqualBindingsDigestEqual) {

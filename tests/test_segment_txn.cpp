@@ -5,20 +5,18 @@
 // it replaces. These tests drive the window-vs-whole differential
 // (run_segment_diff) on every standard target plus a generated cascade,
 // prove the seeded window-shrink mutation is caught, and pin byte-identical
-// pipeline trajectories across (threads x k) with windows on vs off.
+// search trajectories with windows on vs off.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "analysis/digest.h"
 #include "analysis/fuzz.h"
 #include "core/initial.h"
 #include "core/moves.h"
 #include "core/search_engine.h"
-#include "core/speculate.h"
 #include "frontend/generate.h"
+#include "util/rng.h"
 
 namespace salsa {
 namespace {
@@ -86,7 +84,7 @@ TEST(SegmentMutation, SeededWindowShrinkIsCaught) {
   // Arm the one-shot hook: the Nth windowed re-add drops the last segment
   // from its claim window (add side only), leaving occupancy/refcount/key
   // drift behind. The differential forces hook-fired transactions to
-  // commit, so the drift cannot hide behind a rollback's journal restore.
+  // commit, so the drift lands in committed state.
   FuzzTarget target("ewf");
   seg_window_hooks::break_claim_window_after =
       seg_window_hooks::windowed_txns + 25;
@@ -103,53 +101,47 @@ TEST(SegmentMutation, SeededWindowShrinkIsCaught) {
   EXPECT_GE(res.divergence, 0);
 }
 
-// --- pipeline trajectories: windows on vs off, across (threads x k) ---------
+// --- search trajectories: windows on vs off ---------------------------------
 
-TEST(SegmentTrajectory, WindowedPipelinesAreByteIdenticalToWholeStorage) {
-  // Two pipelines from the same start binding and seed — one engine
-  // windowed (the default), one forced to whole-storage walks — must serve
-  // identical candidate streams (feasibility, kind, bit-identical delta)
-  // and walk digest-identical bindings, for every (threads, k) pairing.
+TEST(SegmentTrajectory, WindowedSearchIsByteIdenticalToWholeStorage) {
+  // Two engines from the same start binding — one windowed (the default),
+  // one forced to whole-storage walks — driven by the same per-step RNG
+  // streams derive_seed(99, step) must propose identical candidates
+  // (feasibility, bit-identical delta) and walk digest-identical bindings.
   FuzzTarget target("ewf");
   const Binding start =
       initial_allocation(target.prob(), InitialOptions{.seed = 11});
   const MoveConfig moves = MoveConfig::salsa_default();
-  const std::vector<std::pair<int, int>> grid{{1, 1}, {1, 4}, {2, 8}};
-  for (const auto& [threads, k] : grid) {
-    SCOPED_TRACE("threads=" + std::to_string(threads) +
-                 " k=" + std::to_string(k));
-    SearchEngine win(start);
-    SearchEngine whole(start);
-    whole.set_segment_windows(false);
-    SpeculationConfig sc{k, Parallelism{threads}};
-    sc.pin_width = true;  // exercise the speculative path on any host
-    ProposalPipeline pw(win, moves, sc, 99);
-    ProposalPipeline pf(whole, moves, sc, 99);
-    long commits = 0;
-    for (long step = 0; step < 600; ++step) {
-      const ProposalPipeline::Candidate cw = pw.next();
-      const ProposalPipeline::Candidate cf = pf.next();
-      ASSERT_EQ(cw.feasible, cf.feasible) << "step " << step;
-      ASSERT_EQ(cw.kind, cf.kind) << "step " << step;
-      if (!cw.feasible) continue;
-      ASSERT_EQ(cw.delta, cf.delta) << "step " << step;  // bit-identical
-      // Acceptance is a function of the candidate alone, so both runs make
-      // the same decision: keep downhill, plus a deterministic uphill slice.
-      const bool accept = cw.delta <= 0 || step % 5 == 0;
-      pw.decide(accept);
-      pf.decide(accept);
-      if (!accept) continue;
-      ++commits;
-      ASSERT_EQ(digest_binding(win.binding()), digest_binding(whole.binding()))
-          << "bindings diverged after commit at step " << step;
+  SearchEngine win(start);
+  SearchEngine whole(start);
+  whole.set_segment_windows(false);
+  long commits = 0;
+  for (long step = 0; step < 600; ++step) {
+    Rng rw(derive_seed(99, static_cast<uint64_t>(step)));
+    Rng rf(derive_seed(99, static_cast<uint64_t>(step)));
+    const auto dw = win.propose(moves.pick(rw), rw);
+    const auto df = whole.propose(moves.pick(rf), rf);
+    ASSERT_EQ(dw.has_value(), df.has_value()) << "step " << step;
+    if (!dw) continue;
+    ASSERT_EQ(*dw, *df) << "step " << step;  // bit-identical
+    // Keep downhill moves plus a deterministic uphill slice.
+    if (*dw > 0 && step % 5 != 0) {
+      win.rollback();
+      whole.rollback();
+      continue;
     }
-    EXPECT_GT(commits, 0);
-    EXPECT_EQ(win.cost().total, whole.cost().total);
-    EXPECT_EQ(win.cost().connections, whole.cost().connections);
-    EXPECT_EQ(win.cost().muxes, whole.cost().muxes);
-    std::string why;
-    EXPECT_TRUE(win.index_matches_rebuild(&why)) << why;
+    win.commit();
+    whole.commit();
+    ++commits;
+    ASSERT_EQ(digest_binding(win.binding()), digest_binding(whole.binding()))
+        << "bindings diverged after commit at step " << step;
   }
+  EXPECT_GT(commits, 0);
+  EXPECT_EQ(win.cost().total, whole.cost().total);
+  EXPECT_EQ(win.cost().connections, whole.cost().connections);
+  EXPECT_EQ(win.cost().muxes, whole.cost().muxes);
+  std::string why;
+  EXPECT_TRUE(win.index_matches_rebuild(&why)) << why;
 }
 
 }  // namespace

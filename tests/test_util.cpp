@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/args.h"
 #include "util/diagnostics.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -115,6 +118,52 @@ TEST(TextTable, SeparatorAndShortRows) {
 TEST(Fmt, Precision) {
   EXPECT_EQ(fmt(1.23456, 2), "1.23");
   EXPECT_EQ(fmt(2.0, 0), "2");
+}
+
+TEST(Args, ParseIntTakesOnlyWholeInRangeIntegers) {
+  EXPECT_EQ(parse_int("--n", "42", 1, 100), 42);
+  EXPECT_EQ(parse_int("--n", "-3", -5, 5), -3);
+  for (const char* bad : {"", "abc", "12x", " 7", "0", "101",
+                          "99999999999999999999"}) {
+    try {
+      parse_int("--n", bad, 1, 100);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--n expects an integer in [1, 100], got '") +
+                    bad + "'");
+    }
+  }
+}
+
+TEST(Args, FlagValuesAdvanceAndRejectMissingOrJunk) {
+  char prog[] = "tool", n[] = "--n", v[] = "7", p[] = "--p", pv[] = "0.25",
+       l[] = "--list", lv[] = "1,2,8", bad[] = "1,,2";
+  {
+    char* argv[] = {prog, n, v, p, pv, l, lv};
+    int i = 1;
+    EXPECT_EQ(int_flag(7, argv, &i, 1, 10), 7);
+    EXPECT_EQ(i, 2);
+    i = 3;
+    EXPECT_EQ(real_flag(7, argv, &i, 0.0, 1.0), 0.25);
+    i = 5;
+    EXPECT_EQ(int_list_flag(7, argv, &i, 1, 16), (std::vector<int>{1, 2, 8}));
+  }
+  {
+    char* argv[] = {prog, n};
+    int i = 1;
+    EXPECT_THROW(flag_value(2, argv, &i), Error);
+  }
+  {
+    char* argv[] = {prog, l, bad};
+    int i = 1;
+    EXPECT_THROW(int_list_flag(3, argv, &i, 1, 16), Error);
+  }
+  {
+    char* argv[] = {prog, p, v};
+    int i = 1;
+    EXPECT_THROW(real_flag(3, argv, &i, 0.0, 1.0), Error);
+  }
 }
 
 }  // namespace

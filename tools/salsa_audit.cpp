@@ -1,13 +1,14 @@
 // salsa_audit — the SalsaCheck command line: drives the move fuzzer, the
-// determinism/speculation audits and the index/bitplane/scaling
+// determinism audit and the index/bitplane/segment/scaling/sim
 // cross-checks over the standard targets, printing one summary line per
 // audit and exiting non-zero on any violation. Run with --help for the
 // full flag catalogue (kUsage below is the single source of truth; an
 // unknown flag prints it and exits 2 so CI invocations cannot silently
-// mis-type a mode).
+// mis-type a mode, and a malformed flag value prints "error: ..." and
+// exits 2).
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "frontend/generate.h"
 #include "core/moves.h"
 #include "core/search_engine.h"
+#include "util/args.h"
 #include "util/bitplane.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
@@ -55,10 +57,6 @@ audit modes
                      per-restart digest streams (default threads 1,2,8)
   --restarts R       restarts for the determinism audit (default: 6)
   --threads a,b,c    comma-separated thread counts for the determinism audit
-  --speculation      fuzz the speculative proposal pipeline: seeded k-way
-                     batches diffed against a sequential reference run
-  --spec-k K         speculative batch width (default: 8)
-  --spec-steps N     candidates served per speculation fuzz run (default: 4000)
   --index            cross-check the flat connection index against a
                      from-scratch rebuild after every commit
   --index-commits N  commits per index audit run (default: 2000)
@@ -84,27 +82,11 @@ audit modes
 
 mutation tests (expected output: a VIOLATION; CI asserts non-zero exit)
   --inject-broken-undo N   break the Nth rollback's undo
-  --spec-skip N            let the Nth footprint-conflict hit slip through
   --break-flat-erase N     Nth FlatMap erase skips backward-shift compaction
   --break-bitplane-word N  Nth ranged busy-plane word update left broken
   --break-segment-window N Nth windowed claim re-add drops its last segment
   --break-event-skip N     Nth event wake-up lost (occurrence marked handled)
 )";
-
-std::vector<int> parse_thread_list(const std::string& arg) {
-  std::vector<int> out;
-  std::string cur;
-  for (char c : arg + ",") {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(std::atoi(cur.c_str()));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (out.empty()) fail("--threads needs a comma-separated list, got '" + arg + "'");
-  return out;
-}
 
 // --index: a weighted random search (commit-biased, so the connection index
 // churns through creation, refcount bumps and backward-shift erases) with
@@ -159,10 +141,8 @@ IndexAuditResult run_index_audit(const AllocProblem& prob, uint64_t seed,
 // (SearchEngine::occupancy_planes_match) — O(resources x steps) word-and-bit
 // compares instead of a full O(design) rebuild. The --break-bitplane-word
 // mutation degrades one ranged busy-plane word update to a per-bit loop
-// that stops one bit short; a rolled-back victim transaction is restored by
-// the engine's word journal (so nothing is provable there), but once the
-// broken claim commits, the stale bit is a grid/plane divergence this check
-// must report.
+// that stops one bit short; the stale bit stays in the plane, a grid/plane
+// divergence the next commit's check must report.
 IndexAuditResult run_bitplane_audit(const AllocProblem& prob, uint64_t seed,
                                     long commits_target) {
   IndexAuditResult res;
@@ -325,8 +305,7 @@ int run_sim_wall(int ops, uint64_t seed) {
 int main(int argc, char** argv) {
   std::string target = "all";
   FuzzParams fuzz;
-  SpecFuzzParams spec;
-  bool determinism = false, speculation = false, dump = false;
+  bool determinism = false, dump = false;
   bool index_audit = false;
   long index_commits = 2000;
   long break_flat_erase = 0;
@@ -345,104 +324,111 @@ int main(int argc, char** argv) {
   int restarts = 6;
   std::vector<int> threads{1, 2, 8};
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) fail("missing argument after " + arg);
-      return argv[++i];
-    };
-    if (arg == "--target") {
-      target = next();
-    } else if (arg == "--transactions") {
-      fuzz.transactions = std::atol(next().c_str());
-    } else if (arg == "--seed") {
-      fuzz.seed = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--every") {
-      fuzz.audit.every = std::atol(next().c_str());
-    } else if (arg == "--commit-prob") {
-      fuzz.commit_prob = std::atof(next().c_str());
-    } else if (arg == "--weighted") {
-      fuzz.uniform_kinds = false;
-    } else if (arg == "--determinism") {
-      determinism = true;
-    } else if (arg == "--restarts") {
-      restarts = std::atoi(next().c_str());
-    } else if (arg == "--threads") {
-      threads = parse_thread_list(next());
-    } else if (arg == "--artifacts") {
-      fuzz.artifact_dir = next();
-    } else if (arg == "--inject-broken-undo") {
-      // Mutation testing: break the Nth rollback's undo and watch the
-      // digest check catch it (expected output: a VIOLATION).
-      fuzz.inject_broken_undo_at = std::atol(next().c_str());
-    } else if (arg == "--speculation") {
-      speculation = true;
-    } else if (arg == "--spec-k") {
-      spec.k = std::atoi(next().c_str());
-    } else if (arg == "--spec-steps") {
-      spec.steps = std::atol(next().c_str());
-    } else if (arg == "--spec-skip") {
-      // Mutation testing: skip the Nth footprint invalidation and watch the
-      // replay cross-check / trajectory diff catch it.
-      spec.skip_footprint_check_at = std::atol(next().c_str());
-    } else if (arg == "--index") {
-      index_audit = true;
-    } else if (arg == "--index-commits") {
-      index_commits = std::atol(next().c_str());
-    } else if (arg == "--break-flat-erase") {
-      // Mutation testing: skip the Nth erase's backward-shift compaction
-      // and watch the rebuild cross-check catch the orphaned keys.
-      index_audit = true;
-      break_flat_erase = std::atol(next().c_str());
-    } else if (arg == "--bitplane") {
-      bitplane_audit = true;
-    } else if (arg == "--bitplane-commits") {
-      bitplane_commits = std::atol(next().c_str());
-    } else if (arg == "--break-bitplane-word") {
-      // Mutation testing: cripple the Nth ranged busy-plane word update and
-      // watch the packed-vs-scalar differential catch the stale bit.
-      bitplane_audit = true;
-      break_bitplane_word = std::atol(next().c_str());
-    } else if (arg == "--segment") {
-      segment_audit = true;
-    } else if (arg == "--break-segment-window") {
-      // Mutation testing: the Nth windowed claim re-add drops its last
-      // segment on the add side only, drifting occupancy/refcounts/key
-      // cache from the binding — the window-vs-whole differential must
-      // catch it.
-      segment_audit = true;
-      break_segment_window = std::atol(next().c_str());
-    } else if (arg == "--scaling") {
-      scaling = true;
-    } else if (arg == "--scaling-ops") {
-      scaling = true;
-      scaling_ops = std::atoi(next().c_str());
-    } else if (arg == "--sim") {
-      sim_audit = true;
-    } else if (arg == "--sim-ops") {
-      sim_audit = true;
-      sim_ops = std::atoi(next().c_str());
-    } else if (arg == "--sim-wall") {
-      sim_wall = true;
-    } else if (arg == "--sim-wall-ops") {
-      sim_wall = true;
-      sim_wall_ops = std::atoi(next().c_str());
-    } else if (arg == "--break-event-skip") {
-      // Mutation testing: lose the Nth change-event wake-up (its occurrence
-      // is marked handled, so redundant wakes cannot heal it) and watch the
-      // engine differential catch the stale signal.
-      sim_audit = true;
-      break_event_skip = std::atol(next().c_str());
-    } else if (arg == "--dump") {
-      dump = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "salsa_audit: unknown flag '%s'\n\n%s",
-                   arg.c_str(), kUsage);
-      return 2;
+  // Flag values are range-checked (util/args.h); a malformed one is a
+  // usage error like an unknown flag.
+  constexpr long kMaxCount = 1000000000;
+  constexpr int kMaxOps = 1000000;
+  auto count = [&](int* i) {
+    return static_cast<long>(int_flag(argc, argv, i, 1, kMaxCount));
+  };
+  auto ops = [&](int* i) {
+    return static_cast<int>(int_flag(argc, argv, i, 1, kMaxOps));
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--target") {
+        target = flag_value(argc, argv, &i);
+        const auto& names = FuzzTarget::names();
+        if (target != "all" &&
+            std::find(names.begin(), names.end(), target) == names.end())
+          fail("--target expects ewf, dct, random or all, got '" + target +
+               "'");
+      } else if (arg == "--transactions") {
+        fuzz.transactions = count(&i);
+      } else if (arg == "--seed") {
+        fuzz.seed = static_cast<uint64_t>(int_flag(
+            argc, argv, &i, 0, std::numeric_limits<long long>::max()));
+      } else if (arg == "--every") {
+        fuzz.audit.every = count(&i);
+      } else if (arg == "--commit-prob") {
+        fuzz.commit_prob = real_flag(argc, argv, &i, 0.0, 1.0);
+      } else if (arg == "--weighted") {
+        fuzz.uniform_kinds = false;
+      } else if (arg == "--determinism") {
+        determinism = true;
+      } else if (arg == "--restarts") {
+        restarts = static_cast<int>(int_flag(argc, argv, &i, 1, 100000));
+      } else if (arg == "--threads") {
+        threads = int_list_flag(argc, argv, &i, 1, 4096);
+      } else if (arg == "--artifacts") {
+        fuzz.artifact_dir = flag_value(argc, argv, &i);
+      } else if (arg == "--inject-broken-undo") {
+        // Mutation testing: break the Nth rollback's undo and watch the
+        // digest check catch it (expected output: a VIOLATION).
+        fuzz.inject_broken_undo_at = count(&i);
+      } else if (arg == "--index") {
+        index_audit = true;
+      } else if (arg == "--index-commits") {
+        index_commits = count(&i);
+      } else if (arg == "--break-flat-erase") {
+        // Mutation testing: skip the Nth erase's backward-shift compaction
+        // and watch the rebuild cross-check catch the orphaned keys.
+        index_audit = true;
+        break_flat_erase = count(&i);
+      } else if (arg == "--bitplane") {
+        bitplane_audit = true;
+      } else if (arg == "--bitplane-commits") {
+        bitplane_commits = count(&i);
+      } else if (arg == "--break-bitplane-word") {
+        // Mutation testing: cripple the Nth ranged busy-plane word update
+        // and watch the packed-vs-scalar differential catch the stale bit.
+        bitplane_audit = true;
+        break_bitplane_word = count(&i);
+      } else if (arg == "--segment") {
+        segment_audit = true;
+      } else if (arg == "--break-segment-window") {
+        // Mutation testing: the Nth windowed claim re-add drops its last
+        // segment on the add side only, drifting occupancy/refcounts/key
+        // cache from the binding — the window-vs-whole differential must
+        // catch it.
+        segment_audit = true;
+        break_segment_window = count(&i);
+      } else if (arg == "--scaling") {
+        scaling = true;
+      } else if (arg == "--scaling-ops") {
+        scaling = true;
+        scaling_ops = ops(&i);
+      } else if (arg == "--sim") {
+        sim_audit = true;
+      } else if (arg == "--sim-ops") {
+        sim_audit = true;
+        sim_ops = ops(&i);
+      } else if (arg == "--sim-wall") {
+        sim_wall = true;
+      } else if (arg == "--sim-wall-ops") {
+        sim_wall = true;
+        sim_wall_ops = ops(&i);
+      } else if (arg == "--break-event-skip") {
+        // Mutation testing: lose the Nth change-event wake-up (its
+        // occurrence is marked handled, so redundant wakes cannot heal it)
+        // and watch the engine differential catch the stale signal.
+        sim_audit = true;
+        break_event_skip = count(&i);
+      } else if (arg == "--dump") {
+        dump = true;
+      } else if (arg == "--help" || arg == "-h") {
+        std::fputs(kUsage, stdout);
+        return 0;
+      } else {
+        std::fprintf(stderr, "salsa_audit: unknown flag '%s'\n\n%s",
+                     arg.c_str(), kUsage);
+        return 2;
+      }
     }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   if (sim_wall) return run_sim_wall(sim_wall_ops, fuzz.seed);
@@ -478,28 +464,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "  %s\n", res.failure.c_str());
       if (!res.artifact_path.empty())
         std::fprintf(stderr, "  artifact: %s\n", res.artifact_path.c_str());
-    }
-
-    if (speculation) {
-      SpecFuzzParams sp = spec;
-      sp.seed = fuzz.seed;
-      sp.audit = fuzz.audit;
-      sp.artifact_dir = fuzz.artifact_dir;
-      sp.name = name + "-spec";
-      const SpecFuzzResult sres = run_speculation_fuzz(t.prob(), sp);
-      std::printf(
-          "spec %-6s seed %llu k=%d: %ld commits, %ld batches (%ld served / "
-          "%ld discarded / %ld rescored) — %s\n",
-          name.c_str(), static_cast<unsigned long long>(sp.seed), sp.k,
-          sres.commits, sres.spec.batches, sres.spec.served,
-          sres.spec.discarded, sres.spec.rescored,
-          sres.ok ? "ok" : "VIOLATION");
-      if (!sres.ok) {
-        failed = true;
-        std::fprintf(stderr, "  %s\n", sres.failure.c_str());
-        if (!sres.artifact_path.empty())
-          std::fprintf(stderr, "  artifact: %s\n", sres.artifact_path.c_str());
-      }
     }
 
     if (index_audit) {
