@@ -119,4 +119,20 @@ void InvariantAuditor::on_rollback(const SearchEngine& eng) {
     violation("rollback did not restore the incremental total");
 }
 
+void InvariantAuditor::on_restore(const SearchEngine& eng) {
+  resolve_every(eng);
+  ++stats_.restores;
+  if (opts_.check_digest && digest_binding(eng.binding()) !=
+                                digest_binding(eng.checkpoint_binding()))
+    violation("restore did not return the binding to the checkpoint");
+  // The rebuild cross-check samples restores at the transaction rate, by
+  // restore index.
+  if (opts_.check_index &&
+      (effective_every_ <= 1 || stats_.restores % effective_every_ == 1)) {
+    std::string why;
+    if (!eng.index_matches_rebuild(&why))
+      violation("derived state drifted after restore: " + why);
+  }
+}
+
 }  // namespace salsa

@@ -18,7 +18,11 @@
 //       restoration;
 //   (e) the packed occupancy bitplanes (util/bitplane.h) agree bit-for-bit
 //       with the scalar identity grids after every commit — the
-//       packed-vs-scalar differential check of the word-masked kernels.
+//       packed-vs-scalar differential check of the word-masked kernels;
+//   (f) a checkpoint restore (SearchEngine::restore_checkpoint) returns the
+//       binding to the checkpoint — equal digests after every restore —
+//       and, on the restores the sampling rate selects, leaves every
+//       derived structure equal to a rebuild (check (b)).
 //
 // A violation throws salsa::Error with the failing check and transaction
 // number. Checked mode is enabled through AllocatorOptions::checked (or
@@ -74,6 +78,7 @@ struct AuditorStats {
   long commits = 0;
   long rollbacks = 0;
   long aborts = 0;     ///< infeasible proposals observed
+  long restores = 0;   ///< checkpoint restores observed (all digest-checked)
 };
 
 class InvariantAuditor final : public SearchObserver {
@@ -96,6 +101,7 @@ class InvariantAuditor final : public SearchObserver {
   void on_txn_abort(const SearchEngine& eng) override;
   void on_commit(const SearchEngine& eng, double delta) override;
   void on_rollback(const SearchEngine& eng) override;
+  void on_restore(const SearchEngine& eng) override;
 
  private:
   [[noreturn]] void violation(const std::string& what) const;

@@ -59,11 +59,11 @@ FuzzResult run_move_fuzz(const AllocProblem& prob, const FuzzParams& params) {
   // Placement and move streams are derived from the one user seed.
   Binding start = initial_allocation(
       prob, InitialOptions{.seed = derive_seed(params.seed, 0)});
+  // The engine's checkpoint holds the best binding seen (initially start).
   SearchEngine eng(start);
   eng.set_observer(&auditor);
   Rng rng(derive_seed(params.seed, 1));
 
-  Binding best = start;
   double best_cost = eng.total();
   const long cap = params.transactions * params.proposal_cap_factor;
   try {
@@ -83,7 +83,7 @@ FuzzResult run_move_fuzz(const AllocProblem& prob, const FuzzParams& params) {
         eng.commit();
         ++res.commits;
         if (eng.total() < best_cost) {
-          best = eng.binding();
+          eng.checkpoint();
           best_cost = eng.total();
         }
       } else {
@@ -95,7 +95,7 @@ FuzzResult run_move_fuzz(const AllocProblem& prob, const FuzzParams& params) {
       }
       if (params.reset_every > 0 &&
           res.transactions % params.reset_every == 0) {
-        eng.reset_to(best);
+        eng.restore_checkpoint();
       }
     }
   } catch (const Error& e) {

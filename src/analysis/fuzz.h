@@ -38,8 +38,9 @@ struct FuzzParams {
   /// Give up after transactions * this many proposals (feasibility can be
   /// scarce on tight problems).
   long proposal_cap_factor = 50;
-  /// Every this many transactions, reset the engine to the best binding
-  /// seen (exercises reset_to under audit); 0 disables.
+  /// Every this many transactions, restore the engine's checkpoint of the
+  /// best binding seen (exercises restore_checkpoint under audit); 0
+  /// disables.
   long reset_every = 2500;
   /// On violation, write "<name>-seed<seed>.json" (seed, progress, error,
   /// binding dump) into this directory. Empty = no artifact.

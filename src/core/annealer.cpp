@@ -10,10 +10,10 @@ namespace salsa {
 ImproveResult anneal(const Binding& start, const AnnealParams& params) {
   check_legal(start);
 
+  // The engine's checkpoint holds the best binding (initially `start`).
   SearchEngine eng(start);
   eng.set_trace(params.trace);
   eng.set_observer(params.observer);
-  Binding best = start;
   double best_cost = eng.total();
 
   ImproveStats stats;
@@ -40,12 +40,13 @@ ImproveResult anneal(const Binding& start, const AnnealParams& params) {
       ++stats.accepted;
       if (*delta > 0) ++stats.uphill;
       if (eng.total() < best_cost - 1e-9) {
-        best = eng.binding();
+        eng.checkpoint();
         best_cost = eng.total();
       }
     }
   }
   stats.by_kind = eng.kind_stats();
+  Binding best = std::move(eng).take_checkpoint();
   check_legal(best);
   CostBreakdown final_cost = evaluate_cost(best);
   return ImproveResult{std::move(best), final_cost, stats};

@@ -8,7 +8,7 @@ namespace salsa {
 namespace {
 
 // Proposes run-wide candidate *i (stream derive_seed(seed, *i)) and bumps
-// the counter; reset_to never rewinds it.
+// the counter; restore_checkpoint never rewinds it.
 std::optional<double> propose_next(SearchEngine& eng, const IlsParams& params,
                                    uint64_t* i) {
   Rng r(derive_seed(params.seed, (*i)++));
@@ -44,12 +44,13 @@ ImproveResult iterated_local_search(const Binding& start,
   eng.set_observer(params.observer);
   uint64_t i = 0;
   descend(eng, params, &i, stats);
-  Binding best = eng.binding();
+  // The engine's checkpoint holds the incumbent (best) binding.
+  eng.checkpoint();
   double best_cost = eng.total();
 
   for (int round = 0; round < params.iterations; ++round) {
     ++stats.trials;
-    eng.reset_to(best);
+    eng.restore_checkpoint();
     // Kick: force a few random feasible moves, cost-blind. These are
     // perturbations of the incumbent, not acceptances of the descent
     // policy — they get their own counter.
@@ -64,11 +65,12 @@ ImproveResult iterated_local_search(const Binding& start,
     }
     descend(eng, params, &i, stats);
     if (eng.total() < best_cost - 1e-9) {
-      best = eng.binding();
+      eng.checkpoint();
       best_cost = eng.total();
     }
   }
   stats.by_kind = eng.kind_stats();
+  Binding best = std::move(eng).take_checkpoint();
   check_legal(best);
   CostBreakdown final_cost = evaluate_cost(best);
   return ImproveResult{std::move(best), final_cost, stats};

@@ -8,16 +8,16 @@ namespace salsa {
 ImproveResult improve(const Binding& start, const ImproveParams& params) {
   check_legal(start);
 
+  // The engine's checkpoint holds the best binding (initially `start`).
   SearchEngine eng(start);
   eng.set_trace(params.trace);
   eng.set_observer(params.observer);
-  Binding best = start;
   double best_cost = eng.total();
 
   ImproveStats stats;
   // Candidate i of the run draws from its own stream derive_seed(seed, i).
-  // The counter runs on across reset_to, so a restart from the best
-  // binding never replays the candidates that led away from it.
+  // The counter runs on across restore_checkpoint, so a restart from the
+  // best binding never replays the candidates that led away from it.
   uint64_t i = 0;
   int stale = 0;
   for (int trial = 0; trial < params.max_trials; ++trial) {
@@ -43,7 +43,7 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
       eng.commit();
       ++stats.accepted;
       if (eng.total() < best_cost - 1e-9) {
-        best = eng.binding();
+        eng.checkpoint();
         best_cost = eng.total();
         improved = true;
       }
@@ -52,11 +52,12 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
       stale = 0;
     } else {
       // Return to the best known allocation before exploring again.
-      eng.reset_to(best);
+      eng.restore_checkpoint();
       if (++stale >= params.stop_after_stale) break;
     }
   }
   stats.by_kind = eng.kind_stats();
+  Binding best = std::move(eng).take_checkpoint();
   check_legal(best);
   CostBreakdown final_cost = evaluate_cost(best);
   return ImproveResult{std::move(best), final_cost, stats};

@@ -5,14 +5,14 @@
 
 namespace salsa {
 
-SearchEngine::SearchEngine(const Binding& start) : b_(start) {
+SearchEngine::SearchEngine(const Binding& start) : b_(start), ckpt_(start) {
   build_static();
   init_from_statics();
   rebuild();
 }
 
 SearchEngine::SearchEngine(const Binding& start, const SearchEngine& other)
-    : b_(start), statics_(other.statics_) {
+    : b_(start), statics_(other.statics_), ckpt_(start) {
   SALSA_CHECK_MSG(&start.prob() == &other.b_.prob(),
                   "sharing engine statics needs bindings of the same problem");
   init_from_statics();
@@ -162,6 +162,8 @@ void SearchEngine::init_from_statics() {
   touched_ops_.reserve(16);
   touched_sids_.reserve(16);
   removed_gens_.reserve(64);
+  op_dirty_.assign(static_cast<size_t>(g.num_nodes()), 0);
+  sto_dirty_.assign(static_cast<size_t>(S), 0);
 }
 
 void SearchEngine::rebuild() {
@@ -266,14 +268,6 @@ void SearchEngine::recompute_total() {
   const CostWeights& w = b_.prob().weights();
   cost_.total = w.fu * cost_.fus_used + w.reg * cost_.regs_used +
                 w.mux * cost_.muxes + w.conn * cost_.connections;
-}
-
-void SearchEngine::reset_to(const Binding& nb) {
-  SALSA_DCHECK(!in_txn_);
-  SALSA_CHECK_MSG(&nb.prob() == &b_.prob(),
-                  "SearchEngine::reset_to needs a binding of the same problem");
-  b_ = nb;
-  rebuild();
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,12 +1169,7 @@ void SearchEngine::commit() {
   apply_pending_claims();
   apply_pending_uses();
   install_fresh_gen_caches();
-  // Re-file committed FU changes in the per-FU op index. Only commit (and
-  // the broken-undo test path below) mutate fu_ops_ — proposals read it,
-  // and a rolled-back move restores the saved FU, so the index stays
-  // consistent with the binding between transactions.
-  for (const TouchedOp& t : touched_ops_)
-    update_fu_ops(t.n, t.saved.fu, b_.op(t.n).fu);
+  keep_touched_units();
   end_txn();
 #ifndef NDEBUG
   SALSA_CHECK(matches_full_eval());
@@ -1202,8 +1191,7 @@ void SearchEngine::rollback() {
     apply_pending_claims();
     apply_pending_uses();
     install_fresh_gen_caches();
-    for (const TouchedOp& t : touched_ops_)
-      update_fu_ops(t.n, t.saved.fu, b_.op(t.n).fu);
+    keep_touched_units();
     end_txn();
     if (observer_) observer_->on_rollback(*this);
     return;
@@ -1241,6 +1229,18 @@ void SearchEngine::rollback() {
   if (observer_) observer_->on_rollback(*this);
 }
 
+void SearchEngine::keep_touched_units() {
+  // Re-file committed FU changes in the per-FU op index. Only commit (and
+  // the broken-undo test path) mutate fu_ops_ — proposals read it, and a
+  // rolled-back move restores the saved FU, so the index stays consistent
+  // with the binding between transactions.
+  for (const TouchedOp& t : touched_ops_) {
+    update_fu_ops(t.n, t.saved.fu, b_.op(t.n).fu);
+    mark_dirty_op(t.n);
+  }
+  for (const int sid : touched_sids_) mark_dirty_sto(sid);
+}
+
 void SearchEngine::end_txn() {
   touched_ops_.clear();
   touched_sids_.clear();
@@ -1248,6 +1248,134 @@ void SearchEngine::end_txn() {
   undo_ints_.clear();
   pending_uses_.clear();
   in_txn_ = false;
+}
+
+// ---------------------------------------------------------------------------
+// Best-so-far checkpoint. Between transactions every unit outside the dirty
+// lists is identical in the working binding and the checkpoint — commits
+// mark what they touch and a rollback restores its units byte-identically
+// — so saving and restoring walk the dirty units only.
+
+void SearchEngine::mark_dirty_op(NodeId n) {
+  uint8_t& flag = op_dirty_[static_cast<size_t>(n)];
+  if (flag) return;
+  flag = 1;
+  dirty_ops_.push_back(n);
+}
+
+void SearchEngine::mark_dirty_sto(int sid) {
+  uint8_t& flag = sto_dirty_[static_cast<size_t>(sid)];
+  if (flag) return;
+  flag = 1;
+  dirty_stos_.push_back(sid);
+}
+
+void SearchEngine::checkpoint() {
+  SALSA_DCHECK(!in_txn_);
+  for (const NodeId n : dirty_ops_) {
+    ckpt_.op(n) = b_.op(n);
+    op_dirty_[static_cast<size_t>(n)] = 0;
+  }
+  // Copy-assignment refills the checkpoint's cell vectors in place.
+  for (const int sid : dirty_stos_) {
+    ckpt_.sto(sid) = b_.sto(sid);
+    sto_dirty_[static_cast<size_t>(sid)] = 0;
+  }
+  dirty_ops_.clear();
+  dirty_stos_.clear();
+}
+
+void SearchEngine::claim_op(NodeId n) {
+  const FuId f = b_.op(n).fu;
+  occ_.claim_fu_range(f, b_.prob().sched().start(n),
+                      statics_->op_occ[static_cast<size_t>(n)], n);
+  if (++fu_refs_[static_cast<size_t>(f)] == 1) ++cost_.fus_used;
+}
+
+void SearchEngine::claim_sto(int sid) {
+  const std::vector<int>& steps = b_.prob().lifetimes().steps_of(sid);
+  const StorageBinding& sb = b_.sto(sid);
+  for (size_t seg = 0; seg < sb.cells.size(); ++seg) {
+    for (const Cell& c : sb.cells[seg]) {
+      occ_.claim_reg(c.reg, steps[seg], sid);
+      if (++reg_refs_[static_cast<size_t>(c.reg)] == 1) ++cost_.regs_used;
+      if (seg > 0 && c.via != kInvalidId) {
+        occ_.claim_fu(c.via, steps[seg - 1], Occupancy::kPassThrough);
+        if (++fu_refs_[static_cast<size_t>(c.via)] == 1) ++cost_.fus_used;
+      }
+    }
+  }
+}
+
+void SearchEngine::restore_checkpoint() {
+  SALSA_DCHECK(!in_txn_);
+  if (checkpoint_hooks::break_restore_after > 0 &&
+      ++checkpoint_hooks::restores >= checkpoint_hooks::break_restore_after) {
+    // Mutation hook (--break-restore): drop the first dirty storage that
+    // differs from the checkpoint from this restore. Everything below
+    // re-derives from the binding, so the engine stays self-consistent
+    // and only the binding-vs-checkpoint digest can tell.
+    for (size_t k = 0; k < dirty_stos_.size(); ++k) {
+      const int sid = dirty_stos_[k];
+      if (b_.sto(sid) == ckpt_.sto(sid)) continue;
+      checkpoint_hooks::break_restore_after = 0;  // one-shot
+      sto_dirty_[static_cast<size_t>(sid)] = 0;
+      dirty_stos_.erase(dirty_stos_.begin() + static_cast<ptrdiff_t>(k));
+      break;
+    }
+  }
+  // rebuild() restricted to the dirty units. Retire first: release their
+  // claims and the connection uses of every generator reading them (the
+  // generator sets touch_op/touch_sto retire, deduplicated by a fresh
+  // epoch stamp). The index tables are written directly, outside any
+  // transaction, so the per-move netting scratch (txn_delta_/sink_delta_)
+  // never grows: its drain walks capacity, and a restore-sized table
+  // would slow every later move.
+  ++epoch_;
+  auto retire_gen = [this](int gen) {
+    if (gen_epoch_[static_cast<size_t>(gen)] == epoch_) return;
+    gen_epoch_[static_cast<size_t>(gen)] = epoch_;
+    removed_gens_.push_back(gen);
+  };
+  for (const NodeId n : dirty_ops_) {
+    remove_op_claims(n);
+    for (const int gen : statics_->op_info[static_cast<size_t>(n)].gens)
+      retire_gen(gen);
+  }
+  for (const int sid : dirty_stos_) {
+    remove_sto_claims(sid, 0, static_cast<int>(b_.sto(sid).cells.size()) - 1);
+    retire_gen(gen_reads(sid));
+    retire_gen(gen_writes(sid));
+  }
+  for (const int gen : removed_gens_)
+    for (const uint64_t key : gen_keys_[static_cast<size_t>(gen)])
+      remove_key(key);
+  // Then assign the checkpoint's units and re-derive: all releases precede
+  // every claim, and the checkpoint is legal, so no claim collides.
+  for (const NodeId n : dirty_ops_) {
+    update_fu_ops(n, b_.op(n).fu, ckpt_.op(n).fu);
+    b_.op(n) = ckpt_.op(n);
+    op_dirty_[static_cast<size_t>(n)] = 0;
+  }
+  for (const int sid : dirty_stos_) {
+    b_.sto(sid) = ckpt_.sto(sid);
+    sto_dirty_[static_cast<size_t>(sid)] = 0;
+  }
+  for (const NodeId n : dirty_ops_) claim_op(n);
+  for (const int sid : dirty_stos_) {
+    claim_sto(sid);
+    refresh_sto_stats(sid);
+  }
+  for (const int gen : removed_gens_)
+    add_gen(gen, gen_keys_[static_cast<size_t>(gen)]);
+  removed_gens_.clear();
+  dirty_ops_.clear();
+  dirty_stos_.clear();
+  recompute_total();
+  if (observer_) observer_->on_restore(*this);
+#ifndef NDEBUG
+  SALSA_CHECK(index_matches_rebuild());
+#endif
 }
 
 void SearchEngine::trace_decision(bool accepted) {
@@ -1341,6 +1469,8 @@ bool SearchEngine::index_matches_rebuild(std::string* why) const {
     ok = diverged("per-step cell-count index differs from a rebuild");
   if (fu_ops_ != fresh.fu_ops_)
     ok = diverged("per-FU op lists differ from a rebuild");
+  if (gen_keys_ != fresh.gen_keys_ || write_seg_keys_ != fresh.write_seg_keys_)
+    ok = diverged("generator key caches differ from a rebuild");
   std::string plane_why;
   if (!occ_.planes_match_grids(&plane_why))
     ok = diverged("occupancy bitplanes diverged from the scalar grids: " +

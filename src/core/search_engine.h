@@ -38,6 +38,10 @@
 // (index_matches_rebuild) constructs its reference engine without
 // re-deriving them.
 //
+// Search policies keep their best-so-far binding in the engine's
+// checkpoint (checkpoint() / restore_checkpoint()): commits mark the units
+// they touch dirty, and saving or restoring the best walks only those.
+//
 // Consistency is guarded two ways: in !NDEBUG builds every commit
 // cross-checks the incremental breakdown against a fresh evaluate_cost
 // (SALSA_CHECK via matches_full_eval), and tests/test_incremental_cost.cpp
@@ -77,6 +81,18 @@ inline long break_claim_window_after = 0;  ///< 0 = disarmed
 inline long windowed_txns = 0;  ///< windowed re-adds counted while armed
 }  // namespace seg_window_hooks
 
+/// Mutation-testing hook for the incremental checkpoint restore
+/// (salsa_audit --break-restore): when armed, the first restore at or after
+/// the Nth (counted in `restores` while armed, process-wide) that has a
+/// dirty storage differing from the checkpoint leaves that storage
+/// unrestored. Its derived state stays consistent with the (wrong)
+/// binding, so only the auditor's restore digest check can tell. One-shot;
+/// arm relative to `restores`, and never outside single-threaded tests.
+namespace checkpoint_hooks {
+inline long break_restore_after = 0;  ///< 0 = disarmed
+inline long restores = 0;  ///< restores counted while armed
+}  // namespace checkpoint_hooks
+
 /// Transaction observer: the seam the SalsaCheck invariant auditor
 /// (src/analysis/auditor.h) hooks into. The engine invokes the callbacks
 /// around every move transaction; with no observer installed the cost is a
@@ -89,6 +105,9 @@ inline long windowed_txns = 0;  ///< windowed re-adds counted while armed
 ///                    delta the engine reported for it
 ///   on_rollback    — the move was reverted; binding must be byte-identical
 ///                    to its pre-move state
+/// Outside transactions:
+///   on_restore     — restore_checkpoint() returned; binding must equal
+///                    checkpoint_binding()
 /// Observers may inspect the engine (it is passed const) but must not drive
 /// transactions on it from inside a callback.
 class SearchObserver {
@@ -98,6 +117,7 @@ class SearchObserver {
   virtual void on_txn_abort(const SearchEngine&) {}
   virtual void on_commit(const SearchEngine&, double /*delta*/) {}
   virtual void on_rollback(const SearchEngine&) {}
+  virtual void on_restore(const SearchEngine&) {}
 };
 
 class SearchEngine {
@@ -133,9 +153,28 @@ class SearchEngine {
   void rollback();
   bool in_txn() const { return in_txn_; }
 
-  /// Replaces the working binding (same AllocProblem) and rebuilds all
-  /// derived state. O(design); used when a policy restarts from its best.
-  void reset_to(const Binding& b);
+  // --- best-so-far checkpoint ------------------------------------------
+  // The engine owns one checkpoint binding (initially the start binding)
+  // and tracks the units — operations and storages — committed since the
+  // binding last equalled it. Every other unit is identical in both, so
+  // saving and restoring cost O(units changed), not O(design).
+  /// The binding last recorded by checkpoint() (or the start binding).
+  const Binding& checkpoint_binding() const { return ckpt_; }
+  /// Records the working binding as the checkpoint, copying only the units
+  /// changed since the last checkpoint() or restore_checkpoint().
+  void checkpoint();
+  /// Returns the working binding to the checkpoint. Only the changed units
+  /// are restored: their claims and their generators' connection uses are
+  /// retired, the checkpoint's units assigned, and both re-derived — a
+  /// rebuild restricted to those units, so every derived structure equals
+  /// a from-scratch build (index_matches_rebuild()). Outside transactions
+  /// only.
+  void restore_checkpoint();
+  /// Operations and storages changed since the last checkpoint() or
+  /// restore_checkpoint() — the work both of them do.
+  size_t dirty_units() const { return dirty_ops_.size() + dirty_stos_.size(); }
+  /// Moves the checkpoint binding out, ending the engine's use.
+  Binding take_checkpoint() && { return std::move(ckpt_); }
 
   // --- mutation interface for move proposers ---------------------------
   // Must be called inside propose()'s move dispatch, before mutating the
@@ -335,11 +374,12 @@ class SearchEngine {
 
   /// True iff every derived structure — the refcounted connection index
   /// (pair refcounts and per-sink distinct-source counts), the FU/register
-  /// use refcounts, the occupancy grid and busy bitplanes, and the cost
-  /// breakdown — equals that of an engine rebuilt from scratch off the
-  /// current binding. O(design); the checked mode's per-transaction
-  /// cross-check. On mismatch, appends a description of the first
-  /// divergence to `why` when non-null.
+  /// use refcounts, the occupancy grid and busy bitplanes, the candidate
+  /// statistics and selection indexes, the per-FU op lists, the generator
+  /// key caches, and the cost breakdown — equals that of an engine rebuilt
+  /// from scratch off the current binding. O(design); the checked mode's
+  /// per-transaction and per-restore cross-check. On mismatch, appends a
+  /// description of the first divergence to `why` when non-null.
   bool index_matches_rebuild(std::string* why = nullptr) const;
 
   /// Packed-vs-scalar occupancy differential: true iff the incrementally
@@ -457,6 +497,14 @@ class SearchEngine {
   void init_from_statics();
   void rebuild();
   void recompute_total();
+  /// Adds a committed unit to the checkpoint's dirty set (idempotent).
+  void mark_dirty_op(NodeId n);
+  void mark_dirty_sto(int sid);
+  /// Claims one operation's / one whole storage's occupancy from the
+  /// binding with refcount and fus_used/regs_used accounting — rebuild()'s
+  /// per-unit claim, for restore_checkpoint().
+  void claim_op(NodeId n);
+  void claim_sto(int sid);
 
   int gen_reads(int sid) const { return 2 * sid; }
   int gen_writes(int sid) const { return 2 * sid + 1; }
@@ -567,6 +615,10 @@ class SearchEngine {
   void refresh_sto_stats_window(int sid, int wlo, int whi);
 
   void finish_mutation();
+  /// The kept-mutation tail shared by commit() and the broken-undo
+  /// rollback: re-files the touched ops' FU changes in fu_ops_ and marks
+  /// every touched unit dirty for the checkpoint.
+  void keep_touched_units();
   void end_txn();
   void trace_decision(bool accepted);
   /// Re-files a committed FU change in the fu_ops_ index (no-op when the
@@ -634,8 +686,9 @@ class SearchEngine {
   std::vector<int> seg_size_;
   // Sorted pos_in_class ranks of the operations bound to each FU — the
   // fu-exchange order-statistics index. Updated at commit (and on the
-  // broken-undo test path) by diffing touched ops' saved vs current FU;
-  // proposals only read it, so rejected moves never touch it.
+  // broken-undo test path) by diffing touched ops' saved vs current FU,
+  // and by restore_checkpoint for the ops it moves back; proposals only
+  // read it, so rejected moves never touch it.
   std::vector<std::vector<int>> fu_ops_;
 
   std::shared_ptr<const EngineStatics> statics_;
@@ -713,6 +766,18 @@ class SearchEngine {
   double aux_ = 0;
   SearchObserver* observer_ = nullptr;
   bool break_next_undo_ = false;
+
+  // Best-so-far checkpoint (see checkpoint()): the recorded binding, and
+  // the units committed since the working binding last equalled it — a
+  // flag per unit plus the list of flagged units. commit() marks its
+  // touched units, as does the broken-undo rollback, which also keeps a
+  // mutated binding; a plain rollback restores its units byte-identically
+  // and marks nothing.
+  Binding ckpt_;
+  std::vector<uint8_t> op_dirty_;   // indexed by NodeId
+  std::vector<uint8_t> sto_dirty_;  // indexed by storage id
+  std::vector<NodeId> dirty_ops_;
+  std::vector<int> dirty_stos_;
 };
 
 }  // namespace salsa

@@ -1,8 +1,9 @@
 // SalsaCheck end-to-end tests: the move fuzzer drives thousands of random
 // legal/illegal transaction sequences through the SearchEngine under the
 // full invariant auditor (verify + index-rebuild + cost + undo-digest
-// checks) on each standard target; a mutation test proves the digest check
-// catches a deliberately broken undo; and the determinism audit replays
+// checks, and the checkpoint-restore checks) on each standard target;
+// mutation tests prove the digest checks catch a deliberately broken undo
+// and a deliberately incomplete restore; and the determinism audit replays
 // allocate() across thread counts and diffs per-restart digest streams.
 //
 // Transaction counts are tuned per build: CI runs the fuzzer at >= 10000
@@ -65,11 +66,24 @@ TEST_P(FuzzMoves, ThrottledAuditStillRuns) {
   EXPECT_LT(res.audit.audited, res.audit.txns);
 }
 
+TEST_P(FuzzMoves, AuditedRestoresStayClean) {
+  FuzzTarget target(GetParam());
+  FuzzParams p;
+  p.seed = 11;
+  p.transactions = 2000;
+  p.reset_every = 250;
+  const FuzzResult res = run_move_fuzz(target.prob(), p);
+  EXPECT_TRUE(res.ok) << res.failure;
+  // Every restore is digest-checked against the checkpoint and, with no
+  // sampling on these small targets, cross-checked against a rebuild.
+  EXPECT_EQ(res.audit.restores, p.transactions / p.reset_every);
+}
+
 INSTANTIATE_TEST_SUITE_P(StandardTargets, FuzzMoves,
                          ::testing::ValuesIn(FuzzTarget::names()),
                          [](const auto& info) { return info.param; });
 
-// --- mutation test: a broken undo must be caught ---------------------------
+// --- mutation tests: a broken undo or restore must be caught ---------------
 
 TEST(SalsaCheckMutation, BrokenUndoCaughtByDigestCheck) {
   FuzzTarget target("ewf");
@@ -114,6 +128,24 @@ TEST(SalsaCheckMutation, BrokenUndoCaughtAtEngineLevel) {
     return;
   }
   FAIL() << "no feasible move found";
+}
+
+TEST(SalsaCheckMutation, UnrestoredStorageCaughtByRestoreDigest) {
+  FuzzTarget target("ewf");
+  FuzzParams p;
+  p.seed = 5;
+  p.transactions = 2000;
+  p.reset_every = 250;
+  checkpoint_hooks::break_restore_after = checkpoint_hooks::restores + 2;
+  const FuzzResult res = run_move_fuzz(target.prob(), p);
+  const bool fired = checkpoint_hooks::break_restore_after == 0;
+  checkpoint_hooks::break_restore_after = 0;
+  ASSERT_TRUE(fired) << "the restore mutation never fired";
+  ASSERT_FALSE(res.ok) << "an unrestored storage slipped past the auditor";
+  EXPECT_NE(res.failure.find("restore did not return the binding"),
+            std::string::npos)
+      << res.failure;
+  EXPECT_EQ(res.audit.restores, 2);
 }
 
 // --- digest canonicality ---------------------------------------------------

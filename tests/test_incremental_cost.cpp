@@ -3,13 +3,20 @@
 // either committed or rolled back at random. After every single step the
 // engine's incrementally maintained cost breakdown must equal a fresh
 // evaluate_cost of its binding, field for field, and a rollback must
-// restore the binding (and occupancy) byte-identically.
+// restore the binding (and occupancy) byte-identically. The checkpoint
+// tests interleave checkpoint() and restore_checkpoint() with the
+// transactions: every restore must land on the checkpoint with each derived
+// structure equal to a rebuild, and an improve()-style search over restores
+// must follow the same trajectory as one that rebuilds its engine from the
+// best binding at every reset.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "analysis/digest.h"
 #include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
 #include "bench_suite/random_cdfg.h"
@@ -18,6 +25,7 @@
 #include "core/initial.h"
 #include "core/search_engine.h"
 #include "core/verify.h"
+#include "frontend/generate.h"
 #include "io/report.h"
 #include "sched/fu_search.h"
 
@@ -125,17 +133,194 @@ TEST(IncrementalCost, MatchesFullEvalWithChargedConstants) {
   run_equivalence(*ctx.prob, 41, 5000);
 }
 
-TEST(IncrementalCost, ResetToRebuildsCleanly) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding a = initial_allocation(*ctx.prob, InitialOptions{.seed = 1});
-  Binding b = initial_allocation(*ctx.prob, InitialOptions{.seed = 2});
-  SearchEngine eng(a);
-  expect_same_breakdown(eng.cost(), evaluate_cost(a), 0);
-  eng.reset_to(b);
-  ASSERT_EQ(eng.binding(), b);
-  expect_same_breakdown(eng.cost(), evaluate_cost(b), 1);
-  EXPECT_TRUE(eng.matches_full_eval());
+// --- best-so-far checkpoint -------------------------------------------------
+
+// The checkpoint tests' problems: the four equivalence problems above plus
+// a generated 1k-op filter cascade.
+struct RestoreTarget {
+  std::unique_ptr<Ctx> ctx;
+  std::unique_ptr<GeneratedDesign> gen;
+
+  explicit RestoreTarget(const std::string& name) {
+    if (name == "ewf") {
+      ctx = std::make_unique<Ctx>(make_ewf(), 17, 2);
+    } else if (name == "dct") {
+      ctx = std::make_unique<Ctx>(make_dct(), 9, 2);
+    } else if (name == "random") {
+      RandomCdfgParams p;
+      p.num_ops = 24;
+      p.seed = 5;
+      ctx = std::make_unique<Ctx>(make_random_cdfg(p), 12, 2);
+    } else if (name == "consts") {
+      CostWeights w;
+      w.constants_cost = true;
+      ctx = std::make_unique<Ctx>(make_ewf(), 19, 2, w);
+    } else {
+      gen = std::make_unique<GeneratedDesign>(generate_design(GenParams{
+          .family = GenFamily::kFilterCascade, .target_ops = 1000, .seed = 1}));
+    }
+  }
+  const AllocProblem& prob() const { return ctx ? *ctx->prob : *gen->problem; }
+};
+
+class CheckpointRestore : public ::testing::TestWithParam<std::string> {};
+
+void expect_restore_exact(const SearchEngine& eng, const Binding& shadow,
+                          long step) {
+  ASSERT_EQ(eng.binding(), shadow) << "at step " << step;
+  ASSERT_EQ(eng.checkpoint_binding(), shadow) << "at step " << step;
+  ASSERT_EQ(eng.dirty_units(), 0u) << "at step " << step;
+  std::string why;
+  ASSERT_TRUE(eng.index_matches_rebuild(&why)) << "at step " << step << ": "
+                                               << why;
+  ASSERT_TRUE(eng.matches_full_eval()) << "at step " << step;
 }
+
+// Random commit / rollback / checkpoint / restore sequences, checked
+// against a shadow copy of what the checkpoint must hold.
+TEST_P(CheckpointRestore, RandomSequencesRestoreExactly) {
+  const RestoreTarget t(GetParam());
+  const AllocProblem& prob = t.prob();
+  const Binding start = initial_allocation(prob, InitialOptions{.seed = 3});
+  SearchEngine eng(start);
+  Binding shadow = start;
+  const MoveConfig moves = MoveConfig::salsa_default();
+  Rng rng(91);
+  // Percent of steps that checkpoint, and again that restore. The cascade
+  // restores rarely, so its dirty sets grow large.
+  const int pct = t.gen ? 1 : 4;
+  const long steps = t.gen ? 1500 : 4000;
+  long restores = 0, empty_restores = 0, fu_moved_back = 0;
+  for (long step = 0; step < steps; ++step) {
+    const int roll = rng.uniform(100);
+    if (roll < pct) {
+      eng.checkpoint();
+      shadow = eng.binding();
+      // A restore right after a checkpoint has an empty dirty set and must
+      // leave everything as it is.
+      const double total = eng.total();
+      eng.restore_checkpoint();
+      ++restores;
+      ++empty_restores;
+      ASSERT_EQ(eng.total(), total);
+      ASSERT_NO_FATAL_FAILURE(expect_restore_exact(eng, shadow, step));
+      continue;
+    }
+    if (roll < 2 * pct) {
+      // Count restores that move an operation back to another FU, which
+      // re-files it in the per-FU op index (covered by index_matches_rebuild).
+      for (const NodeId n : prob.cdfg().operations()) {
+        if (eng.binding().op(n).fu != shadow.op(n).fu) {
+          ++fu_moved_back;
+          break;
+        }
+      }
+      empty_restores += eng.dirty_units() == 0;
+      eng.restore_checkpoint();
+      ++restores;
+      ASSERT_NO_FATAL_FAILURE(expect_restore_exact(eng, shadow, step));
+      continue;
+    }
+    if (!eng.propose(moves.pick(rng), rng)) continue;
+    if (rng.chance(0.6)) {
+      eng.commit();
+      ASSERT_TRUE(eng.matches_full_eval()) << "at step " << step;
+    } else {
+      eng.rollback();
+    }
+    ASSERT_EQ(eng.checkpoint_binding(), shadow) << "at step " << step;
+  }
+  EXPECT_GE(restores, 20);
+  EXPECT_GT(empty_restores, 0);
+  EXPECT_GT(fu_moved_back, 0);
+  ASSERT_TRUE(verify(eng.binding()).empty());
+}
+
+// improve()'s policy twice over one candidate stream: once restoring the
+// engine's checkpoint, once rebuilding the engine (statics-sharing
+// constructor) from a copy of the best binding at every reset — what the
+// search did before the checkpoint existed. Every decision and the final
+// bindings must agree.
+TEST_P(CheckpointRestore, TrajectoryMatchesEngineRebuiltAtEveryReset) {
+  const RestoreTarget t(GetParam());
+  const Binding start =
+      initial_allocation(t.prob(), InitialOptions{.seed = 5});
+  const MoveConfig moves = MoveConfig::salsa_default();
+  struct Step {
+    MoveKind kind;
+    double delta;
+    bool accepted;
+    bool operator==(const Step&) const = default;
+  };
+  struct Run {
+    std::vector<Step> steps;
+    long resets = 0;
+    uint64_t best_digest = 0;
+    uint64_t working_digest = 0;
+  };
+  auto search = [&](bool incremental) {
+    Run run;
+    auto eng = std::make_unique<SearchEngine>(start);
+    Binding best = start;  // the rebuilding side's copy
+    double best_cost = eng->total();
+    uint64_t i = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+      int uphill_left = 4;
+      bool improved = false;
+      for (int m = 0; m < 100; ++m) {
+        Rng r(derive_seed(77, i++));
+        const MoveKind kind = moves.pick(r);
+        const auto delta = eng->propose(kind, r);
+        if (!delta) continue;
+        bool accept = *delta <= 0;
+        if (!accept && uphill_left > 0 && *delta <= 2) {
+          accept = true;
+          --uphill_left;
+        }
+        run.steps.push_back({kind, *delta, accept});
+        if (!accept) {
+          eng->rollback();
+          continue;
+        }
+        eng->commit();
+        if (eng->total() < best_cost - 1e-9) {
+          best_cost = eng->total();
+          improved = true;
+          if (incremental) {
+            eng->checkpoint();
+          } else {
+            best = eng->binding();
+          }
+        }
+      }
+      if (improved) continue;
+      ++run.resets;
+      if (incremental) {
+        eng->restore_checkpoint();
+      } else {
+        eng = std::make_unique<SearchEngine>(best, *eng);
+      }
+    }
+    run.best_digest =
+        digest_binding(incremental ? eng->checkpoint_binding() : best);
+    run.working_digest = digest_binding(eng->binding());
+    return run;
+  };
+  const Run restored = search(true);
+  const Run rebuilt = search(false);
+  EXPECT_GT(restored.resets, 0);
+  EXPECT_EQ(restored.resets, rebuilt.resets);
+  ASSERT_EQ(restored.steps.size(), rebuilt.steps.size());
+  for (size_t k = 0; k < restored.steps.size(); ++k)
+    ASSERT_EQ(restored.steps[k], rebuilt.steps[k]) << "at decision " << k;
+  EXPECT_EQ(restored.best_digest, rebuilt.best_digest);
+  EXPECT_EQ(restored.working_digest, rebuilt.working_digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Problems, CheckpointRestore,
+    ::testing::Values("ewf", "dct", "random", "consts", "cascade1k"),
+    [](const auto& info) { return info.param; });
 
 TEST(IncrementalCost, TraceStreamsJsonlRecords) {
   Ctx ctx(make_ewf(), 17, 1);

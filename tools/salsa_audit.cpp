@@ -86,6 +86,9 @@ mutation tests (expected output: a VIOLATION; CI asserts non-zero exit)
   --break-bitplane-word N  Nth ranged busy-plane word update left broken
   --break-segment-window N Nth windowed claim re-add drops its last segment
   --break-event-skip N     Nth event wake-up lost (occurrence marked handled)
+  --break-restore N        Nth checkpoint restore of the move fuzzer leaves a
+                           changed storage unrestored (the fuzzer restores
+                           every 2500 transactions)
 )";
 
 // --index: a weighted random search (commit-biased, so the connection index
@@ -321,6 +324,7 @@ int main(int argc, char** argv) {
   bool sim_wall = false;
   int sim_wall_ops = 10000;
   long break_event_skip = 0;
+  long break_restore = 0;
   int restarts = 6;
   std::vector<int> threads{1, 2, 8};
 
@@ -415,6 +419,11 @@ int main(int argc, char** argv) {
         // and watch the engine differential catch the stale signal.
         sim_audit = true;
         break_event_skip = count(&i);
+      } else if (arg == "--break-restore") {
+        // Mutation testing: the Nth checkpoint restore leaves one changed
+        // storage unrestored and the auditor's restore digest check must
+        // catch the binding that no longer equals the checkpoint.
+        break_restore = count(&i);
       } else if (arg == "--dump") {
         dump = true;
       } else if (arg == "--help" || arg == "-h") {
@@ -452,18 +461,35 @@ int main(int argc, char** argv) {
 
     FuzzParams p = fuzz;
     p.name = name;
+    if (break_restore > 0) {
+      // Like the other mutation counters: process-wide, advances only
+      // while armed — arm relative to the current value.
+      checkpoint_hooks::break_restore_after =
+          checkpoint_hooks::restores + break_restore;
+    }
     const FuzzResult res = run_move_fuzz(t.prob(), p);
     std::printf(
         "fuzz %-6s seed %llu: %ld txns (%ld commit / %ld rollback / %ld "
-        "infeasible) in %ld proposals, %ld audited — %s\n",
+        "infeasible) in %ld proposals, %ld audited, %ld restores — %s\n",
         name.c_str(), static_cast<unsigned long long>(p.seed),
         res.transactions, res.commits, res.rollbacks, res.infeasible,
-        res.proposals, res.audit.audited, res.ok ? "ok" : "VIOLATION");
+        res.proposals, res.audit.audited, res.audit.restores,
+        res.ok ? "ok" : "VIOLATION");
     if (!res.ok) {
       failed = true;
       std::fprintf(stderr, "  %s\n", res.failure.c_str());
       if (!res.artifact_path.empty())
         std::fprintf(stderr, "  artifact: %s\n", res.artifact_path.c_str());
+    }
+    if (break_restore > 0 && checkpoint_hooks::break_restore_after != 0) {
+      // The armed mutation never fired (fewer restores than N, or none
+      // with a changed storage): the run proved nothing, which a CI step
+      // expecting a VIOLATION must not mistake for the wall standing.
+      failed = true;
+      checkpoint_hooks::break_restore_after = 0;
+      std::fprintf(stderr,
+                   "  --break-restore %ld never fired (only %ld restores)\n",
+                   break_restore, checkpoint_hooks::restores);
     }
 
     if (index_audit) {
