@@ -25,8 +25,8 @@ struct ControllerStats {
   /// Steps whose control word is all-idle: no FU starts an operation and no
   /// register loads. The datapath coasts (registers hold, pass-through
   /// routing may still be configured) — the controller's stall states. The
-  /// event-driven simulator schedules nothing for these steps; the
-  /// simulator edge-case tests pin that both engines coast identically.
+  /// compiled simulator's lists are empty at these steps; the simulator
+  /// edge-case tests pin that it coasts like the rescanning reference.
   int idle_steps = 0;
 };
 

@@ -31,8 +31,6 @@ Netlist::Netlist(const Binding& b) : b_(b) {
 
   for (NodeId n : g.operations())
     fu_actions_.push_back(FuAction{n, b.op(n).fu, sched.start(n)});
-
-  muxes_ = merge_muxes(b);
 }
 
 std::optional<Endpoint> Netlist::source_of(const Pin& pin, int step) const {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/cost.h"
-#include "core/mux_merge.h"
 
 namespace salsa {
 
@@ -52,7 +51,6 @@ class Netlist {
   const std::vector<FuAction>& fu_actions() const { return fu_actions_; }
   const std::vector<RegLoad>& reg_loads() const { return reg_loads_; }
   const std::vector<OutSample>& out_samples() const { return out_samples_; }
-  const MuxMergeResult& muxes() const { return muxes_; }
 
   /// Distinct non-constant point-to-point connections.
   int num_connections() const { return connections_; }
@@ -63,7 +61,6 @@ class Netlist {
   std::vector<FuAction> fu_actions_;
   std::vector<RegLoad> reg_loads_;
   std::vector<OutSample> out_samples_;
-  MuxMergeResult muxes_;
   int connections_ = 0;
 };
 

@@ -1,22 +1,12 @@
 #include "datapath/simulator.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "cdfg/eval.h"
 #include "util/rng.h"
 
 namespace salsa {
-
-namespace {
-
-/// Execution state of the datapath.
-struct Machine {
-  std::vector<int64_t> regs;        // current register contents
-  std::vector<int64_t> fu_result;   // result present at each FU output "now"
-  std::vector<bool> fu_has_result;  // whether fu_result is meaningful
-};
-
-}  // namespace
 
 std::vector<int64_t> initial_register_image(
     const Netlist& nl, std::span<const std::vector<int64_t>> inputs,
@@ -81,148 +71,141 @@ SimResult simulate(const Netlist& nl,
                    std::span<const std::vector<int64_t>> inputs,
                    std::span<const int64_t> initial_states, int iterations,
                    SimTrace* trace) {
-  const Binding& b = nl.binding();
-  const AllocProblem& prob = b.prob();
+  const AllocProblem& prob = nl.binding().prob();
   const Cdfg& g = prob.cdfg();
   const Schedule& sched = prob.sched();
   const int L = sched.length();
+  const int nfu = prob.fus().size();
 
   SALSA_CHECK_MSG(static_cast<int>(inputs.size()) >= iterations,
                   "simulate: not enough input vectors");
+  std::vector<int> port(static_cast<size_t>(g.num_nodes()), -1);
   const auto input_nodes = g.input_nodes();
-  const auto output_nodes = g.output_nodes();
-  auto input_index = [&](NodeId n) {
-    for (size_t i = 0; i < input_nodes.size(); ++i)
-      if (input_nodes[i] == n) return static_cast<int>(i);
-    fail("unknown input node");
+  for (size_t i = 0; i < input_nodes.size(); ++i)
+    port[static_cast<size_t>(input_nodes[i])] = static_cast<int>(i);
+
+  // Compile: resolve every route once and bucket the work by control step.
+  // A result lands at start + delay - 1 of the same iteration (Schedule::
+  // validate keeps it inside the period), so the landings, and with them
+  // the idle FUs that pass pin 0 through, are the same every iteration. A
+  // pass-through runs as a nop that starts and lands within its step.
+  struct Start {
+    size_t slot;  // where the result waits until it lands
+    OpKind op;
+    Endpoint in0, in1;
   };
-
-  Machine m;
-  m.regs = initial_register_image(nl, inputs, initial_states);
-  m.fu_result.assign(static_cast<size_t>(prob.fus().size()), 0);
-  m.fu_has_result.assign(static_cast<size_t>(prob.fus().size()), false);
-
-  // Multi-cycle operations in flight: (finish step global, fu, value).
-  struct Pending {
-    long finish;  // global step at whose end the result lands at the FU output
+  struct Land {
     FuId fu;
-    int64_t value;
+    size_t slot;
   };
-  std::vector<Pending> pending;
+  struct Sample {
+    size_t out;
+    RegId reg;
+  };
+  struct Step {
+    std::vector<Start> starts;
+    std::vector<Land> lands;
+    std::vector<Sample> samples;
+    std::vector<RegLoad> loads;
+  };
+  std::vector<Step> steps(static_cast<size_t>(L));
+  auto at = [&](int t) -> Step& { return steps[static_cast<size_t>(t)]; };
+  // busy(f, t): FU f executes or lands a result at step t, so no pass.
+  std::vector<char> busy_at(static_cast<size_t>(nfu) * static_cast<size_t>(L));
+  auto busy = [&](FuId f, int t) -> char& {
+    return busy_at[static_cast<size_t>(f) * static_cast<size_t>(L) +
+                   static_cast<size_t>(t)];
+  };
+  size_t slots = 0;
+  for (const FuAction& a : nl.fu_actions()) {
+    const OpKind op = g.node(a.node).kind;
+    auto route = [&](Pin::Kind pin) {
+      const auto src = nl.source_of(Pin{pin, a.fu}, a.step);
+      SALSA_CHECK_MSG(src.has_value(), "operand pin has no route");
+      return *src;
+    };
+    // A nop reads pin 0 only; apply_op passes its first operand through.
+    const Endpoint in0 = route(Pin::Kind::kFuIn0);
+    const Endpoint in1 = op == OpKind::kNop ? in0 : route(Pin::Kind::kFuIn1);
+    const int land = a.step + sched.hw().delay(op) - 1;
+    SALSA_CHECK_MSG(land < L, "simulate: result lands outside the period");
+    at(a.step).starts.push_back(Start{slots, op, in0, in1});
+    at(land).lands.push_back(Land{a.fu, slots++});
+    busy(a.fu, land) = 1;
+    for (int t = a.step; t < a.step + sched.hw().occupancy(op); ++t)
+      busy(a.fu, t) = 1;
+  }
+  for (FuId f = 0; f < nfu; ++f)
+    for (int t = 0; t < L; ++t) {
+      const auto src = nl.source_of(Pin{Pin::Kind::kFuIn0, f}, t);
+      if (busy(f, t) || !src.has_value()) continue;
+      at(t).starts.push_back(Start{slots, OpKind::kNop, *src, *src});
+      at(t).lands.push_back(Land{f, slots++});
+    }
+  const auto output_nodes = g.output_nodes();
+  for (const OutSample& o : nl.out_samples()) {
+    const auto k = std::find(output_nodes.begin(), output_nodes.end(), o.node);
+    at(o.step).samples.push_back(
+        Sample{static_cast<size_t>(k - output_nodes.begin()), o.reg});
+  }
+  for (const RegLoad& ld : nl.reg_loads()) at(ld.step).loads.push_back(ld);
 
-  auto read_endpoint = [&](const Endpoint& e, const Machine& mm,
-                           long gstep) -> int64_t {
+  // Execute: registers, FU outputs and waiting results in flat arrays.
+  std::vector<int64_t> regs = initial_register_image(nl, inputs, initial_states);
+  std::vector<int64_t> fu_out(static_cast<size_t>(nfu), 0);
+  std::vector<char> fu_has(static_cast<size_t>(nfu), 0);
+  std::vector<int64_t> waiting(slots, 0);
+  std::vector<int64_t> latched;  // register loads read before any is written
+  size_t iter = 0;
+  auto read = [&](const Endpoint& e) -> int64_t {
+    const size_t id = static_cast<size_t>(e.id);
     switch (e.kind) {
       case Endpoint::Kind::kRegOut:
-        return mm.regs[static_cast<size_t>(e.id)];
+        return regs[id];
       case Endpoint::Kind::kConstPort:
         return g.node(e.id).cvalue;
-      case Endpoint::Kind::kInPort: {
-        // Input port carries the *next* iteration's value at the boundary
+      case Endpoint::Kind::kInPort:
+        // The port carries the *next* iteration's value at the boundary
         // load (step L-1) — see the connection enumeration.
-        const long iter = gstep / L + 1;
-        SALSA_CHECK(iter < static_cast<long>(inputs.size()));
-        return inputs[static_cast<size_t>(iter)]
-                     [static_cast<size_t>(input_index(e.id))];
-      }
-      case Endpoint::Kind::kFuOut: {
-        SALSA_CHECK_MSG(mm.fu_has_result[static_cast<size_t>(e.id)],
-                        "FU output read while no result is present");
-        return mm.fu_result[static_cast<size_t>(e.id)];
-      }
+        SALSA_CHECK(iter + 1 < inputs.size());
+        return inputs[iter + 1][static_cast<size_t>(port[id])];
+      case Endpoint::Kind::kFuOut:
+        SALSA_CHECK_MSG(fu_has[id], "FU output read while no result is present");
+        return fu_out[id];
     }
     fail("bad endpoint");
   };
+  // No input row is left to load after the last provided iteration.
+  auto loads_now = [&](const RegLoad& ld) {
+    return ld.src.kind != Endpoint::Kind::kInPort || iter + 1 < inputs.size();
+  };
 
   SimResult result;
-  result.outputs.assign(static_cast<size_t>(iterations), {});
-  for (auto& o : result.outputs) o.assign(output_nodes.size(), 0);
-
-  for (long gstep = 0; gstep < static_cast<long>(iterations) * L; ++gstep) {
-    const int t = static_cast<int>(gstep % L);
-    const long iter = gstep / L;
-
-    // Phase 1: operations starting now read their input pins and compute.
-    for (const FuAction& a : nl.fu_actions()) {
-      if (a.step != t) continue;
-      const Node& nd = g.node(a.node);
-      auto in_val = [&](int slot) {
-        const Pin pin{slot == 0 ? Pin::Kind::kFuIn0 : Pin::Kind::kFuIn1,
-                      a.fu};
-        const auto src = nl.source_of(pin, t);
-        SALSA_CHECK_MSG(src.has_value(), "operand pin has no route");
-        return read_endpoint(*src, m, gstep);
-      };
-      // A set swap flag exchanges the pins of a commutative operation, so
-      // computing on the pins directly is always correct.
-      const int64_t value = nd.kind == OpKind::kNop
-                                ? in_val(0)
-                                : apply_op(nd.kind, in_val(0), in_val(1));
-      const int d = sched.hw().delay(nd.kind);
-      pending.push_back(Pending{gstep + d - 1, a.fu, value});
-    }
-
-    // Phase 2: results landing at FU outputs at the end of this step.
-    std::vector<bool> fresh(m.fu_has_result.size(), false);
-    std::vector<int64_t> fresh_val(m.fu_result.size(), 0);
-    for (size_t i = 0; i < pending.size();) {
-      if (pending[i].finish == gstep) {
-        fresh[static_cast<size_t>(pending[i].fu)] = true;
-        fresh_val[static_cast<size_t>(pending[i].fu)] = pending[i].value;
-        pending[i] = pending.back();
-        pending.pop_back();
-      } else {
-        ++i;
+  result.outputs.assign(static_cast<size_t>(iterations),
+                        std::vector<int64_t>(output_nodes.size(), 0));
+  for (; iter < static_cast<size_t>(iterations); ++iter) {
+    for (const Step& s : steps) {
+      // Starting operations read their pins against the previous edge;
+      // then the results due at this step's edge reach the FU outputs.
+      for (const Start& st : s.starts)
+        waiting[st.slot] = apply_op(st.op, read(st.in0), read(st.in1));
+      for (const Land& l : s.lands) {
+        fu_out[static_cast<size_t>(l.fu)] = waiting[l.slot];
+        fu_has[static_cast<size_t>(l.fu)] = 1;
       }
+      // Output ports sample the registers before the edge.
+      for (const Sample& o : s.samples)
+        result.outputs[iter][o.out] = regs[static_cast<size_t>(o.reg)];
+      // Registers latch at the edge, from the pre-edge registers and the
+      // FU outputs that land at this edge.
+      latched.clear();
+      for (const RegLoad& ld : s.loads)
+        if (loads_now(ld)) latched.push_back(read(ld.src));
+      size_t next = 0;
+      for (const RegLoad& ld : s.loads)
+        if (loads_now(ld)) regs[static_cast<size_t>(ld.reg)] = latched[next++];
+      if (trace != nullptr) trace->regs.push_back(regs);
     }
-    // Pass-throughs forward pin 0 combinationally during this step.
-    for (FuId f = 0; f < prob.fus().size(); ++f) {
-      if (fresh[static_cast<size_t>(f)]) continue;
-      bool executing = false;
-      for (const FuAction& a : nl.fu_actions()) {
-        const int occ = sched.hw().occupancy(g.node(a.node).kind);
-        if (a.fu == f && t >= a.step && t < a.step + occ) {
-          executing = true;
-          break;
-        }
-      }
-      if (executing) continue;
-      const auto src = nl.source_of(Pin{Pin::Kind::kFuIn0, f}, t);
-      if (src.has_value()) {
-        fresh[static_cast<size_t>(f)] = true;
-        fresh_val[static_cast<size_t>(f)] = read_endpoint(*src, m, gstep);
-      }
-    }
-
-    // Phase 3: output ports sample during this step (before the edge).
-    for (const OutSample& o : nl.out_samples())
-      if (o.step == t) {
-        size_t k = 0;
-        while (output_nodes[k] != o.node) ++k;
-        result.outputs[static_cast<size_t>(iter)][k] =
-            m.regs[static_cast<size_t>(o.reg)];
-      }
-
-    // Phase 4: register loads at the end of the step. All sources are read
-    // against the pre-edge machine state, with FU outputs taking the values
-    // that land at this edge.
-    Machine pre = m;
-    for (size_t f = 0; f < fresh.size(); ++f) {
-      if (fresh[f]) {
-        pre.fu_has_result[f] = true;
-        pre.fu_result[f] = fresh_val[f];
-      }
-    }
-    for (const RegLoad& ld : nl.reg_loads()) {
-      if (ld.step != t) continue;
-      if (ld.src.kind == Endpoint::Kind::kInPort &&
-          iter + 1 >= static_cast<long>(inputs.size()))
-        continue;  // past the last provided iteration
-      m.regs[static_cast<size_t>(ld.reg)] = read_endpoint(ld.src, pre, gstep);
-    }
-    m.fu_has_result = pre.fu_has_result;
-    m.fu_result = pre.fu_result;
-    if (trace != nullptr) trace->regs.push_back(m.regs);
   }
   return result;
 }

@@ -2,6 +2,8 @@
 // the netlist's routing tables step by step — registers latch at step edges,
 // FUs read their input pins at operation start and deliver results after
 // their delay, pass-throughs forward pin 0 — and samples the output ports.
+// It compiles the netlist once into per-step lists (every route resolved)
+// and then runs each step as straight-line loops over flat arrays.
 // Comparing the streams against cdfg/eval.h on random stimuli is the
 // project's dynamic correctness check for allocations.
 #pragma once
@@ -26,15 +28,10 @@ struct SimTrace {
   std::vector<std::vector<int64_t>> regs;
 };
 
-/// Which simulation engine to run. kFullEval is the always-reevaluate
-/// reference (this file); kEventDriven is the event-queue engine
-/// (datapath/event_sim.h). Both produce identical results by contract.
-enum class SimEngine { kFullEval, kEventDriven };
-
 /// The register image "before time zero": cells occupying step 0 hold
 /// initial states, iteration-0 inputs, or zeros (boundary-born dead values).
-/// Shared input boundary of both simulation engines so the differential
-/// contract starts from one well-defined state.
+/// simulate() and the rescanning reference kept in the tests both start
+/// from it, so their differential starts from one well-defined state.
 std::vector<int64_t> initial_register_image(
     const Netlist& nl, std::span<const std::vector<int64_t>> inputs,
     std::span<const int64_t> initial_states);
@@ -42,7 +39,9 @@ std::vector<int64_t> initial_register_image(
 /// Simulates `iterations` loop iterations. `inputs[i]` provides the input
 /// values of iteration i (order of cdfg.input_nodes()); `initial_states`
 /// seeds the state nodes (order of cdfg.state_nodes(); empty = zeros).
-/// When `trace` is non-null, per-step register snapshots are recorded.
+/// The input loads at the end of iteration i read inputs[i + 1]; past the
+/// last provided row they are skipped. When `trace` is non-null, per-step
+/// register snapshots are recorded.
 SimResult simulate(const Netlist& nl,
                    std::span<const std::vector<int64_t>> inputs,
                    std::span<const int64_t> initial_states, int iterations,
@@ -50,9 +49,8 @@ SimResult simulate(const Netlist& nl,
 
 /// Runs the datapath against the behavioural evaluator on the same stimuli.
 /// Returns an empty string when all output streams match, else a
-/// description of the first mismatch. For loop designs the first
-/// `pipeline_slack` iterations... (none here: the schedule is non-overlapped,
-/// so streams must match from iteration 0).
+/// description of the first mismatch. Iterations do not overlap, so the
+/// streams must match from iteration 0, loop designs included.
 std::string compare_with_reference(const Netlist& nl,
                                    std::span<const std::vector<int64_t>> inputs,
                                    std::span<const int64_t> initial_states,

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "datapath/event_sim.h"
-
 namespace salsa {
 
 namespace {
@@ -34,16 +32,13 @@ std::string bits_of(int64_t v) {
 std::string dump_vcd(const Netlist& nl,
                      std::span<const std::vector<int64_t>> inputs,
                      std::span<const int64_t> initial_states, int iterations,
-                     const std::string& module_name, SimEngine engine) {
+                     const std::string& module_name) {
   const AllocProblem& prob = nl.binding().prob();
   const int nreg = prob.num_regs();
   const int L = prob.sched().length();
 
   SimTrace trace;
-  if (engine == SimEngine::kEventDriven)
-    (void)simulate_events(nl, inputs, initial_states, iterations, &trace);
-  else
-    (void)simulate(nl, inputs, initial_states, iterations, &trace);
+  (void)simulate(nl, inputs, initial_states, iterations, &trace);
 
   std::ostringstream os;
   os << "$date today $end\n$version salsa datapath simulator $end\n"

@@ -13,13 +13,11 @@ namespace salsa {
 
 /// Simulates `iterations` iterations on the given stimuli and renders the
 /// register waveforms as VCD text (one timestep per control step, 64-bit
-/// vector variables named r0..rN plus the step counter). `engine` selects
-/// the simulator; by the differential contract both engines must render
-/// byte-identical dumps — the golden VCD tests pin that.
+/// vector variables named r0..rN plus the step counter). The golden VCD
+/// tests pin the dumps of EWF and DCT byte for byte.
 std::string dump_vcd(const Netlist& nl,
                      std::span<const std::vector<int64_t>> inputs,
                      std::span<const int64_t> initial_states, int iterations,
-                     const std::string& module_name,
-                     SimEngine engine = SimEngine::kFullEval);
+                     const std::string& module_name);
 
 }  // namespace salsa

@@ -210,12 +210,10 @@ Cdfg make_layered_dag(const GenParams& p, Rng& rng) {
   return g;
 }
 
-// Parallel (address, data) stream pairs for the memory subsystem. Per
-// stream: an affine address walker addr = a*stride + base with a' = a + step
-// (3 ops), and a MAC chain of `mem_chain` stages folding the stream input
-// into a running data state (2 ops per stage). Outputs are emitted in
-// (addr, data) adjacent pairs — the layout mem_ops_from_outputs() expects —
-// so the sampled datapath outputs convert directly into LSU programs.
+// Parallel (address, data) stream pairs. Per stream: an affine address
+// walker addr = a*stride + base with a' = a + step (3 ops), and a MAC chain
+// of `mem_chain` stages folding the stream input into a running data state
+// (2 ops per stage). Outputs are emitted in (addr, data) adjacent pairs.
 Cdfg make_memory_traffic(const GenParams& p, Rng& rng) {
   Cdfg g(std::string("gen_mem_") + std::to_string(p.seed));
   // chain >= 2 keeps the data chain's final op (the state-next producer)

@@ -18,10 +18,9 @@
 //   * kMemoryTraffic — parallel address-generator/data-compute stream
 //     pairs: each stream walks an affine address (state * stride + base,
 //     stepped per iteration) beside a MAC chain over its input, and emits
-//     the (addr, data) outputs in adjacent pairs. The sampled output
-//     streams feed the event-driven memory subsystem
-//     (datapath/memory.h, mem_ops_from_outputs) as LSU programs — the
-//     design family whose datapath drives loads and stores.
+//     the (addr, data) outputs in adjacent pairs: the address and data
+//     streams a load/store unit would consume, with affine state walkers
+//     beside MAC chains.
 //
 // Determinism contract: generation draws only integer Rng variates (no
 // float thresholds), the list-scheduler path runs without jitter, and

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/args.h"
+
 namespace salsa {
 
 namespace {
@@ -23,6 +25,19 @@ std::vector<std::string> tokenize(const std::string& line) {
   fail("parse error at line " + std::to_string(line_no) + ": " + msg);
 }
 
+// parse_int with the line number on its diagnostic.
+int parse_int_at(int line_no, const std::string& what, const std::string& text,
+                 int lo, int hi) {
+  try {
+    return static_cast<int>(parse_int(what, text, lo, hi));
+  } catch (const Error& e) {
+    parse_fail(line_no, e.what());
+  }
+}
+
+// The longest schedule accepted, the bound salsa_cli puts on --steps.
+constexpr int kMaxScheduleLength = 100000;
+
 }  // namespace
 
 ParsedDesign parse_design(std::istream& in) {
@@ -38,8 +53,8 @@ ParsedDesign parse_design(std::istream& in) {
   };
   std::vector<PendingNext> nexts;
   struct PendingAt {
-    std::string node;
-    int step, line;
+    std::string node, step;
+    int line;
   };
   std::vector<PendingAt> ats;
   bool have_schedule = false;
@@ -115,11 +130,8 @@ ParsedDesign parse_design(std::istream& in) {
     } else if (kw == "schedule") {
       if (tok.size() != 2 && tok.size() != 3)
         parse_fail(line_no, "'schedule' expects a length and optional 'pipelined'");
-      try {
-        sched_length = std::stoi(tok[1]);
-      } catch (...) {
-        parse_fail(line_no, "bad schedule length '" + tok[1] + "'");
-      }
+      sched_length = parse_int_at(line_no, "schedule length", tok[1], 1,
+                                  kMaxScheduleLength);
       if (tok.size() == 3) {
         if (tok[2] != "pipelined")
           parse_fail(line_no, "unknown schedule flag '" + tok[2] + "'");
@@ -129,13 +141,7 @@ ParsedDesign parse_design(std::istream& in) {
     } else if (kw == "at") {
       need(2);
       if (!have_schedule) parse_fail(line_no, "'at' before 'schedule'");
-      int step = 0;
-      try {
-        step = std::stoi(tok[2]);
-      } catch (...) {
-        parse_fail(line_no, "bad step '" + tok[2] + "'");
-      }
-      ats.push_back({tok[1], step, line_no});
+      ats.push_back({tok[1], tok[2], line_no});
     } else {
       parse_fail(line_no, "unknown directive '" + kw + "'");
     }
@@ -153,7 +159,9 @@ ParsedDesign parse_design(std::istream& in) {
       const auto it = named_nodes.find(pa.node);
       if (it == named_nodes.end())
         parse_fail(pa.line, "unknown node '" + pa.node + "'");
-      design.schedule->set_start(it->second, pa.step);
+      design.schedule->set_start(
+          it->second, parse_int_at(pa.line, "step of '" + pa.node + "'",
+                                   pa.step, 0, sched_length - 1));
     }
     design.schedule->validate();
   }

@@ -62,32 +62,54 @@ TEST(TextFormat, PipelinedFlag) {
 struct BadCase {
   const char* name;
   const char* text;
+  int line;  // the line the diagnostic must name
 };
 
 class TextFormatRejects : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(TextFormatRejects, WithLineNumberedError) {
+  const std::string want =
+      "parse error at line " + std::to_string(GetParam().line) + ": ";
   try {
     parse_design_string(GetParam().text);
     FAIL() << "expected parse error";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("line"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()).rfind(want, 0), 0u) << e.what();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, TextFormatRejects,
     ::testing::Values(
-        BadCase{"unknown_directive", "cdfg x\nfrobnicate y\n"},
-        BadCase{"unknown_value", "cdfg x\ninput a\nadd s a b\n"},
-        BadCase{"redefined_value", "cdfg x\ninput a\ninput a\n"},
-        BadCase{"bad_arity", "cdfg x\ninput a\nadd s a\n"},
-        BadCase{"bad_const", "cdfg x\nconst zz\n"},
-        BadCase{"at_before_schedule", "cdfg x\ninput a\nat a 3\n"},
+        BadCase{"unknown_directive", "cdfg x\nfrobnicate y\n", 2},
+        BadCase{"unknown_value", "cdfg x\ninput a\nadd s a b\n", 3},
+        BadCase{"redefined_value", "cdfg x\ninput a\ninput a\n", 3},
+        BadCase{"bad_arity", "cdfg x\ninput a\nadd s a\n", 3},
+        BadCase{"bad_const", "cdfg x\nconst zz\n", 2},
+        BadCase{"at_before_schedule", "cdfg x\ninput a\nat a 3\n", 3},
         BadCase{"bad_schedule_flag",
-                "cdfg x\ninput a\nnop n a\noutput o n\nschedule 3 fast\n"},
+                "cdfg x\ninput a\nnop n a\noutput o n\nschedule 3 fast\n", 5},
         BadCase{"unknown_at_node",
-                "cdfg x\ninput a\nnop n a\noutput o n\nschedule 3\nat q 1\n"}),
+                "cdfg x\ninput a\nnop n a\noutput o n\nschedule 3\nat q 1\n",
+                6},
+        BadCase{"schedule_zero",
+                "cdfg x\ninput a\nnop y a\noutput o y\nschedule 0\n", 5},
+        BadCase{"schedule_negative",
+                "cdfg x\ninput a\nnop y a\noutput o y\nschedule -1\n", 5},
+        BadCase{"schedule_huge",
+                "cdfg x\ninput a\nnop y a\noutput o y\nschedule 2000000000\n"
+                "at y 0\nat o 1\n",
+                5},
+        BadCase{"schedule_trailing_junk",
+                "cdfg x\ninput a\nnop y a\noutput o y\nschedule 3abc\n", 5},
+        BadCase{"at_trailing_junk",
+                "cdfg x\ninput a\nnop y a\noutput o y\nschedule 3\nat y 0x\n"
+                "at o 1\n",
+                6},
+        BadCase{"at_out_of_range",
+                "cdfg x\ninput a\nnop y a\noutput o y\nschedule 3\nat y 0\n"
+                "at o 3\n",
+                7}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(TextFormat, RoundTripsBenchmarks) {

@@ -1,10 +1,9 @@
-// The engine-pair differential harness: the event-driven simulator
-// (datapath/event_sim.h) must match the full-evaluation reference
-// (datapath/simulator.h) signal-for-signal and cycle-for-cycle — identical
-// output streams, identical per-step register traces, byte-identical VCD
-// dumps — on the 1992 benchmarks, random CDFGs, and generated corpus
-// designs. The mutation test proves the harness has teeth: a single dropped
-// change-event wake-up must surface as a divergence.
+// The simulator differential: the compiled simulate() (datapath/simulator.h)
+// must match the rescanning reference kept in sim_reference.h
+// signal-for-signal and cycle-for-cycle — identical output streams and
+// identical per-step register traces — on the 1992 benchmarks, random CDFGs,
+// and the generated families, both at 300 ops and at the ~2k-op scale the
+// end-to-end benchmark runs the flow at.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,11 +14,10 @@
 #include "core/allocator.h"
 #include "core/moves.h"
 #include "core/verify.h"
-#include "datapath/event_sim.h"
-#include "datapath/vcd.h"
 #include "frontend/generate.h"
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
+#include "sim_reference.h"
 
 namespace salsa {
 namespace {
@@ -41,20 +39,9 @@ struct Ctx {
   }
 };
 
-std::vector<std::vector<int64_t>> seeded_inputs(const Cdfg& g, int iterations,
-                                                uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<int64_t>> inputs(
-      static_cast<size_t>(iterations) + 1,
-      std::vector<int64_t>(g.input_nodes().size(), 0));
-  for (auto& vec : inputs)
-    for (auto& v : vec) v = static_cast<int64_t>(rng.next() % 2001) - 1000;
-  return inputs;
-}
-
 // ---------------------------------------------------------------------------
-// Benchmarks: per-cycle equivalence plus byte-identical VCD under several
-// schedule/register configurations and through move scrambles.
+// Benchmarks: per-cycle equivalence under several schedule/register
+// configurations and through move scrambles.
 struct EngineCase {
   const char* name;
   Cdfg (*make)();
@@ -70,7 +57,7 @@ TEST_P(EnginesAgree, OnInitialAllocation) {
   Ctx ctx(c.make(), c.extra_len, c.pipelined, c.extra_regs);
   Binding b = initial_allocation(*ctx.prob);
   Netlist nl(b);
-  EXPECT_EQ(random_engine_diff(nl, 6, 99), "");
+  EXPECT_EQ(random_reference_diff(nl, 6, 99), "");
 }
 
 TEST_P(EnginesAgree, AfterRandomMoveScramble) {
@@ -82,21 +69,7 @@ TEST_P(EnginesAgree, AfterRandomMoveScramble) {
   for (int i = 0; i < 600; ++i) apply_random_move(b, all.pick(rng), rng);
   ASSERT_TRUE(verify(b).empty());
   Netlist nl(b);
-  EXPECT_EQ(random_engine_diff(nl, 6, 7), "");
-}
-
-TEST_P(EnginesAgree, VcdDumpsAreByteIdentical) {
-  const EngineCase& c = GetParam();
-  Ctx ctx(c.make(), c.extra_len, c.pipelined, c.extra_regs);
-  Binding b = initial_allocation(*ctx.prob);
-  Netlist nl(b);
-  const auto inputs = seeded_inputs(*ctx.g, 5, 42);
-  const std::vector<int64_t> states(ctx.g->state_nodes().size(), 3);
-  const std::string full =
-      dump_vcd(nl, inputs, states, 5, c.name, SimEngine::kFullEval);
-  const std::string event =
-      dump_vcd(nl, inputs, states, 5, c.name, SimEngine::kEventDriven);
-  EXPECT_EQ(full, event);
+  EXPECT_EQ(random_reference_diff(nl, 6, 7), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -133,103 +106,49 @@ TEST_P(RandomCdfgEnginesAgree, HoldsThroughScramble) {
   for (int i = 0; i < 300; ++i) apply_random_move(b, all.pick(rng), rng);
   ASSERT_TRUE(verify(b).empty());
   Netlist nl(b);
-  EXPECT_EQ(random_engine_diff(nl, 5, params.seed), "");
+  EXPECT_EQ(random_reference_diff(nl, 5, params.seed), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCdfgEnginesAgree,
                          ::testing::Range(1, 25));
 
 // ---------------------------------------------------------------------------
-// Generated corpus designs (the sizes the event engine exists for), one per
-// family, sized so the full-eval reference still finishes quickly.
-class GeneratedEnginesAgree : public ::testing::TestWithParam<GenFamily> {};
+// Generated corpus designs, one per family: at 300 ops, and at ~2k ops,
+// the scale the end-to-end benchmark simulates (its workloads are 3k-5k
+// ops; the reference's per-step rescan keeps this one a notch smaller).
+struct GenCase {
+  GenFamily family;
+  int ops;
+  int iterations;
+};
+
+class GeneratedEnginesAgree : public ::testing::TestWithParam<GenCase> {};
 
 TEST_P(GeneratedEnginesAgree, OnInitialAllocation) {
   GenParams p;
-  p.family = GetParam();
-  p.target_ops = 300;
+  p.family = GetParam().family;
+  p.target_ops = GetParam().ops;
   p.seed = 5;
   const GeneratedDesign d = generate_design(p);
   Binding b = initial_allocation(*d.problem);
   Netlist nl(b);
-  EXPECT_EQ(random_engine_diff(nl, 3, 17), "");
+  EXPECT_EQ(random_reference_diff(nl, GetParam().iterations, 17), "");
 }
 
-INSTANTIATE_TEST_SUITE_P(Families, GeneratedEnginesAgree,
-                         ::testing::Values(GenFamily::kFilterCascade,
-                                           GenFamily::kGemmPipeline,
-                                           GenFamily::kLayeredDag,
-                                           GenFamily::kMemoryTraffic),
-                         [](const auto& info) {
-                           return std::string(gen_family_name(info.param));
-                         });
-
-// ---------------------------------------------------------------------------
-// Activity accounting. A slot fires at most once per occurrence (the dedup
-// contract — firings can never exceed slots x iterations), and on a design
-// with a single-tenant stable cell the compare-and-set actually skips
-// occurrences. Note what this does NOT claim: on real bindings the
-// registers and FU outputs are time-multiplexed, so their cells change
-// every period even under constant inputs and nearly all slots legitimately
-// refire (EWF fires exactly slots x iterations). The engine's asymptotic
-// win is eliminating the full-eval per-step rescan over every FU action and
-// register load, which the sim-smoke wall-clock gate measures.
-TEST(EventEngine, FiringsBoundedAndStableCellsSkip) {
-  // Tiny stateless chain: m = a*3; s = m+a; output s. Under a constant
-  // input stream some cells settle, so strict skipping is observable.
-  Cdfg g("tiny");
-  const ValueId a = g.add_input("a");
-  const ValueId c = g.add_const(3);
-  const ValueId m = g.add_op(OpKind::kMul, a, c, "m");
-  const ValueId s = g.add_op(OpKind::kAdd, m, a, "s");
-  g.add_output(s, "o");
-  g.validate();
-  HwSpec hw;
-  Schedule sched = schedule_min_fu(g, hw, min_schedule_length(g, hw)).schedule;
-  AllocProblem prob(sched, FuPool::standard(peak_fu_demand(sched)),
-                    Lifetimes(sched).min_registers());
-  Binding b = initial_allocation(prob);
-  Netlist nl(b);
-
-  const int iterations = 50;
-  std::vector<std::vector<int64_t>> inputs(
-      static_cast<size_t>(iterations) + 1,
-      std::vector<int64_t>(g.input_nodes().size(), 7));
-  const std::vector<int64_t> states;
-  EventSimStats stats;
-  const SimResult ev =
-      simulate_events(nl, inputs, states, iterations, nullptr, &stats);
-  const SimResult full = simulate(nl, inputs, states, iterations);
-  ASSERT_EQ(ev.outputs, full.outputs);
-  ASSERT_GT(stats.slots, 0);
-  const long ceiling = stats.slots * static_cast<long>(iterations);
-  EXPECT_LE(stats.firings, ceiling);  // dedup: one firing per occurrence
-  EXPECT_LT(stats.firings, ceiling);  // and stable cells really skip
-}
-
-// ---------------------------------------------------------------------------
-// Mutation: a lost scheduled event — the Nth change-event wake-up is
-// dropped and its occurrence marked handled, so redundant wakes cannot heal
-// it — must produce a divergence the differential harness reports at every
-// probed position, and each armed hook must actually fire (a leftover armed
-// hook proves nothing was tested).
-TEST(EventEngine, DroppedWakeIsCaught) {
-  Ctx ctx(make_ewf(), 0, false, 1);
-  Binding b = initial_allocation(*ctx.prob);
-  Netlist nl(b);
-  ASSERT_EQ(random_engine_diff(nl, 6, 99), "");
-
-  // Probe positions spread across the whole run (~345 wakes for this
-  // configuration; clamping just keeps the arm in range if that drifts).
-  for (long n = 1; n <= 331; n += 30) {
-    event_sim_hooks::drop_wake_after = event_sim_hooks::wake_count + n;
-    const std::string diff = random_engine_diff(nl, 6, 99);
-    const bool fired = event_sim_hooks::drop_wake_after == 0;
-    event_sim_hooks::drop_wake_after = 0;
-    ASSERT_TRUE(fired) << "mutation hook never fired at position " << n;
-    EXPECT_NE(diff, "") << "dropped wake " << n << " went undetected";
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    Families, GeneratedEnginesAgree,
+    ::testing::Values(GenCase{GenFamily::kFilterCascade, 300, 3},
+                      GenCase{GenFamily::kGemmPipeline, 300, 3},
+                      GenCase{GenFamily::kLayeredDag, 300, 3},
+                      GenCase{GenFamily::kMemoryTraffic, 300, 3},
+                      GenCase{GenFamily::kFilterCascade, 2000, 2},
+                      GenCase{GenFamily::kGemmPipeline, 2000, 2},
+                      GenCase{GenFamily::kLayeredDag, 2000, 2},
+                      GenCase{GenFamily::kMemoryTraffic, 2000, 2}),
+    [](const auto& info) {
+      return std::string(gen_family_name(info.param.family)) + "_" +
+             std::to_string(info.param.ops);
+    });
 
 }  // namespace
 }  // namespace salsa

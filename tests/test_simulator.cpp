@@ -14,10 +14,10 @@
 #include "core/moves.h"
 #include "core/verify.h"
 #include "datapath/controller.h"
-#include "datapath/event_sim.h"
 #include "datapath/simulator.h"
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
+#include "sim_reference.h"
 
 namespace salsa {
 namespace {
@@ -80,6 +80,7 @@ TEST_P(DatapathMatchesReference, AfterFullAllocation) {
   const AllocationResult res = allocate(*ctx.prob, opts);
   Netlist nl(res.binding);
   EXPECT_EQ(random_equivalence_check(nl, 6, 123), "");
+  EXPECT_EQ(random_reference_diff(nl, 6, 123), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -151,6 +152,7 @@ TEST(Simulator, AccumulatorStateSequence) {
   EXPECT_EQ(r.outputs[0][0], 105);
   EXPECT_EQ(r.outputs[1][0], 111);
   EXPECT_EQ(r.outputs[2][0], 118);
+  EXPECT_EQ(diff_against_reference(nl, inputs, init, 3), "");
 }
 
 TEST(Simulator, CompareReportsMismatchLocation) {
@@ -161,13 +163,15 @@ TEST(Simulator, CompareReportsMismatchLocation) {
   std::vector<std::vector<int64_t>> inputs(4,
                                            std::vector<int64_t>{1, 2, 3, 4});
   EXPECT_EQ(compare_with_reference(nl, inputs, {}, 3), "");
+  EXPECT_EQ(diff_against_reference(nl, inputs, {}, 3), "");
 }
 
 TEST(Simulator, FeedthroughChainOfNops) {
   // A chain of pass-through (nop) operations: each hop is a zero-latency
   // combinational feedthrough from a register through an FU back into a
   // register within one cycle. The output must be the identity of the
-  // input stream, and both engines must agree on every hop.
+  // input stream, and the compiled engine must match the reference on
+  // every hop.
   Cdfg g("feedthrough");
   const ValueId a = g.add_input("a");
   const ValueId n1 = g.add_nop(a, "n1");
@@ -186,7 +190,7 @@ TEST(Simulator, FeedthroughChainOfNops) {
   for (int i = 0; i < 3; ++i) EXPECT_EQ(r.outputs[static_cast<size_t>(i)][0],
                                         inputs[static_cast<size_t>(i)][0]);
   EXPECT_EQ(random_equivalence_check(nl, 5, 11), "");
-  EXPECT_EQ(random_engine_diff(nl, 5, 11), "");
+  EXPECT_EQ(random_reference_diff(nl, 5, 11), "");
 }
 
 TEST(Simulator, SameCycleMultiDriverUpdates) {
@@ -230,14 +234,14 @@ TEST(Simulator, SameCycleMultiDriverUpdates) {
   EXPECT_EQ(r.outputs[1][0], -11);  // 3*-7 + 10
   EXPECT_EQ(r.outputs[1][1], -31);
   EXPECT_EQ(random_equivalence_check(nl, 4, 21), "");
-  EXPECT_EQ(random_engine_diff(nl, 4, 21), "");
+  EXPECT_EQ(random_reference_diff(nl, 4, 21), "");
 }
 
 TEST(Simulator, ControllerStallStepsCoast) {
   // A schedule much longer than the work leaves all-idle control words:
   // no FU starts, no register loads. The controller reports them, the
-  // machine must coast through them (state held), and the event engine —
-  // which schedules nothing at idle steps — must coast identically.
+  // machine must coast through them (state held), and the compiled engine —
+  // whose per-step lists are empty there — must coast like the reference.
   Cdfg g("stall");
   const ValueId in = g.add_input("in");
   const ValueId st = g.add_state("st");
@@ -260,7 +264,7 @@ TEST(Simulator, ControllerStallStepsCoast) {
   EXPECT_EQ(r.outputs[0][0], 105);
   EXPECT_EQ(r.outputs[1][0], 111);
   EXPECT_EQ(r.outputs[2][0], 118);
-  EXPECT_EQ(random_engine_diff(nl, 4, 33), "");
+  EXPECT_EQ(random_reference_diff(nl, 4, 33), "");
 }
 
 TEST(Simulator, FinalIterationFlushIgnoresMissingPrefetch) {
@@ -291,10 +295,12 @@ TEST(Simulator, FinalIterationFlushIgnoresMissingPrefetch) {
   const SimResult a1 = simulate(nl, exact, init, 3);
   const SimResult a2 = simulate(nl, padded, init, 3);
   EXPECT_EQ(a1.outputs, a2.outputs);
-  const SimResult e1 = simulate_events(nl, exact, init, 3);
-  const SimResult e2 = simulate_events(nl, padded, init, 3);
-  EXPECT_EQ(e1.outputs, a1.outputs);
-  EXPECT_EQ(e2.outputs, a1.outputs);
+  const SimResult r1 = simulate_reference(nl, exact, init, 3);
+  const SimResult r2 = simulate_reference(nl, padded, init, 3);
+  EXPECT_EQ(r1.outputs, a1.outputs);
+  EXPECT_EQ(r2.outputs, a1.outputs);
+  EXPECT_EQ(diff_against_reference(nl, exact, init, 3), "");
+  EXPECT_EQ(diff_against_reference(nl, padded, init, 3), "");
 }
 
 TEST(Simulator, PipelinedMultiplierBackToBack) {
@@ -323,6 +329,7 @@ TEST(Simulator, PipelinedMultiplierBackToBack) {
   EXPECT_EQ(bind.op(g.producer(m1)).fu, bind.op(g.producer(m2)).fu);
   Netlist nl(bind);
   EXPECT_EQ(random_equivalence_check(nl, 4, 5), "");
+  EXPECT_EQ(random_reference_diff(nl, 4, 5), "");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // salsa_audit — the SalsaCheck command line: drives the move fuzzer, the
-// determinism audit and the index/bitplane/segment/scaling/sim
+// determinism audit and the index/bitplane/segment/scaling
 // cross-checks over the standard targets, printing one summary line per
 // audit and exiting non-zero on any violation. Run with --help for the
 // full flag catalogue (kUsage below is the single source of truth; an
@@ -12,14 +12,10 @@
 #include <string>
 #include <vector>
 
-#include <chrono>
-
 #include "analysis/determinism.h"
 #include "analysis/digest.h"
 #include "analysis/fuzz.h"
 #include "core/initial.h"
-#include "datapath/event_sim.h"
-#include "datapath/memory.h"
 #include "frontend/generate.h"
 #include "core/moves.h"
 #include "core/search_engine.h"
@@ -70,22 +66,12 @@ audit modes
   --scaling          fuzz a generated mid-size cascade under the
                      size-sampled auditor (fails if sampling never engages)
   --scaling-ops N    target operation count for --scaling (default: 5000)
-  --sim              engine-pair differential: event-driven vs full-eval
-                     simulation on every target (initial and scrambled
-                     bindings), one generated cascade, and the
-                     memory-traffic subsystem end to end
-  --sim-ops N        cascade operation count for --sim (default: 2000)
-  --sim-wall         exclusive mode: time both engines on ewf and a large
-                     generated cascade, verify they agree, and print the
-                     sim wall JSON rows (input to scripts/check_sim_gate.py)
-  --sim-wall-ops N   cascade operation count for --sim-wall (default: 10000)
 
 mutation tests (expected output: a VIOLATION; CI asserts non-zero exit)
   --inject-broken-undo N   break the Nth rollback's undo
   --break-flat-erase N     Nth FlatMap erase skips backward-shift compaction
   --break-bitplane-word N  Nth ranged busy-plane word update left broken
   --break-segment-window N Nth windowed claim re-add drops its last segment
-  --break-event-skip N     Nth event wake-up lost (occurrence marked handled)
   --break-restore N        Nth checkpoint restore of the move fuzzer leaves a
                            changed storage unrestored (the fuzzer restores
                            every 2500 transactions)
@@ -180,129 +166,6 @@ IndexAuditResult run_bitplane_audit(const AllocProblem& prob, uint64_t seed,
   return res;
 }
 
-// --sim: the engine-pair differential on one allocation problem — the
-// event-driven simulator against the full-evaluation reference on the
-// initial binding and again after a move scramble. Engine CHECK failures
-// (stale-signal reads, lost events) count as caught violations, same as a
-// trace divergence — that is the point of the --break-event-skip mutation.
-struct SimAuditResult {
-  long checks = 0;
-  bool ok = true;
-  std::string failure;
-};
-
-SimAuditResult run_sim_audit(const AllocProblem& prob, uint64_t seed) {
-  SimAuditResult res;
-  try {
-    Binding b = initial_allocation(
-        prob, InitialOptions{.seed = derive_seed(seed, 0)});
-    {
-      Netlist nl(b);
-      const std::string d = random_engine_diff(nl, 5, derive_seed(seed, 2));
-      ++res.checks;
-      if (!d.empty()) {
-        res.ok = false;
-        res.failure = "initial binding: " + d;
-        return res;
-      }
-    }
-    Rng rng(derive_seed(seed, 3));
-    const MoveConfig moves = MoveConfig::salsa_default();
-    for (int i = 0; i < 400; ++i) apply_random_move(b, moves.pick(rng), rng);
-    Netlist nl(b);
-    const std::string d = random_engine_diff(nl, 5, derive_seed(seed, 4));
-    ++res.checks;
-    if (!d.empty()) {
-      res.ok = false;
-      res.failure = "scrambled binding: " + d;
-    }
-  } catch (const Error& e) {
-    res.ok = false;
-    res.failure = std::string("engine check failed: ") + e.what();
-  }
-  return res;
-}
-
-// --sim-wall: wall-clock rows for the sim gate. Absolute timings are
-// meaningless on shared runners (same argument as the scaling gate), so
-// scripts/check_sim_gate.py judges the ratio of event-engine ns-per-firing
-// on a large cascade to ns-per-firing on EWF, measured in the same run: a
-// per-step rescan creeping back into the event engine makes the big
-// design's per-firing cost blow up while EWF's barely moves.
-int run_sim_wall(int ops, uint64_t seed) {
-  struct Case {
-    const char* family;
-    int iterations;
-  };
-  std::printf("[\n");
-  bool first = true;
-  // EWF needs enough iterations to time stably on a noisy shared runner;
-  // each row is additionally measured several times and reported as the
-  // minimum (the standard noise-floor estimate).
-  for (const Case& c : {Case{"ewf", 5000}, Case{"cascade", 3}}) {
-    std::unique_ptr<FuzzTarget> target;
-    std::unique_ptr<GeneratedDesign> gen;
-    const AllocProblem* prob = nullptr;
-    int num_ops = 0;
-    if (std::string(c.family) == "ewf") {
-      target = std::make_unique<FuzzTarget>("ewf");
-      prob = &target->prob();
-      for (const Node& n : prob->cdfg().nodes())
-        if (is_operation(n.kind)) ++num_ops;
-    } else {
-      gen = std::make_unique<GeneratedDesign>(generate_design(GenParams{
-          .family = GenFamily::kFilterCascade,
-          .target_ops = ops,
-          .seed = 2,
-      }));
-      prob = gen->problem.get();
-      num_ops = gen->num_ops;
-    }
-    const Binding b = initial_allocation(
-        *prob, InitialOptions{.seed = derive_seed(seed, 7)});
-    const Netlist nl(b);
-    const Cdfg& g = prob->cdfg();
-    Rng rng(derive_seed(seed, 8));
-    std::vector<std::vector<int64_t>> inputs(
-        static_cast<size_t>(c.iterations) + 1,
-        std::vector<int64_t>(g.input_nodes().size(), 0));
-    for (auto& vec : inputs)
-      for (auto& v : vec) v = static_cast<int64_t>(rng.next() % 2001) - 1000;
-    const std::vector<int64_t> states(g.state_nodes().size(), 0);
-
-    EventSimStats stats;
-    double event_ms = 0, full_ms = 0;
-    for (int rep = 0; rep < 5; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const SimResult ev =
-          simulate_events(nl, inputs, states, c.iterations, nullptr, &stats);
-      const auto t1 = std::chrono::steady_clock::now();
-      const SimResult full = simulate(nl, inputs, states, c.iterations);
-      const auto t2 = std::chrono::steady_clock::now();
-      if (ev.outputs != full.outputs)
-        fail(std::string("sim-wall: engines diverged on ") + c.family);
-      const double e =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      const double f =
-          std::chrono::duration<double, std::milli>(t2 - t1).count();
-      if (rep == 0 || e < event_ms) event_ms = e;
-      if (rep == 0 || f < full_ms) full_ms = f;
-    }
-    const double ns_per_firing =
-        stats.firings > 0 ? event_ms * 1e6 / static_cast<double>(stats.firings)
-                          : 0.0;
-    std::printf(
-        "%s  {\"benchmark\": \"SimWall\", \"family\": \"%s\", \"ops\": %d, "
-        "\"iterations\": %d, \"slots\": %ld, \"firings\": %ld, "
-        "\"event_ms\": %.3f, \"full_ms\": %.3f, \"ns_per_firing\": %.2f}",
-        first ? "" : ",\n", c.family, num_ops, c.iterations, stats.slots,
-        stats.firings, event_ms, full_ms, ns_per_firing);
-    first = false;
-  }
-  std::printf("\n]\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -319,11 +182,6 @@ int main(int argc, char** argv) {
   long break_segment_window = 0;
   bool scaling = false;
   int scaling_ops = 5000;
-  bool sim_audit = false;
-  int sim_ops = 2000;
-  bool sim_wall = false;
-  int sim_wall_ops = 10000;
-  long break_event_skip = 0;
   long break_restore = 0;
   int restarts = 6;
   std::vector<int> threads{1, 2, 8};
@@ -403,22 +261,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--scaling-ops") {
         scaling = true;
         scaling_ops = ops(&i);
-      } else if (arg == "--sim") {
-        sim_audit = true;
-      } else if (arg == "--sim-ops") {
-        sim_audit = true;
-        sim_ops = ops(&i);
-      } else if (arg == "--sim-wall") {
-        sim_wall = true;
-      } else if (arg == "--sim-wall-ops") {
-        sim_wall = true;
-        sim_wall_ops = ops(&i);
-      } else if (arg == "--break-event-skip") {
-        // Mutation testing: lose the Nth change-event wake-up (its
-        // occurrence is marked handled, so redundant wakes cannot heal it)
-        // and watch the engine differential catch the stale signal.
-        sim_audit = true;
-        break_event_skip = count(&i);
       } else if (arg == "--break-restore") {
         // Mutation testing: the Nth checkpoint restore leaves one changed
         // storage unrestored and the auditor's restore digest check must
@@ -439,8 +281,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-
-  if (sim_wall) return run_sim_wall(sim_wall_ops, fuzz.seed);
 
   std::vector<std::string> names;
   if (target == "all") {
@@ -598,94 +438,6 @@ int main(int argc, char** argv) {
                      "  --break-segment-window %ld never fired (only %ld "
                      "windowed transactions)\n",
                      break_segment_window, seg_window_hooks::windowed_txns);
-      }
-    }
-
-    if (sim_audit) {
-      if (break_event_skip > 0) {
-        // Like the other mutation counters: process-wide, advances only
-        // while armed — arm relative to the current value so earlier
-        // targets' wakes don't consume it.
-        event_sim_hooks::drop_wake_after =
-            event_sim_hooks::wake_count + break_event_skip;
-      }
-      const SimAuditResult sr = run_sim_audit(t.prob(), fuzz.seed);
-      std::printf(
-          "sim   %-6s seed %llu: %ld engine-pair differentials — %s\n",
-          name.c_str(), static_cast<unsigned long long>(fuzz.seed), sr.checks,
-          sr.ok ? "ok" : "VIOLATION");
-      if (!sr.ok) {
-        failed = true;
-        std::fprintf(stderr, "  %s\n", sr.failure.c_str());
-      }
-      if (break_event_skip > 0 && event_sim_hooks::drop_wake_after != 0) {
-        // The armed mutation never fired (fewer wakes than N): the run
-        // proved nothing, which a CI step expecting a VIOLATION must not
-        // mistake for the wall standing.
-        failed = true;
-        event_sim_hooks::drop_wake_after = 0;
-        std::fprintf(stderr,
-                     "  --break-event-skip %ld never fired (only %ld "
-                     "wake-ups)\n",
-                     break_event_skip, event_sim_hooks::wake_count);
-      }
-    }
-
-    if (sim_audit && !dump && name == names.front()) {
-      // Once per run (independent of --target): the differential on one
-      // generated cascade — the design sizes the event engine exists for —
-      // and the memory-traffic subsystem end to end, where the event-
-      // simulated datapath's sampled outputs become LSU programs checked
-      // against the zero-latency magic memory.
-      try {
-        const GeneratedDesign d = generate_design(GenParams{
-            .family = GenFamily::kFilterCascade,
-            .target_ops = sim_ops,
-            .seed = 2,
-        });
-        Binding gb = initial_allocation(
-            *d.problem, InitialOptions{.seed = derive_seed(fuzz.seed, 5)});
-        Netlist gnl(gb);
-        const std::string gd =
-            random_engine_diff(gnl, 2, derive_seed(fuzz.seed, 6));
-        std::printf("sim   cascade/%d (%d ops): %s\n", sim_ops, d.num_ops,
-                    gd.empty() ? "ok" : "VIOLATION");
-        if (!gd.empty()) {
-          failed = true;
-          std::fprintf(stderr, "  %s\n", gd.c_str());
-        }
-
-        const GeneratedDesign md = generate_design(GenParams{
-            .family = GenFamily::kMemoryTraffic,
-            .target_ops = sim_ops < 500 ? sim_ops : 500,
-            .seed = 3,
-        });
-        Binding mb = initial_allocation(
-            *md.problem, InitialOptions{.seed = derive_seed(fuzz.seed, 9)});
-        Netlist mnl(mb);
-        const int iters = 6;
-        Rng mrng(derive_seed(fuzz.seed, 10));
-        std::vector<std::vector<int64_t>> min(
-            static_cast<size_t>(iters) + 1,
-            std::vector<int64_t>(md.graph->input_nodes().size(), 0));
-        for (auto& vec : min)
-          for (auto& v : vec)
-            v = static_cast<int64_t>(mrng.next() % 201) - 100;
-        const std::vector<int64_t> mstates(md.graph->state_nodes().size(), 0);
-        const SimResult mres = simulate_events(mnl, min, mstates, iters);
-        const auto programs = mem_ops_from_outputs(mres, 64);
-        const std::string memdiff = diff_memory_sim(programs, 3);
-        std::printf("sim   mem/%d (%d ops, %zu lsus): %s\n",
-                    sim_ops < 500 ? sim_ops : 500, md.num_ops,
-                    programs.size(), memdiff.empty() ? "ok" : "VIOLATION");
-        if (!memdiff.empty()) {
-          failed = true;
-          std::fprintf(stderr, "  %s\n", memdiff.c_str());
-        }
-      } catch (const Error& e) {
-        failed = true;
-        std::fprintf(stderr, "sim   generated: engine check failed: %s\n",
-                     e.what());
       }
     }
 
