@@ -52,6 +52,15 @@ before any fuzzer runs:
       swap the implementation out from under the caller, and a second
       #ifdef jungle grows outside the audited kernels.
 
+  raw-number-parse
+      Numbers read from outside the program (design files, expressions,
+      flags, environment variables) are parsed only through the
+      range-checked helpers of src/util/args.h. Anywhere else under src/,
+      a std::sto*, ato* or strto* call either reads a silent prefix
+      ("3abc" as 3, "0x10" as 0, "1e3" as 1), returns 0 on junk, or throws
+      a bare std::exception with no line number — so src/util/args.cpp is
+      their only sanctioned home.
+
 Suppressions:
       // salsa-lint: allow(<check-id>) <one-line rationale>
   on the offending line, or alone on the line above it. The rationale is
@@ -105,6 +114,9 @@ CHECKS = {
     "simd-intrinsics-confined":
         "raw SIMD intrinsics (_mm*, __m128/__m256/__m512, vector headers) "
         "appear only in src/util/bitplane.h / src/util/bits.h kernels",
+    "raw-number-parse":
+        "no std::sto*/ato*/strto* number parsing under src/ outside "
+        "src/util/args.cpp (use parse_int and friends from util/args.h)",
     "bad-suppression":
         "salsa-lint: allow() must name a known check and carry a rationale",
 }
@@ -120,6 +132,8 @@ SEAM_EXEMPT_FILES = (
 SIMD_EXEMPT_FILES = (
     "src/util/bitplane.h", "src/util/bits.h",
 )
+# The sanctioned home of raw number parsing (raw-number-parse).
+PARSE_EXEMPT_FILES = ("src/util/args.cpp",)
 
 UNORDERED_TYPE_RE = re.compile(
     r"\b(?:std\s*::\s*)?(unordered_(?:multi)?(?:map|set)|FlatMap)\s*<")
@@ -298,7 +312,7 @@ class FileLint:
     """Lints one file: raw text for suppressions, blanked text for tokens."""
 
     def __init__(self, path, rel, text, strict, seam_exempt, clang_facts=None,
-                 simd_exempt=False):
+                 simd_exempt=False, parse_exempt=False):
         self.path = path
         self.rel = rel
         self.raw_lines = text.splitlines()
@@ -307,6 +321,7 @@ class FileLint:
         self.strict = strict
         self.seam_exempt = seam_exempt
         self.simd_exempt = simd_exempt
+        self.parse_exempt = parse_exempt
         self.clang_facts = clang_facts or []
         self.violations = []
         self.allows = {}     # line -> list of (check, reason)
@@ -548,6 +563,22 @@ class FileLint:
                     f"fallback) so the SALSA_BITPLANE_SCALAR leg stays "
                     f"exchangeable")
 
+    # -- check: raw-number-parse -------------------------------------------
+    PARSE_RE = re.compile(
+        r"(?<![\w.>])(?:std\s*::\s*)?"
+        r"(sto(?:i|l|ll|ul|ull|f|d|ld)|ato(?:i|l|ll|f)|"
+        r"strto(?:l|ll|ul|ull|f|d|ld|imax|umax))\s*\(")
+
+    def check_raw_number_parse(self):
+        if self.parse_exempt:
+            return
+        for m in self.PARSE_RE.finditer(self.code):
+            self.report(
+                line_of(self.code, m.start()), "raw-number-parse",
+                f"{m.group(1)}() parses a number without the range and "
+                f"trailing-junk checks of util/args.h: use parse_int "
+                f"(with the caller's line or flag in the diagnostic)")
+
     def run(self):
         self.scan_directives()
         self.check_unordered_iteration()
@@ -555,6 +586,7 @@ class FileLint:
         self.check_thread_local_scratch()
         self.check_transaction_seam()
         self.check_simd_intrinsics()
+        self.check_raw_number_parse()
         # Deduplicate (libclang facts can mirror lexer findings).
         seen = set()
         uniq = []
@@ -669,6 +701,8 @@ def lint_paths(root, paths, engine, compile_commands, force_strict=False):
             rel.startswith(d + "/") or rel == d for d in STRICT_DIRS)
         seam_exempt = rel in SEAM_EXEMPT_FILES
         simd_exempt = rel in SIMD_EXEMPT_FILES
+        parse_exempt = (not rel.startswith("src/")
+                        or rel in PARSE_EXEMPT_FILES)
         try:
             with open(path, encoding="utf-8", errors="replace") as f:
                 text = f.read()
@@ -677,7 +711,7 @@ def lint_paths(root, paths, engine, compile_commands, force_strict=False):
             return None
         facts = (clang_facts or {}).get(os.path.realpath(path), [])
         fl = FileLint(path, rel, text, strict, seam_exempt, facts,
-                      simd_exempt=simd_exempt)
+                      simd_exempt=simd_exempt, parse_exempt=parse_exempt)
         violations.extend(fl.run())
     return violations
 

@@ -8,6 +8,7 @@
 
 #include "analysis/auditor.h"
 #include "analysis/digest.h"
+#include "core/search_engine.h"
 #include "core/verify.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -29,36 +30,15 @@ CheckMode default_check_mode() {
   return mode;
 }
 
-int default_restart_patience() {
-  static const int patience = [] {
-    const char* env = std::getenv("SALSA_RESTART_PATIENCE");
-    if (env == nullptr) return 0;
-    const std::string v(env);
-    if (v == "0" || v == "off") return 0;
-    char* end = nullptr;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (end != v.c_str() && *end == '\0' && n >= 1 && n <= 1000000)
-      return static_cast<int>(n);
-    fail("SALSA_RESTART_PATIENCE must be 0/off or a positive restart count; "
-         "got '" + v + "'");
-  }();
-  return patience;
-}
-
 namespace {
 
 // One independent restart: constructive start (plus the optional
-// traditional-model warm start), then the extended-model improvement. The
-// warm-start and main-phase stats are merged here, per restart, so the
-// caller can sum per-restart totals in restart order — the same value
-// whichever thread ran the restart, and whichever restart finished first.
-struct RestartOutcome {
-  ImproveResult result;
-  ImproveStats stats;  ///< warm start + main phase, this restart only
-};
-
-RestartOutcome run_restart(const AllocProblem& prob,
-                           const AllocatorOptions& opts, int r) {
+// traditional-model warm phase), then the extended-model improvement, both
+// on one SearchEngine. The stats cover this restart only, so the caller can
+// sum per-restart totals in restart order — the same value whichever thread
+// ran the restart, and whichever restart finished first.
+ImproveResult run_restart(const AllocProblem& prob,
+                          const AllocatorOptions& opts, int r) {
   // Each restart draws its seeds from SplitMix64 streams rooted at the user
   // seeds (even streams: placement, odd streams: search), replacing the old
   // additive scheme whose streams collided for nearby user seeds.
@@ -68,7 +48,7 @@ RestartOutcome run_restart(const AllocProblem& prob,
   ImproveParams params = opts.improve;
   params.seed = derive_seed(opts.improve.seed, 2 * rr + 1);
 
-  // Checked mode: this restart's engines run under their own invariant
+  // Checked mode: this restart's engine runs under its own invariant
   // auditor (restarts may run on different threads; the auditor is
   // engine-local state, so each restart owns one).
   std::optional<InvariantAuditor> auditor;
@@ -99,22 +79,25 @@ RestartOutcome run_restart(const AllocProblem& prob,
       }
     }
   }
-  ImproveStats stats;
-  if (opts.warm_start_traditional && start.is_traditional()) {
-    // Converge within the traditional model first — the extended moves
-    // then only have to *remove* interconnect from a good contiguous
-    // allocation (value segments, copies and pass-throughs strictly add
-    // freedom, so this warm start never hurts the final result).
-    ImproveParams warm = params;
-    warm.moves = MoveConfig::traditional();
-    warm.seed = params.seed ^ 0x5A15Au;
-    ImproveResult wr = improve(start, warm);
-    stats += wr.stats;
-    start = std::move(wr.best);
-  }
-  ImproveResult res = improve(start, params);
-  stats += res.stats;
-  return RestartOutcome{std::move(res), stats};
+  auto phases = [&](SearchEngine& eng) {
+    ImproveStats stats;
+    if (opts.warm_start_traditional && start.is_traditional()) {
+      // Converge within the traditional model first — the extended moves
+      // then only have to *remove* interconnect from a good contiguous
+      // allocation (value segments, copies and pass-throughs strictly add
+      // freedom, so this warm start never hurts the final result). The
+      // extended phase starts from the warm best, restored in place.
+      ImproveParams warm = params;
+      warm.moves = MoveConfig::traditional();
+      warm.seed = params.seed ^ 0x5A15Au;
+      stats += improve(eng, warm);
+      eng.restore_checkpoint();
+      check_legal(eng.binding());
+    }
+    stats += improve(eng, params);
+    return stats;
+  };
+  return run_search(start, params.trace, params.observer, phases);
 }
 
 }  // namespace
@@ -127,11 +110,8 @@ AllocationResult allocate(const AllocProblem& prob,
   // corrupt the stream, so tracing pins the run to the calling thread.
   if (opts.improve.trace != nullptr) par = Parallelism::sequential_only();
 
-  const int patience = opts.restart_patience > 0 ? opts.restart_patience
-                       : opts.restart_patience == 0 ? default_restart_patience()
-                                                    : 0;
-
-  std::vector<RestartOutcome> outcomes;
+  const int patience = opts.restart_patience;
+  std::vector<ImproveResult> outcomes;
   if (patience <= 0 || opts.restarts <= patience) {
     outcomes = parallel_map(par, opts.restarts,
                             [&](int r) { return run_restart(prob, opts, r); });
@@ -150,13 +130,12 @@ AllocationResult allocate(const AllocProblem& prob,
     while (!stop && static_cast<int>(outcomes.size()) < opts.restarts) {
       const int base = static_cast<int>(outcomes.size());
       const int count = std::min(wave, opts.restarts - base);
-      std::vector<RestartOutcome> batch = parallel_map(
+      std::vector<ImproveResult> batch = parallel_map(
           par, count, [&](int i) { return run_restart(prob, opts, base + i); });
-      for (RestartOutcome& o : batch) {
+      for (ImproveResult& o : batch) {
         outcomes.push_back(std::move(o));
         const size_t r = outcomes.size() - 1;
-        if (outcomes[r].result.cost.total < outcomes[best].result.cost.total)
-          best = r;
+        if (outcomes[r].cost.total < outcomes[best].cost.total) best = r;
         if (r - best >= static_cast<size_t>(patience)) {
           stop = true;
           break;
@@ -177,14 +156,12 @@ AllocationResult allocate(const AllocProblem& prob,
   for (size_t r = 0; r < outcomes.size(); ++r) {
     total += outcomes[r].stats;
     if (opts.restart_digests)
-      opts.restart_digests->push_back(digest_binding(outcomes[r].result.best));
-    if (outcomes[r].result.cost.total < outcomes[best].result.cost.total)
-      best = r;
+      opts.restart_digests->push_back(digest_binding(outcomes[r].best));
+    if (outcomes[r].cost.total < outcomes[best].cost.total) best = r;
   }
-  ImproveResult& win = outcomes[best].result;
-  // Routed through the checked-mode knob: release callers that validate
-  // results elsewhere can opt out (checked = CheckMode::kOff) of the
-  // previously unconditional O(design) legality check.
+  ImproveResult& win = outcomes[best];
+  // The restart's search checked its best already; kOff skips this second
+  // O(design) check of the winner (see CheckMode).
   if (opts.checked != CheckMode::kOff) check_legal(win.best);
   AllocationResult out{std::move(win.best), win.cost, {}, total};
   out.merging = merge_muxes(out.binding);

@@ -14,13 +14,16 @@
 
 namespace salsa {
 
-/// How much self-checking allocate() performs (the knob the SalsaCheck
-/// subsystem hangs off — see src/analysis/auditor.h):
-///   kOff   — no checks at all: the caller owns result validation (release
-///            hot paths that would otherwise pay an O(design) check_legal()
-///            per call they never look at);
-///   kFinal — check_legal() on the winning binding only. The default, and
-///            exactly the unconditional check previous versions hardwired;
+/// How much self-checking allocate() adds to the checks every search runs
+/// (the knob the SalsaCheck subsystem hangs off — see
+/// src/analysis/auditor.h). Whatever the mode, the search checks each
+/// binding it hands on once: the constructive start, the warm phase's best
+/// and each restart's best (check_legal(), via run_search in
+/// core/improver.h).
+///   kOff   — nothing more: skips only allocate()'s re-check of the winning
+///            binding (release hot paths that would otherwise pay one more
+///            O(design) check_legal() per call);
+///   kFinal — check_legal() once more on the winning binding. The default;
 ///   kAudit — move transactions of every restart run under the invariant
 ///            auditor (binding verification, connection-index rebuild
 ///            cross-check, from-scratch cost comparison, undo digests),
@@ -45,11 +48,6 @@ enum class CheckMode : uint8_t { kOff, kFinal, kAudit, kAuditFull };
 /// every-transaction audit regardless of design size.
 CheckMode default_check_mode();
 
-/// Default restart patience: the SALSA_RESTART_PATIENCE environment
-/// variable when set ("0"/"off" → no early stop, a positive count → stop
-/// after that many consecutive non-improving restarts), otherwise 0.
-int default_restart_patience();
-
 struct AllocatorOptions {
   ImproveParams improve;
   InitialOptions initial;
@@ -60,13 +58,11 @@ struct AllocatorOptions {
   int restarts = 1;
   /// Early restart stopping: stop launching restarts once `patience`
   /// consecutive restarts (in restart-index order) failed to improve the
-  /// best cost; at least patience + 1 restarts always run. 0 = auto: the
-  /// SALSA_RESTART_PATIENCE environment variable, else no early stop;
-  /// negative = never stop early regardless of the environment. The stop
-  /// index is a function of the restart outcomes in restart order alone —
-  /// restarts are computed in thread-sized waves, and every outcome past
-  /// the stop index is discarded before the best-of reduction — so results
-  /// stay byte-identical for any thread count.
+  /// best cost; at least patience + 1 restarts always run. 0 or negative =
+  /// no early stop. The stop index is a function of the restart outcomes
+  /// in restart order alone — restarts are computed in thread-sized waves,
+  /// and every outcome past the stop index is discarded before the best-of
+  /// reduction — so results stay byte-identical for any thread count.
   int restart_patience = 0;
   /// Restart-level parallelism. Results are byte-identical for every thread
   /// count: each restart owns its seed streams and SearchEngine, and the
@@ -97,9 +93,10 @@ struct AllocationResult {
   Binding binding;
   CostBreakdown cost;      ///< point-to-point cost before mux merging
   MuxMergeResult merging;  ///< greedy mux-merge outcome
-  /// Accumulated over restarts: each restart's warm-start and main-phase
-  /// stats are merged first, then the per-restart totals are summed in
-  /// restart order (deterministic under any parallelism).
+  /// Accumulated over restarts: each restart's stats cover its warm and
+  /// extended phases (one engine, so by_kind counts both), and the
+  /// per-restart totals are summed in restart order (deterministic under
+  /// any parallelism).
   ImproveStats stats;
 };
 

@@ -3,17 +3,13 @@
 #include <cmath>
 
 #include "core/search_engine.h"
-#include "core/verify.h"
 
 namespace salsa {
 
-ImproveResult anneal(const Binding& start, const AnnealParams& params) {
-  check_legal(start);
+namespace {
 
-  // The engine's checkpoint holds the best binding (initially `start`).
-  SearchEngine eng(start);
-  eng.set_trace(params.trace);
-  eng.set_observer(params.observer);
+// The Metropolis loop over the seam's engine.
+ImproveStats anneal(SearchEngine& eng, const AnnealParams& params) {
   double best_cost = eng.total();
 
   ImproveStats stats;
@@ -45,11 +41,14 @@ ImproveResult anneal(const Binding& start, const AnnealParams& params) {
       }
     }
   }
-  stats.by_kind = eng.kind_stats();
-  Binding best = std::move(eng).take_checkpoint();
-  check_legal(best);
-  CostBreakdown final_cost = evaluate_cost(best);
-  return ImproveResult{std::move(best), final_cost, stats};
+  return stats;
+}
+
+}  // namespace
+
+ImproveResult anneal(const Binding& start, const AnnealParams& params) {
+  return run_search(start, params.trace, params.observer,
+                    [&](SearchEngine& eng) { return anneal(eng, params); });
 }
 
 }  // namespace salsa

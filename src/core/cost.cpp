@@ -138,6 +138,4 @@ CostBreakdown evaluate_cost(const Binding& b) {
   return out;
 }
 
-int count_muxes(const Binding& b) { return evaluate_cost(b).muxes; }
-
 }  // namespace salsa

@@ -79,7 +79,4 @@ struct CostBreakdown {
 /// Evaluates the allocation cost function on a binding.
 CostBreakdown evaluate_cost(const Binding& b);
 
-/// Mux count alone (the Tables 2/3 metric), for convenience.
-int count_muxes(const Binding& b);
-
 }  // namespace salsa

@@ -1,7 +1,6 @@
 #include "core/ils.h"
 
 #include "core/search_engine.h"
-#include "core/verify.h"
 
 namespace salsa {
 
@@ -32,16 +31,9 @@ void descend(SearchEngine& eng, const IlsParams& params, uint64_t* i,
   }
 }
 
-}  // namespace
-
-ImproveResult iterated_local_search(const Binding& start,
-                                    const IlsParams& params) {
-  check_legal(start);
+// Kick + descent rounds over the seam's engine.
+ImproveStats iterated_local_search(SearchEngine& eng, const IlsParams& params) {
   ImproveStats stats;
-
-  SearchEngine eng(start);
-  eng.set_trace(params.trace);
-  eng.set_observer(params.observer);
   uint64_t i = 0;
   descend(eng, params, &i, stats);
   // The engine's checkpoint holds the incumbent (best) binding.
@@ -69,11 +61,17 @@ ImproveResult iterated_local_search(const Binding& start,
       best_cost = eng.total();
     }
   }
-  stats.by_kind = eng.kind_stats();
-  Binding best = std::move(eng).take_checkpoint();
-  check_legal(best);
-  CostBreakdown final_cost = evaluate_cost(best);
-  return ImproveResult{std::move(best), final_cost, stats};
+  return stats;
+}
+
+}  // namespace
+
+ImproveResult iterated_local_search(const Binding& start,
+                                    const IlsParams& params) {
+  return run_search(start, params.trace, params.observer,
+                    [&](SearchEngine& eng) {
+                      return iterated_local_search(eng, params);
+                    });
 }
 
 }  // namespace salsa

@@ -5,13 +5,29 @@
 
 namespace salsa {
 
-ImproveResult improve(const Binding& start, const ImproveParams& params) {
+ImproveResult run_search(
+    const Binding& start, std::ostream* trace, SearchObserver* observer,
+    const std::function<ImproveStats(SearchEngine&)>& policy) {
   check_legal(start);
-
   // The engine's checkpoint holds the best binding (initially `start`).
   SearchEngine eng(start);
-  eng.set_trace(params.trace);
-  eng.set_observer(params.observer);
+  eng.set_trace(trace);
+  eng.set_observer(observer);
+  ImproveStats stats = policy(eng);
+  stats.by_kind = eng.kind_stats();
+  Binding best = std::move(eng).take_checkpoint();
+  check_legal(best);
+  CostBreakdown final_cost = evaluate_cost(best);
+  return ImproveResult{std::move(best), final_cost, stats};
+}
+
+ImproveResult improve(const Binding& start, const ImproveParams& params) {
+  return run_search(start, params.trace, params.observer,
+                    [&](SearchEngine& eng) { return improve(eng, params); });
+}
+
+ImproveStats improve(SearchEngine& eng, const ImproveParams& params) {
+  SALSA_DCHECK(eng.dirty_units() == 0);
   double best_cost = eng.total();
 
   ImproveStats stats;
@@ -56,11 +72,7 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
       if (++stale >= params.stop_after_stale) break;
     }
   }
-  stats.by_kind = eng.kind_stats();
-  Binding best = std::move(eng).take_checkpoint();
-  check_legal(best);
-  CostBreakdown final_cost = evaluate_cost(best);
-  return ImproveResult{std::move(best), final_cost, stats};
+  return stats;
 }
 
 }  // namespace salsa

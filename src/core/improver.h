@@ -8,11 +8,13 @@
 // acceptance policy over core/search_engine.h: moves are proposed,
 // committed or rolled back in place, with the cost delta computed
 // incrementally — no per-candidate Binding copies, no full cost
-// evaluations inside the move loop.
+// evaluations inside the move loop. All of them, and allocate()'s
+// restarts, own their engine through run_search below.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 
 #include "core/binding.h"
@@ -22,6 +24,7 @@
 
 namespace salsa {
 
+class SearchEngine;    // core/search_engine.h
 class SearchObserver;  // core/search_engine.h
 
 /// Inert: nothing in src/ reads it. The end-to-end benchmark driver
@@ -89,7 +92,22 @@ struct ImproveResult {
   ImproveStats stats;
 };
 
+/// The search seam: checks `start`, builds one SearchEngine over it with
+/// `trace` and `observer` installed, and runs `policy` on it. The policy
+/// leaves its best binding in the engine's checkpoint and returns its
+/// counters; the seam returns that checkpoint, checked, with its cost and
+/// the engine's per-kind stats.
+ImproveResult run_search(
+    const Binding& start, std::ostream* trace, SearchObserver* observer,
+    const std::function<ImproveStats(SearchEngine&)>& policy);
+
 /// Runs iterative improvement from `start` (which must be legal).
 ImproveResult improve(const Binding& start, const ImproveParams& params);
+
+/// The trial loop alone, over a caller's engine whose binding equals its
+/// checkpoint; leaves the best binding seen in the checkpoint. by_kind stays
+/// empty (the engine keeps it), and `params.trace`/`params.observer` are the
+/// engine owner's to install.
+ImproveStats improve(SearchEngine& eng, const ImproveParams& params);
 
 }  // namespace salsa

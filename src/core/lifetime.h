@@ -65,10 +65,6 @@ class Lifetimes {
   /// values.
   int storage_of(ValueId v) const { return sto_of_[static_cast<size_t>(v)]; }
 
-  /// Control step of a storage's segment.
-  int step_of_seg(int sid, int seg) const {
-    return storage(sid).step_at(seg, sched_->length());
-  }
   /// Segment index live at `step`, or -1 if the storage is not live then.
   int seg_at_step(int sid, int step) const;
 

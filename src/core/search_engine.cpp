@@ -62,7 +62,6 @@ void SearchEngine::build_static() {
   st.ops = g.operations();
   for (size_t c = 0; c < st.fus_by_class.size(); ++c)
     st.fus_by_class[c] = prob.fus().of_class(static_cast<FuClass>(c));
-  st.pass_fus = prob.fus().pass_capable();
   const Schedule& sched = prob.sched();
   st.finishing_at.assign(static_cast<size_t>(sched.length()), {});
   for (NodeId n : st.ops) {
@@ -83,17 +82,15 @@ void SearchEngine::build_static() {
     st.ops_by_class[static_cast<size_t>(c)].push_back(n);
     if (is_commutative(kind)) st.commutative_ops.push_back(n);
   }
-  for (FuId f : st.pass_fus) {
+  st.pass_fus_1cyc_mask.assign((prob.fus().size() + 63) / 64, 0);
+  for (FuId f : prob.fus().pass_capable()) {
     // Only single-cycle FU classes can forward combinationally.
     const OpKind probe =
         prob.fus().fu(f).cls == FuClass::kAlu ? OpKind::kAdd : OpKind::kMul;
-    if (sched.hw().delay(probe) == 1) st.pass_fus_1cyc.push_back(f);
+    if (sched.hw().delay(probe) == 1)
+      st.pass_fus_1cyc_mask[static_cast<size_t>(f) >> 6] |=
+          uint64_t{1} << (f & 63);
   }
-  st.pass_fus_1cyc_mask.assign(
-      (prob.fus().size() + 63) / 64, 0);
-  for (FuId f : st.pass_fus_1cyc)
-    st.pass_fus_1cyc_mask[static_cast<size_t>(f) >> 6] |=
-        uint64_t{1} << (f & 63);
   // Ranks within the class lists, for the per-FU op index.
   st.pos_in_class.assign(static_cast<size_t>(g.num_nodes()), -1);
   for (const auto& class_list : st.ops_by_class)

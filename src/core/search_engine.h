@@ -151,7 +151,6 @@ class SearchEngine {
   /// Reverts the proposed move: binding, occupancy and cost return exactly
   /// to their pre-propose state.
   void rollback();
-  bool in_txn() const { return in_txn_; }
 
   // --- best-so-far checkpoint ------------------------------------------
   // The engine owns one checkpoint binding (initially the start binding)
@@ -203,21 +202,17 @@ class SearchEngine {
   /// Off forces every touch through the whole-storage walk — the reference
   /// side of the salsa_audit --segment window-vs-whole differential.
   void set_segment_windows(bool on) { seg_windows_ = on; }
-  bool segment_windows() const { return seg_windows_; }
   /// Claim re-adds that took a segment window narrower than the whole
   /// storage, over the engine's lifetime — the coverage count of the
   /// window-vs-whole differential.
   long windowed_readds() const { return windowed_readds_; }
 
   // Cached problem-side candidate tables for move proposers (equal to
-  // cdfg().operations(), fus().of_class(c) and fus().pass_capable(), but
-  // derived once per problem instead of allocated per proposal).
+  // cdfg().operations() and fus().of_class(c), but derived once per
+  // problem instead of allocated per proposal).
   const std::vector<NodeId>& operations() const { return statics_->ops; }
   const std::vector<FuId>& fus_of_class(FuClass c) const {
     return statics_->fus_by_class[static_cast<size_t>(c)];
-  }
-  const std::vector<FuId>& pass_capable_fus() const {
-    return statics_->pass_fus;
   }
   const std::vector<NodeId>& ops_finishing_at(int step) const {
     return statics_->finishing_at[static_cast<size_t>(step)];
@@ -233,9 +228,6 @@ class SearchEngine {
   }
   const std::vector<NodeId>& commutative_ops() const {
     return statics_->commutative_ops;
-  }
-  const std::vector<FuId>& single_cycle_pass_fus() const {
-    return statics_->pass_fus_1cyc;
   }
   const std::vector<uint64_t>& single_cycle_pass_fu_mask() const {
     return statics_->pass_fus_1cyc_mask;
@@ -419,9 +411,9 @@ class SearchEngine {
   /// between engines of that problem (see the second constructor): which
   /// generators each operation feeds, the generator id layout, whether
   /// constant operands are charged, and the candidate tables the move
-  /// proposers scan every proposal (operation nodes, FUs by class,
-  /// pass-capable FUs) — cached here so proposals stop paying an
-  /// allocation per Cdfg::operations()/FuPool::of_class() call.
+  /// proposers scan every proposal (operation nodes, FUs by class) —
+  /// cached here so proposals stop paying an allocation per
+  /// Cdfg::operations()/FuPool::of_class() call.
   struct EngineStatics {
     std::vector<OpInfo> op_info;  // indexed by NodeId (ops only populated)
     int const_gen_base = 0;
@@ -429,7 +421,6 @@ class SearchEngine {
     bool charge_consts = false;
     std::vector<NodeId> ops;
     std::array<std::vector<FuId>, 2> fus_by_class;  // indexed by FuClass
-    std::vector<FuId> pass_fus;
     // Ops whose result lands (start + delay - 1, mod schedule length) at
     // each control step — schedule-side, so static per problem. Lets the
     // pass-through binder test "does some op's output occupy FU f at step
@@ -437,13 +428,12 @@ class SearchEngine {
     std::vector<std::vector<NodeId>> finishing_at;
     // More pre-resolved problem-side predicates the proposers evaluate per
     // candidate per proposal: op FU class and occupancy length (indexed by
-    // NodeId), ops grouped by FU class, commutative ops, pass-capable FUs
-    // of single-cycle classes (the only ones the pass binder can use), and
-    // the (storage, segment) pairs live at each control step — all fixed by
-    // the CDFG/schedule, so deriving them once removes an out-of-line
-    // predicate call per scanned candidate from the move hot path. Each
-    // list preserves the scan order of the loop it replaces, so candidate
-    // sets (hence RNG draws and trajectories) are unchanged.
+    // NodeId), ops grouped by FU class, commutative ops, the pass-FU mask
+    // below, and the (storage, segment) pairs live at each control step —
+    // all fixed by the CDFG/schedule, so deriving them once removes an
+    // out-of-line predicate call per scanned candidate from the move hot
+    // path. Each list preserves the scan order of the loop it replaces, so
+    // candidate sets (hence RNG draws and trajectories) are unchanged.
     std::vector<FuClass> op_class;
     std::vector<int> op_occ;
     // Whether each node is an output port — the one static fact the read
@@ -452,13 +442,13 @@ class SearchEngine {
     std::vector<uint8_t> node_is_output;
     std::array<std::vector<NodeId>, 2> ops_by_class;  // indexed by FuClass
     std::vector<NodeId> commutative_ops;
-    std::vector<FuId> pass_fus_1cyc;
-    // Bitmask twin of pass_fus_1cyc (bit f set iff f is a single-cycle
-    // pass candidate), sized to ceil(num_fus / 64) words. The pass binder
-    // ANDs it against the transposed FU busy row instead of probing one
-    // fu_busy row per candidate; pass_fus_1cyc ascends in FU id, so the
-    // mask's bit order IS the list's candidate order and the k-th set bit
-    // of the free mask is the k-th free candidate the probe loop found.
+    // Pass-capable FUs of single-cycle classes (the only ones the pass
+    // binder can use) as a bitmask: bit f set iff FU f is a candidate,
+    // sized to ceil(num_fus / 64) words. The pass binder ANDs it against
+    // the transposed FU busy row instead of probing one fu_busy row per
+    // candidate; bit order is FU-id order, the order of
+    // FuPool::pass_capable(), so the k-th set bit of the free mask is the
+    // k-th free candidate the probe loop found.
     std::vector<uint64_t> pass_fus_1cyc_mask;
     std::vector<std::vector<std::pair<int, int>>> live_at;  // [step]->(sid,seg)
     // Index of each operation within its ops_by_class list — the rank the

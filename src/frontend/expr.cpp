@@ -1,10 +1,13 @@
 #include "frontend/expr.h"
 
 #include <cctype>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <vector>
+
+#include "util/args.h"
 
 namespace salsa {
 
@@ -71,13 +74,18 @@ class Lexer {
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
       size_t end = pos_;
-      int64_t value = 0;
       while (end < line_.size() &&
-             std::isdigit(static_cast<unsigned char>(line_[end]))) {
-        value = value * 10 + (line_[end] - '0');
+             std::isdigit(static_cast<unsigned char>(line_[end])))
         ++end;
+      const std::string text = line_.substr(pos_, end - pos_);
+      int64_t value = 0;
+      try {
+        value = parse_int("literal", text, 0,
+                          std::numeric_limits<int64_t>::max());
+      } catch (const Error& e) {
+        error(e.what());
       }
-      current_ = Token{Tok::kNumber, line_.substr(pos_, end - pos_), value};
+      current_ = Token{Tok::kNumber, text, value};
       pos_ = end;
       return;
     }

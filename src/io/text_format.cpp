@@ -1,5 +1,7 @@
 #include "io/text_format.h"
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -26,10 +28,10 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 // parse_int with the line number on its diagnostic.
-int parse_int_at(int line_no, const std::string& what, const std::string& text,
-                 int lo, int hi) {
+int64_t parse_int_at(int line_no, const std::string& what,
+                     const std::string& text, int64_t lo, int64_t hi) {
   try {
-    return static_cast<int>(parse_int(what, text, lo, hi));
+    return parse_int(what, text, lo, hi);
   } catch (const Error& e) {
     parse_fail(line_no, e.what());
   }
@@ -97,12 +99,10 @@ ParsedDesign parse_design(std::istream& in) {
     } else if (kw == "const") {
       if (tok.size() != 2 && tok.size() != 3)
         parse_fail(line_no, "'const' expects a value and an optional name");
-      int64_t v = 0;
-      try {
-        v = std::stoll(tok[1]);
-      } catch (...) {
-        parse_fail(line_no, "bad constant '" + tok[1] + "'");
-      }
+      const int64_t v =
+          parse_int_at(line_no, "constant", tok[1],
+                       std::numeric_limits<int64_t>::min(),
+                       std::numeric_limits<int64_t>::max());
       const std::string name = tok.size() == 3 ? tok[2] : "c" + tok[1];
       define(name, g->add_const(v, name), line_no);
     } else if (kw == "add" || kw == "sub" || kw == "mul") {
@@ -130,8 +130,8 @@ ParsedDesign parse_design(std::istream& in) {
     } else if (kw == "schedule") {
       if (tok.size() != 2 && tok.size() != 3)
         parse_fail(line_no, "'schedule' expects a length and optional 'pipelined'");
-      sched_length = parse_int_at(line_no, "schedule length", tok[1], 1,
-                                  kMaxScheduleLength);
+      sched_length = static_cast<int>(parse_int_at(
+          line_no, "schedule length", tok[1], 1, kMaxScheduleLength));
       if (tok.size() == 3) {
         if (tok[2] != "pipelined")
           parse_fail(line_no, "unknown schedule flag '" + tok[2] + "'");
@@ -160,8 +160,9 @@ ParsedDesign parse_design(std::istream& in) {
       if (it == named_nodes.end())
         parse_fail(pa.line, "unknown node '" + pa.node + "'");
       design.schedule->set_start(
-          it->second, parse_int_at(pa.line, "step of '" + pa.node + "'",
-                                   pa.step, 0, sched_length - 1));
+          it->second,
+          static_cast<int>(parse_int_at(pa.line, "step of '" + pa.node + "'",
+                                        pa.step, 0, sched_length - 1)));
     }
     design.schedule->validate();
   }

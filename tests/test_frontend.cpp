@@ -173,7 +173,9 @@ INSTANTIATE_TEST_SUITE_P(
         ExprError{"bad_char", "design d\ninput x\ny = x @ 2\nout y\n"},
         ExprError{"unbalanced_paren", "design d\ninput x\ny = (x + 1\nout y\n"},
         ExprError{"trailing_tokens", "design d\ninput x\ny = x + 1 2\nout y\n"},
-        ExprError{"unknown_output", "design d\ninput x\ny = x + 1\nout z\n"}),
+        ExprError{"unknown_output", "design d\ninput x\ny = x + 1\nout z\n"},
+        ExprError{"literal_overflow",
+                  "design d\ninput x\ny = 99999999999999999999*x\nout y\n"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Expr, CompiledDesignsAllocateAndSimulate) {

@@ -6,9 +6,10 @@
 // restore the binding (and occupancy) byte-identically. The checkpoint
 // tests interleave checkpoint() and restore_checkpoint() with the
 // transactions: every restore must land on the checkpoint with each derived
-// structure equal to a rebuild, and an improve()-style search over restores
+// structure equal to a rebuild, an improve()-style search over restores
 // must follow the same trajectory as one that rebuilds its engine from the
-// best binding at every reset.
+// best binding at every reset, and allocate()'s warm-to-extended phase
+// switch on one engine must match the extended phase on a fresh engine.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -315,6 +316,76 @@ TEST_P(CheckpointRestore, TrajectoryMatchesEngineRebuiltAtEveryReset) {
     ASSERT_EQ(restored.steps[k], rebuilt.steps[k]) << "at decision " << k;
   EXPECT_EQ(restored.best_digest, rebuilt.best_digest);
   EXPECT_EQ(restored.working_digest, rebuilt.working_digest);
+}
+
+// allocate()'s restart on one engine: the traditional warm phase, a
+// restore_checkpoint() to its best, then the extended phase. The extended
+// phase run instead on a fresh engine built from the warm phase's best
+// must decide the same proposals, reach the same best and working
+// bindings, and count the same stats.
+TEST_P(CheckpointRestore, PhaseSwitchMatchesFreshEngine) {
+  const RestoreTarget t(GetParam());
+  const Binding start =
+      initial_allocation(t.prob(), InitialOptions{.seed = 5});
+  // Two long warm trials end on an improving one, so the switch's restore
+  // has units to move back. (The cascade's start splits values, which
+  // allocate() would not warm-start; the engine's switch is the same.)
+  ImproveParams warm;
+  warm.moves = MoveConfig::traditional();
+  warm.max_trials = 2;
+  warm.moves_per_trial = 1000;
+  warm.seed = 11;
+  ImproveParams ext;
+  ext.max_trials = 8;
+  ext.moves_per_trial = 300;
+  ext.seed = 12;
+  // Decided proposals from an engine's JSONL trace, each record without
+  // its leading "step" field.
+  auto decisions = [](const std::ostringstream& trace) {
+    std::vector<std::string> out;
+    std::istringstream lines(trace.str());
+    for (std::string line; std::getline(lines, line);)
+      out.push_back(line.substr(line.find(',')));
+    return out;
+  };
+
+  SearchEngine one(start);
+  std::ostringstream warm_trace, one_trace;
+  one.set_trace(&warm_trace);
+  const ImproveStats warm_stats = improve(one, warm);
+  const auto warm_kinds = one.kind_stats();
+  const size_t dirty_at_switch = one.dirty_units();
+  one.restore_checkpoint();
+  const Binding warm_best = one.checkpoint_binding();
+  ASSERT_NO_FATAL_FAILURE(expect_restore_exact(one, warm_best, -1));
+  one.set_trace(&one_trace);
+  const ImproveStats one_stats = improve(one, ext);
+
+  SearchEngine fresh(warm_best);
+  std::ostringstream fresh_trace;
+  fresh.set_trace(&fresh_trace);
+  const ImproveStats fresh_stats = improve(fresh, ext);
+
+  EXPECT_GT(warm_stats.accepted, 0);
+  EXPECT_GT(dirty_at_switch, 0u);
+  const std::vector<std::string> got = decisions(one_trace);
+  const std::vector<std::string> want = decisions(fresh_trace);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < got.size(); ++k)
+    ASSERT_EQ(got[k], want[k]) << "at decision " << k;
+  EXPECT_EQ(digest_binding(one.checkpoint_binding()),
+            digest_binding(fresh.checkpoint_binding()));
+  EXPECT_EQ(digest_binding(one.binding()), digest_binding(fresh.binding()));
+  EXPECT_EQ(one_stats, fresh_stats);
+  // The one engine's per-kind stats cover both phases: the warm phase's
+  // plus exactly what the fresh engine counted.
+  auto both = warm_kinds;
+  for (size_t k = 0; k < both.size(); ++k) both[k] += fresh.kind_stats()[k];
+  EXPECT_EQ(one.kind_stats(), both);
+  // The trace's step counter runs on across the switch.
+  const std::string first_step =
+      "{\"step\":" + std::to_string(decisions(warm_trace).size() + 1) + ",";
+  EXPECT_EQ(one_trace.str().rfind(first_step, 0), 0u) << first_step;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -86,6 +86,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"redefined_value", "cdfg x\ninput a\ninput a\n", 3},
         BadCase{"bad_arity", "cdfg x\ninput a\nadd s a\n", 3},
         BadCase{"bad_const", "cdfg x\nconst zz\n", 2},
+        BadCase{"const_trailing_junk", "cdfg x\nconst 3abc a1\n", 2},
+        BadCase{"const_hex", "cdfg x\ninput a\nconst 0x10\n", 3},
+        BadCase{"const_exponent", "cdfg x\nconst 1e3 k\n", 2},
         BadCase{"at_before_schedule", "cdfg x\ninput a\nat a 3\n", 3},
         BadCase{"bad_schedule_flag",
                 "cdfg x\ninput a\nnop n a\noutput o n\nschedule 3 fast\n", 5},

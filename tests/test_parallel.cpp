@@ -188,12 +188,6 @@ TEST(ParallelAllocate, SingleRestartMatchesRestartZeroOfMany) {
   EXPECT_LE(c6, c1);
 }
 
-TEST(ParallelAllocate, RestartPatienceOffByDefault) {
-  // No SALSA_RESTART_PATIENCE in the test environment → early stopping is
-  // disabled unless opted into per call.
-  EXPECT_EQ(default_restart_patience(), 0);
-}
-
 TEST(ParallelAllocate, RestartPatienceMatchesTruncatedRun) {
   // With patience p the run must behave exactly like a patience-off run
   // over the retained restart prefix: same winner, same digests, same
@@ -209,7 +203,7 @@ TEST(ParallelAllocate, RestartPatienceMatchesTruncatedRun) {
   ASSERT_LE(digests.size(), 8u);
 
   AllocatorOptions exact = early;
-  exact.restart_patience = -1;  // force off, even if the env sets a default
+  exact.restart_patience = -1;  // no early stop
   exact.restarts = static_cast<int>(digests.size());
   std::vector<uint64_t> exact_digests;
   exact.restart_digests = &exact_digests;
