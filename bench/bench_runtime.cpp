@@ -142,10 +142,9 @@ BENCHMARK(BM_IndexOps)->Arg(1 << 10)->Arg(1 << 14);
 // the bit width of a row (a schedule length — EWF-sized 17 up to a stride-3
 // 130), and each iteration runs one claim/probe/mask cycle: a cyclic
 // set_range_wrap, a windowed any_in_range legality probe, a row-vs-mask
-// and_any overlap test and the three-operand words_and_andnot_any the
+// words_and_any overlap test and the three-operand words_and_andnot_any the
 // register proposers use, then the clear_range release. ops_per_sec counts
-// individual kernel calls; compare against the SALSA_BITPLANE_SCALAR build
-// to see the word-parallel speedup in isolation.
+// individual kernel calls.
 void BM_BitplaneOps(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
   const int rows = 64;
@@ -168,7 +167,7 @@ void BM_BitplaneOps(benchmark::State& state) {
     const int wstart = rng.uniform(bits);
     const int wlen = 1 + rng.uniform(bits - wstart);
     sink ^= occ.any_in_range(r, wstart, wlen);
-    sink ^= occ.and_any(r, live.row(r));
+    sink ^= words_and_any(occ.row(r), live.row(r), occ.stride());
     sink ^= words_and_andnot_any(occ.row(r), live.row(r), own.row(r),
                                  occ.stride());
     if (start + len <= bits) {

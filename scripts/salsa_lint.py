@@ -45,12 +45,11 @@ before any fuzzer runs:
   simd-intrinsics-confined
       Raw SIMD intrinsics (_mm*/_mm256*/_mm512* calls, __m128/__m256/__m512
       vector types, the x86/NEON vector headers) live only in the kernel
-      headers src/util/bitplane.h and src/util/bits.h, behind portable
-      word-level wrappers with scalar fallbacks (SALSA_BITPLANE_SCALAR and
-      the no-__AVX2__ legs). Intrinsics sprinkled anywhere else fork the
-      packed/scalar differential: the scalar-fallback CI leg can no longer
-      swap the implementation out from under the caller, and a second
-      #ifdef jungle grows outside the audited kernels.
+      header src/util/bitplane.h, behind its word-level kernels. Those
+      kernels are held to references: the per-bit model tests in
+      tests/test_bitplane.cpp and the auditor's plane-vs-grid check.
+      Intrinsics anywhere else escape both, and grow a second #ifdef
+      jungle outside the checked kernels.
 
   raw-number-parse
       Numbers read from outside the program (design files, expressions,
@@ -113,7 +112,7 @@ CHECKS = {
         "staged-apply entry points in core/binding.* / core/search_engine.*",
     "simd-intrinsics-confined":
         "raw SIMD intrinsics (_mm*, __m128/__m256/__m512, vector headers) "
-        "appear only in src/util/bitplane.h / src/util/bits.h kernels",
+        "appear only in the src/util/bitplane.h kernels",
     "raw-number-parse":
         "no std::sto*/ato*/strto* number parsing under src/ outside "
         "src/util/args.cpp (use parse_int and friends from util/args.h)",
@@ -129,9 +128,7 @@ SEAM_EXEMPT_FILES = (
     "src/core/search_engine.h", "src/core/search_engine.cpp",
 )
 # The sanctioned home of raw SIMD intrinsics (simd-intrinsics-confined).
-SIMD_EXEMPT_FILES = (
-    "src/util/bitplane.h", "src/util/bits.h",
-)
+SIMD_EXEMPT_FILES = ("src/util/bitplane.h",)
 # The sanctioned home of raw number parsing (raw-number-parse).
 PARSE_EXEMPT_FILES = ("src/util/args.cpp",)
 
@@ -538,8 +535,8 @@ class FileLint:
     # Intrinsic calls (_mm_or_si128, _mm256_loadu_si256, ...), vector types
     # (__m128i, __m256d, ...) and the x86/NEON vector headers. The check is
     # not gated on STRICT_DIRS: confinement is repo-wide — a stray
-    # intrinsic in a report generator still forks the packed/scalar
-    # differential the scalar-fallback CI leg depends on.
+    # intrinsic in a report generator escapes the kernels' references just
+    # the same.
     SIMD_PATTERNS = (
         (re.compile(r"\b_mm(?:256|512)?_[a-z0-9_]+\s*\("),
          "raw SIMD intrinsic call"),
@@ -558,10 +555,9 @@ class FileLint:
             for m in pat.finditer(self.code):
                 self.report(
                     line_of(self.code, m.start()), "simd-intrinsics-confined",
-                    f"{what} outside src/util/bitplane.h / src/util/bits.h: "
-                    f"wrap it in a word kernel there (with the scalar "
-                    f"fallback) so the SALSA_BITPLANE_SCALAR leg stays "
-                    f"exchangeable")
+                    f"{what} outside src/util/bitplane.h: wrap it in a "
+                    f"word kernel there, where the per-bit model tests "
+                    f"check it")
 
     # -- check: raw-number-parse -------------------------------------------
     PARSE_RE = re.compile(
@@ -670,8 +666,7 @@ def collect_files(root, paths):
             continue
         for dirpath, dirnames, filenames in os.walk(ap):
             dirnames[:] = [d for d in dirnames
-                           if d not in ("build", "build-scalar",
-                                        "CMakeFiles", ".git")]
+                           if d not in ("build", "CMakeFiles", ".git")]
             for fn in sorted(filenames):
                 if fn.endswith((".h", ".cpp", ".cc", ".hpp")):
                     files.append(os.path.join(dirpath, fn))

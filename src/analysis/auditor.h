@@ -17,8 +17,9 @@
 //       after an infeasible proposal (abort), proving byte-identical
 //       restoration;
 //   (e) the packed occupancy bitplanes (util/bitplane.h) agree bit-for-bit
-//       with the scalar identity grids after every commit — the
-//       packed-vs-scalar differential check of the word-masked kernels;
+//       with the scalar identity grids after every commit
+//       (Occupancy::planes_match_grids) — the end-to-end reference the
+//       word-masked kernels are held to;
 //   (f) a checkpoint restore (SearchEngine::restore_checkpoint) returns the
 //       binding to the checkpoint — equal digests after every restore —
 //       and, on the restores the sampling rate selects, leaves every
@@ -57,19 +58,6 @@ struct AuditorOptions {
   /// the next audited commit's rebuild cross-check fires on it (the
   /// mutation test in tests/test_audit_scaling.cpp proves this).
   long sample_threshold_ops = 2048;
-  bool verify_binding = true;  ///< check (a)
-  bool check_index = true;     ///< check (b)
-  bool check_cost = true;      ///< check (c)
-  bool check_digest = true;    ///< check (d)
-  /// Check (e): after a commit, the packed busy bitplanes must agree
-  /// bit-for-bit with the scalar identity grids
-  /// (Occupancy::planes_match_grids) — the packed-vs-scalar differential
-  /// that pins the word-masked kernels to the reference representation.
-  /// Cheaper than the O(design) battery (word compares, no rebuild) but
-  /// still O(resources x steps), so it follows the same sampling: every
-  /// commit below the size threshold, audited commits only once
-  /// large-design sampling engages.
-  bool check_bitplanes = true;
 };
 
 struct AuditorStats {

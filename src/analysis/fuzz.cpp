@@ -10,6 +10,7 @@
 #include "bench_suite/ewf.h"
 #include "bench_suite/random_cdfg.h"
 #include "core/initial.h"
+#include "core/moves.h"
 #include "core/search_engine.h"
 #include "sched/fu_search.h"
 #include "util/rng.h"
@@ -63,6 +64,7 @@ FuzzResult run_move_fuzz(const AllocProblem& prob, const FuzzParams& params) {
   SearchEngine eng(start);
   eng.set_observer(&auditor);
   Rng rng(derive_seed(params.seed, 1));
+  const MoveConfig moves = MoveConfig::salsa_default();
 
   double best_cost = eng.total();
   const long cap = params.transactions * params.proposal_cap_factor;
@@ -72,7 +74,7 @@ FuzzResult run_move_fuzz(const AllocProblem& prob, const FuzzParams& params) {
       const MoveKind kind =
           params.uniform_kinds
               ? static_cast<MoveKind>(rng.uniform(kNumMoveKinds))
-              : params.moves.pick(rng);
+              : moves.pick(rng);
       const auto delta = eng.propose(kind, rng);
       if (!delta) {
         ++res.infeasible;
@@ -129,6 +131,7 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
   SearchEngine whole(start);
   whole.set_segment_windows(false);  // reference: whole-storage walks
   Rng rng(derive_seed(params.seed, 1));
+  const MoveConfig moves = MoveConfig::salsa_default();
   const long cap = params.transactions * params.proposal_cap_factor;
   long proposals = 0;
   auto diverged = [&res](const std::string& what) {
@@ -143,7 +146,7 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
       const MoveKind kind =
           params.uniform_kinds
               ? static_cast<MoveKind>(rng.uniform(kNumMoveKinds))
-              : params.moves.pick(rng);
+              : moves.pick(rng);
       // Both engines draw from identical RNG clones; identical engine
       // states imply identical draws, so the shared stream advances by the
       // windowed engine's copy. Any enumeration drift between the engines

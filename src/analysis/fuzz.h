@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "analysis/auditor.h"
-#include "core/moves.h"
 #include "core/resources.h"
 
 namespace salsa {
@@ -29,11 +28,10 @@ struct FuzzParams {
   /// Feasible transactions to drive (commits + rollbacks).
   long transactions = 10000;
   double commit_prob = 0.5;
-  /// Pick move kinds uniformly instead of by MoveConfig weight (hits every
-  /// kind, including ones a tuned search would rarely draw). When false,
-  /// `moves` weights are used.
+  /// Pick move kinds uniformly instead of by weight (hits every kind,
+  /// including ones a tuned search would rarely draw). When false, kinds
+  /// are drawn by MoveConfig::salsa_default() weight.
   bool uniform_kinds = true;
-  MoveConfig moves = MoveConfig::salsa_default();
   AuditorOptions audit;
   /// Give up after transactions * this many proposals (feasibility can be
   /// scarce on tight problems).

@@ -78,8 +78,8 @@ struct StorageBinding {
 ///     bit per (resource, step), which answer *whether* a slot is held in
 ///     word-parallel form — the representation the move proposers' legality
 ///     masks run on.
-/// planes_match_grids() is the packed-vs-scalar differential check the
-/// invariant auditor and salsa_audit --bitplane run per commit.
+/// planes_match_grids() is the plane-vs-grid check (e) the invariant
+/// auditor runs per commit.
 struct Occupancy {
   /// fu_user[fu][step]: node id of the executing op, kPassThrough for a
   /// transfer routed through the unit, or kFree.

@@ -374,10 +374,10 @@ class SearchEngine {
   /// description of the first divergence to `why` when non-null.
   bool index_matches_rebuild(std::string* why = nullptr) const;
 
-  /// Packed-vs-scalar occupancy differential: true iff the incrementally
-  /// maintained busy bitplanes agree bit-for-bit with the identity grids
+  /// Plane-vs-grid occupancy check: true iff the incrementally maintained
+  /// busy bitplanes agree bit-for-bit with the identity grids
   /// (Occupancy::planes_match_grids). Much cheaper than a full rebuild —
-  /// the per-commit check of salsa_audit --bitplane.
+  /// the invariant auditor's per-commit check (e).
   bool occupancy_planes_match(std::string* why = nullptr) const {
     return occ_.planes_match_grids(why);
   }

@@ -121,7 +121,12 @@ ParsedDesign parse_design(std::istream& in) {
       named_nodes[tok[1]] = g->producer(v);
     } else if (kw == "output") {
       need(2);
-      const NodeId n = g->add_output(value_of(tok[2], line_no), tok[1]);
+      const ValueId v = value_of(tok[2], line_no);
+      // Constants reach FU operands only; no route carries one to a port.
+      if (g->is_const_value(v))
+        parse_fail(line_no, "output '" + tok[1] + "' reads constant '" +
+                                tok[2] + "'; compute it through an operation");
+      const NodeId n = g->add_output(v, tok[1]);
       if (!named_nodes.emplace(tok[1], n).second)
         parse_fail(line_no, "node name '" + tok[1] + "' reused");
     } else if (kw == "next") {
@@ -147,8 +152,33 @@ ParsedDesign parse_design(std::istream& in) {
     }
   }
 
+  // A state's next value is computed by an operation (a bare state, input
+  // or constant is copied through a nop), and one value feeds at most one
+  // state: a state and its next value share one storage, which carries one
+  // initial value.
+  std::map<ValueId, int> state_line, value_line;  // first `next` of each
   for (const PendingNext& pn : nexts) {
-    g->set_state_next(value_of(pn.state, pn.line), value_of(pn.value, pn.line));
+    const ValueId st = value_of(pn.state, pn.line);
+    const ValueId next = value_of(pn.value, pn.line);
+    if (g->node(g->producer(st)).kind != OpKind::kState)
+      parse_fail(pn.line, "'next' target '" + pn.state + "' is not a state");
+    if (!is_operation(g->node(g->producer(next)).kind))
+      parse_fail(pn.line, "next value '" + pn.value + "' of state '" +
+                              pn.state +
+                              "' is not computed by an operation; copy it "
+                              "through a nop");
+    const auto [st_it, st_fresh] = state_line.emplace(st, pn.line);
+    if (!st_fresh)
+      parse_fail(pn.line, "state '" + pn.state +
+                              "' already has a next value at line " +
+                              std::to_string(st_it->second));
+    const auto [v_it, v_fresh] = value_line.emplace(next, pn.line);
+    if (!v_fresh)
+      parse_fail(pn.line, "value '" + pn.value +
+                              "' already feeds a state at line " +
+                              std::to_string(v_it->second) +
+                              "; copy it through a nop");
+    g->set_state_next(st, next);
   }
   g->validate();
 

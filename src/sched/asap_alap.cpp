@@ -112,7 +112,19 @@ int min_schedule_length(const Cdfg& g, const HwSpec& hw) {
   }
   // The bound above is necessary; verify sufficiency (anti-dependences can in
   // principle push it further).
-  while (!alap_starts(g, hw, len).has_value()) ++len;
+  if (alap_starts(g, hw, len).has_value()) return len;
+  // Feasibility only grows with the length, so a design that fails with no
+  // op or output deadline fits no length at all: a state anti-dependence
+  // asks a node pinned to step 0 (a state or an input feeding a state) to
+  // start later. Reject it once, or the search below never ends.
+  constexpr int kNoDeadline = std::numeric_limits<int>::max() / 8;
+  if (!alap_starts(g, hw, kNoDeadline).has_value())
+    fail("CDFG '" + g.name() +
+         "' fits no schedule length: a state's next value is a state or "
+         "input value, which cannot wait for the state's last read");
+  do {
+    ++len;
+  } while (!alap_starts(g, hw, len).has_value());
   return len;
 }
 

@@ -8,7 +8,7 @@
 // Layout: rows() rows of bits() bits each, padded to stride() = ceil(bits /
 // 64) words; row r occupies words [r * stride, (r + 1) * stride). Padding
 // bits past bits() are kept zero by every mutator, so word-level queries
-// (and_any, popcount_row, operator==) never see garbage.
+// (any_in_range, popcount_row, operator==) never see garbage.
 //
 // Cyclic ranges: a schedule-cyclic interval [start, start + len) mod bits()
 // decomposes into at most two linear spans — [start, bits()) and [0, start +
@@ -17,28 +17,23 @@
 // (set_range_wrap); in-schedule windows (FU occupancy claims) never wrap and
 // use the single-span forms directly.
 //
-// Scalar reference path: compiling with SALSA_BITPLANE_SCALAR=1 (CMake
-// option of the same name) replaces every word-level kernel with its
-// per-bit reference loop and routes util/bits.h to its software fallbacks.
-// The scalar-fallback CI job builds and runs the whole suite this way, so
-// the packed and reference implementations are both tested end to end and
-// proven to agree on every trajectory.
+// One implementation per kernel. Its references are the per-bit boolean
+// model in tests/test_bitplane.cpp, which checks every kernel over shapes
+// that cross word boundaries, and the invariant auditor's check (e), which
+// compares the engine's planes with the scalar identity grids after every
+// commit (Occupancy::planes_match_grids).
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
-#include "util/bits.h"
 #include "util/diagnostics.h"
 
-// Raw SIMD intrinsics live only here and in util/bits.h — everything else
-// goes through the word kernels below, so the SALSA_BITPLANE_SCALAR
-// reference build swaps implementations at exactly one seam
+// Raw SIMD intrinsics, if a kernel ever needs them, live only here:
+// everything else goes through the word kernels below
 // (scripts/salsa_lint.py enforces the confinement).
-#if !defined(SALSA_BITPLANE_SCALAR) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace salsa {
 
@@ -50,9 +45,9 @@ namespace salsa {
 /// set_range leaves the window's last bit clear and a clear_range leaves it
 /// stale. Exactly the corruption a hand-rolled mask computation with a
 /// fencepost bug would cause. `word_update_count` counts eligible updates
-/// while the hook is armed (process-wide). The salsa_audit --bitplane
-/// packed-vs-scalar cross-check (Occupancy::planes_match_grids) must catch
-/// the drift; the --break-bitplane-word CI run proves it does. One-shot:
+/// while the hook is armed (process-wide). The auditor's plane-vs-grid
+/// check (e) (Occupancy::planes_match_grids) must catch the drift; the
+/// salsa_audit --break-bitplane-word drill proves it does. One-shot:
 /// the hook disarms after firing. Only planes opted in are eligible — the
 /// engine marks its occupancy planes, keeping the sabotage away from
 /// scratch masks whose corruption nothing cross-checks. Never set outside
@@ -89,10 +84,6 @@ class BitPlane {
   const uint64_t* row(int r) const {
     return w_.data() + static_cast<size_t>(r) * static_cast<size_t>(stride_);
   }
-  /// The word of row `r` holding bit `b` — the journaling handle for
-  /// transaction undo (core/search_engine.h records {&word, old value}).
-  uint64_t& word(int r, int b) { return row(r)[b >> 6]; }
-
   bool test(int r, int b) const {
     return (row(r)[b >> 6] >> (b & 63)) & 1ull;
   }
@@ -114,14 +105,10 @@ class BitPlane {
       for (int b = start; b + 1 < start + len; ++b) set(r, b);
       return;
     }
-#if defined(SALSA_BITPLANE_SCALAR)
-    for (int b = start; b < start + len; ++b) set(r, b);
-#else
     uint64_t* w = row(r);
     const int we = start + len - 1;
     for (int i = start >> 6; i <= we >> 6; ++i)
       w[i] |= word_mask(i, start, start + len);
-#endif
   }
 
   /// Clears the linear bit range [start, start + len) of row `r`.
@@ -132,14 +119,10 @@ class BitPlane {
       for (int b = start; b + 1 < start + len; ++b) clear(r, b);
       return;
     }
-#if defined(SALSA_BITPLANE_SCALAR)
-    for (int b = start; b < start + len; ++b) clear(r, b);
-#else
     uint64_t* w = row(r);
     const int we = start + len - 1;
     for (int i = start >> 6; i <= we >> 6; ++i)
       w[i] &= ~word_mask(i, start, start + len);
-#endif
   }
 
   /// Sets the cyclic range [start, start + len) mod bits() of row `r` via
@@ -155,42 +138,10 @@ class BitPlane {
   }
 
   int popcount_row(int r) const {
-#if defined(SALSA_BITPLANE_SCALAR)
-    int n = 0;
-    for (int b = 0; b < bits_; ++b) n += test(r, b);
-    return n;
-#else
     const uint64_t* w = row(r);
     int n = 0;
-    for (int i = 0; i < stride_; ++i) n += popcount64(w[i]);
+    for (int i = 0; i < stride_; ++i) n += std::popcount(w[i]);
     return n;
-#endif
-  }
-
-  /// True iff row `r` and the stride()-word `mask` share a set bit.
-  bool and_any(int r, const uint64_t* mask) const {
-#if defined(SALSA_BITPLANE_SCALAR)
-    for (int b = 0; b < bits_; ++b)
-      if (test(r, b) && ((mask[b >> 6] >> (b & 63)) & 1ull)) return true;
-    return false;
-#else
-    const uint64_t* w = row(r);
-    for (int i = 0; i < stride_; ++i)
-      if (w[i] & mask[i]) return true;
-    return false;
-#endif
-  }
-
-  /// row(r) |= mask, over stride() words.
-  void or_assign(int r, const uint64_t* mask) {
-    uint64_t* w = row(r);
-#if defined(SALSA_BITPLANE_SCALAR)
-    for (int b = 0; b < bits_; ++b)
-      if ((mask[b >> 6] >> (b & 63)) & 1ull) set(r, b);
-    (void)w;
-#else
-    for (int i = 0; i < stride_; ++i) w[i] |= mask[i];
-#endif
   }
 
   /// True iff any bit of the linear range [start, start + len) of row `r`
@@ -198,17 +149,11 @@ class BitPlane {
   bool any_in_range(int r, int start, int len) const {
     if (len <= 0) return false;
     SALSA_DCHECK(start >= 0 && start + len <= bits_);
-#if defined(SALSA_BITPLANE_SCALAR)
-    for (int b = start; b < start + len; ++b)
-      if (test(r, b)) return true;
-    return false;
-#else
     const uint64_t* w = row(r);
     const int we = start + len - 1;
     for (int i = start >> 6; i <= we >> 6; ++i)
       if (w[i] & word_mask(i, start, start + len)) return true;
     return false;
-#endif
   }
 
   /// Word-for-word content equality (same shape and bits).
@@ -246,64 +191,45 @@ class BitPlane {
 // ---------------------------------------------------------------------------
 // Free word-span kernels over raw rows (all spans `n` words long). The move
 // proposers combine an occupancy row with one or two lifetime masks through
-// these; the scalar build runs the same per-bit logic bit by bit.
+// these.
 
 /// (a & b) != 0 over n words.
 inline bool words_and_any(const uint64_t* a, const uint64_t* b, int n) {
-#if defined(SALSA_BITPLANE_SCALAR)
-  for (int i = 0; i < n; ++i)
-    for (int bit = 0; bit < 64; ++bit)
-      if (((a[i] >> bit) & 1ull) && ((b[i] >> bit) & 1ull)) return true;
-  return false;
-#else
   for (int i = 0; i < n; ++i)
     if (a[i] & b[i]) return true;
   return false;
-#endif
 }
 
 /// acc |= row over n words — the accumulate half of the batched
 /// register-mask scoring kernel: proposers OR the transposed busy rows of a
 /// storage's live steps into one mask, then reduce it with popcount_words /
-/// nth_clear_bit (util/bits.h). On AVX2 targets the
-/// packed path runs four words per vector op; the scalar-reference build
-/// runs the per-bit loop and produces identical words.
+/// nth_clear_bit.
 inline void words_or_accumulate(uint64_t* acc, const uint64_t* row, int n) {
-#if defined(SALSA_BITPLANE_SCALAR)
-  for (int i = 0; i < n; ++i)
-    for (int bit = 0; bit < 64; ++bit)
-      if ((row[i] >> bit) & 1ull) acc[i] |= 1ull << bit;
-#elif defined(__AVX2__)
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_or_si256(a, b));
-  }
-  for (; i < n; ++i) acc[i] |= row[i];
-#else
   for (int i = 0; i < n; ++i) acc[i] |= row[i];
-#endif
 }
 
 /// (a & b & ~c) != 0 over n words.
 inline bool words_and_andnot_any(const uint64_t* a, const uint64_t* b,
                                  const uint64_t* c, int n) {
-#if defined(SALSA_BITPLANE_SCALAR)
-  for (int i = 0; i < n; ++i)
-    for (int bit = 0; bit < 64; ++bit)
-      if (((a[i] >> bit) & 1ull) && ((b[i] >> bit) & 1ull) &&
-          !((c[i] >> bit) & 1ull))
-        return true;
-  return false;
-#else
   for (int i = 0; i < n; ++i)
     if (a[i] & b[i] & ~c[i]) return true;
   return false;
-#endif
+}
+
+/// Number of set bits over n words — the reduction half of the batched
+/// register-mask kernels (see words_or_accumulate). Four independent
+/// accumulators keep the per-word popcounts pipelined.
+inline int popcount_words(const uint64_t* w, int n) {
+  int a = 0, b = 0, c = 0, d = 0;
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    a += std::popcount(w[i]);
+    b += std::popcount(w[i + 1]);
+    c += std::popcount(w[i + 2]);
+    d += std::popcount(w[i + 3]);
+  }
+  for (; i < n; ++i) a += std::popcount(w[i]);
+  return a + b + c + d;
 }
 
 /// The k-th (0-based) CLEAR bit among the first `bits` bits of the word
@@ -317,7 +243,7 @@ inline int nth_clear_bit(const uint64_t* w, int bits, int k) {
     const int span = bits - (i << 6) >= 64 ? 64 : bits - (i << 6);
     const uint64_t tail = span == 64 ? ~0ull : (1ull << span) - 1;
     const uint64_t free_bits = ~w[i] & tail;
-    const int n = popcount64(free_bits);
+    const int n = std::popcount(free_bits);
     if (k < n) {
       uint64_t v = free_bits;
       for (int b = 0;; ++b) {
@@ -343,7 +269,7 @@ inline int nth_set_bit(const uint64_t* w, int bits, int k) {
     const int span = bits - (i << 6) >= 64 ? 64 : bits - (i << 6);
     const uint64_t tail = span == 64 ? ~0ull : (1ull << span) - 1;
     const uint64_t set_bits = w[i] & tail;
-    const int n = popcount64(set_bits);
+    const int n = std::popcount(set_bits);
     if (k < n) {
       uint64_t v = set_bits;
       for (int b = 0;; ++b) {

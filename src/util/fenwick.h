@@ -25,7 +25,6 @@ class Fenwick {
     total_ = 0;
   }
 
-  int size() const { return n_; }
   /// Sum of all counts. O(1) — maintained alongside the nodes.
   int total() const { return total_; }
 
@@ -37,17 +36,10 @@ class Fenwick {
     for (int k = i + 1; k <= n_; k += k & -k) t_[static_cast<size_t>(k)] += delta;
   }
 
-  /// Sum of counts[0, i).
-  int prefix(int i) const {
-    SALSA_DCHECK(i >= 0 && i <= n_);
-    int s = 0;
-    for (int k = i; k > 0; k -= k & -k) s += t_[static_cast<size_t>(k)];
-    return s;
-  }
-
   /// The item whose cumulative range contains rank `k` (0 <= k < total()):
-  /// the largest i with prefix(i) <= k. Stores k - prefix(i) — the rank
-  /// within that item's count — into `rem`. O(log n) bit descend.
+  /// the largest i with counts[0, i) summing to at most k. Stores k minus
+  /// that sum — the rank within item i's count — into `rem`. O(log n) bit
+  /// descend.
   int select(int k, int* rem) const {
     SALSA_DCHECK(k >= 0 && k < total_);
     int pos = 0;
@@ -59,7 +51,7 @@ class Fenwick {
       }
     }
     *rem = k;
-    return pos;  // prefix(pos) <= original k < prefix(pos + 1)
+    return pos;  // sum(counts[0, pos)) <= original k < sum(counts[0, pos])
   }
 
   /// Node-for-node equality (same shape and counts) — the rebuild

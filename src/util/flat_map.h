@@ -47,10 +47,10 @@ namespace salsa {
 /// walk, leaving a hole that orphans every displaced key behind it: exactly
 /// the corruption a buggy deletion would cause, guaranteed to make some
 /// stored key unreachable by probing. `erase_count` counts compacting
-/// erases while the hook is armed (process-wide). The salsa_audit --index
-/// rebuild cross-check (or FlatMap's own missing-key CHECK) must catch the
-/// drift; the mutation tests in tests/test_flat_map.cpp and the
-/// --break-flat-erase CI run prove it does. One-shot: the hook disarms
+/// erases while the hook is armed (process-wide). The invariant auditor's
+/// rebuild cross-check (b) (or FlatMap's own missing-key CHECK) must catch
+/// the drift; the mutation tests in tests/test_flat_map.cpp and the
+/// salsa_audit --break-flat-erase drill prove it does. One-shot: the hook disarms
 /// after firing. Only tables opted in via mark_mutation_target() are
 /// eligible — the engine marks its audited index tables, keeping the
 /// sabotage away from transient accumulators (the transaction-delta

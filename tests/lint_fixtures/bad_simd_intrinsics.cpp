@@ -1,9 +1,8 @@
 // Known-bad fixture for simd-intrinsics-confined: raw AVX2 intrinsics in
 // an ordinary translation unit instead of behind the word kernels of
-// src/util/bitplane.h / src/util/bits.h. This file is linted, never
-// compiled — it demonstrates the shape the check must catch: a hand-rolled
-// vector loop whose scalar twin lives nowhere, so the
-// SALSA_BITPLANE_SCALAR differential leg cannot swap it out.
+// src/util/bitplane.h. This file is linted, never compiled — it
+// demonstrates the shape the check must catch: a hand-rolled vector loop
+// that no per-bit model test holds to a reference.
 // salsa-lint: expect(simd-intrinsics-confined)
 #include <immintrin.h>
 

@@ -1,19 +1,16 @@
-// Differential tests for the packed bitplane kernels (util/bitplane.h):
-// every word-masked operation is compared against a per-bit boolean model
-// over randomized shapes that cross word boundaries, the cyclic wrap
+// Model tests for the packed bitplane kernels (util/bitplane.h): every
+// word-masked operation is compared against a per-bit boolean model over
+// randomized shapes that cross word boundaries, the cyclic wrap
 // decomposition is exercised at its edges (zero-length, full-period,
 // boundary-straddling), and the bitplane_hooks fault injection is proven to
-// produce exactly the one-bit-short corruption the auditor's
-// packed-vs-scalar check exists to catch. The suite runs under both the
-// packed build and -DSALSA_BITPLANE_SCALAR=ON (the scalar-fallback CI job),
-// so both implementations are held to the same model.
+// produce exactly the one-bit-short corruption the auditor's plane-vs-grid
+// check exists to catch. The per-bit model is each kernel's reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "util/bitplane.h"
-#include "util/bits.h"
 #include "util/rng.h"
 
 namespace salsa {
@@ -21,12 +18,6 @@ namespace {
 
 // Per-bit boolean model of one plane row.
 using ModelRow = std::vector<bool>;
-
-ModelRow model_of(const BitPlane& p, int r) {
-  ModelRow m(static_cast<size_t>(p.bits()));
-  for (int b = 0; b < p.bits(); ++b) m[static_cast<size_t>(b)] = p.test(r, b);
-  return m;
-}
 
 void expect_row_matches(const BitPlane& p, int r, const ModelRow& m) {
   for (int b = 0; b < p.bits(); ++b)
@@ -41,25 +32,6 @@ void expect_padding_clear(const BitPlane& p, int r) {
   const uint64_t last = p.row(r)[p.stride() - 1];
   const int used = p.bits() - (p.stride() - 1) * 64;
   EXPECT_EQ(last >> used, 0ull) << "padding bits of row " << r << " are set";
-}
-
-TEST(Bits, PopcountAndCtzMatchNaive) {
-  Rng rng(7);
-  EXPECT_EQ(popcount64(0ull), 0);
-  EXPECT_EQ(popcount64(~0ull), 64);
-  EXPECT_EQ(ctz64(1ull), 0);
-  EXPECT_EQ(ctz64(1ull << 63), 63);
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t w = rng.next();
-    int pop = 0;
-    for (int b = 0; b < 64; ++b) pop += (w >> b) & 1ull;
-    EXPECT_EQ(popcount64(w), pop);
-    if (w != 0) {
-      int tz = 0;
-      while (((w >> tz) & 1ull) == 0) ++tz;
-      EXPECT_EQ(ctz64(w), tz);
-    }
-  }
 }
 
 TEST(BitPlane, RangedOpsMatchPerBitModel) {
@@ -147,31 +119,17 @@ TEST(BitPlane, WrapDecompositionEdges) {
   EXPECT_FALSE(p.test(3, 0));
 }
 
-TEST(BitPlane, AndAnyAndOrAssign) {
+TEST(WordKernels, AndAnyAndAndNotAnyMatchPerBitModel) {
   Rng rng(23);
-  BitPlane p, q;
   const int bits = 130;
-  p.resize(2, bits);
-  q.resize(2, bits);
+  BitPlane p, q, c;
+  p.resize(1, bits);
+  q.resize(1, bits);
+  c.resize(1, bits);
   for (int i = 0; i < 40; ++i) {
     p.set(0, rng.uniform(bits));
     q.set(0, rng.uniform(bits));
   }
-  bool expect_any = false;
-  for (int b = 0; b < bits; ++b)
-    expect_any = expect_any || (p.test(0, b) && q.test(0, b));
-  EXPECT_EQ(p.and_any(0, q.row(0)), expect_any);
-  EXPECT_FALSE(p.and_any(1, q.row(0)));  // empty row intersects nothing
-
-  ModelRow want = model_of(p, 0);
-  for (int b = 0; b < bits; ++b)
-    if (q.test(0, b)) want[static_cast<size_t>(b)] = true;
-  p.or_assign(0, q.row(0));
-  expect_row_matches(p, 0, want);
-
-  // words_and_any / words_and_andnot_any against the same model.
-  BitPlane c;
-  c.resize(1, bits);
   for (int i = 0; i < 20; ++i) c.set(0, rng.uniform(bits));
   bool expect_and = false, expect_andnot = false;
   for (int b = 0; b < bits; ++b) {
@@ -182,6 +140,9 @@ TEST(BitPlane, AndAnyAndOrAssign) {
   EXPECT_EQ(words_and_any(p.row(0), q.row(0), p.stride()), expect_and);
   EXPECT_EQ(words_and_andnot_any(p.row(0), q.row(0), c.row(0), p.stride()),
             expect_andnot);
+  BitPlane empty;
+  empty.resize(1, bits);  // an empty row intersects nothing
+  EXPECT_FALSE(words_and_any(empty.row(0), q.row(0), p.stride()));
 }
 
 TEST(BitPlane, EqualityComparesShapeAndContent) {
@@ -237,9 +198,9 @@ TEST(BitPlaneHooks, UnmarkedPlanesAreNeverSabotaged) {
 }
 
 // The batch-scoring kernels (words_or_accumulate + popcount_words) against
-// their naive per-bit references, across word counts straddling the unroll
-// widths (the AVX2 leg runs four words per vector op, popcount_words four
-// accumulators per round) so every remainder-tail length is exercised.
+// their naive per-bit references, across word counts straddling
+// popcount_words' four-accumulator unroll so every remainder-tail length is
+// exercised.
 TEST(WordKernels, OrAccumulateAndPopcountMatchNaive) {
   Rng rng(47);
   for (const int n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 13}) {
@@ -258,6 +219,35 @@ TEST(WordKernels, OrAccumulateAndPopcountMatchNaive) {
       words_or_accumulate(acc.data(), row.data(), n);
       EXPECT_EQ(acc, want) << "n=" << n;
       EXPECT_EQ(popcount_words(acc.data(), n), want_bits) << "n=" << n;
+    }
+  }
+}
+
+// The select kernels behind the free-register picks (R2/R4) and the
+// pass-FU pick (F4): every k of nth_clear_bit / nth_set_bit against the
+// per-bit model, with the padding bits past `bits` set so a kernel that
+// forgets to mask them picks a bit out of range.
+TEST(WordKernels, NthClearAndSetBitMatchPerBitModel) {
+  Rng rng(59);
+  for (const int bits : {1, 63, 64, 65, 130}) {
+    const int words = (bits + 63) / 64;
+    for (int iter = 0; iter < 50; ++iter) {
+      std::vector<uint64_t> w(static_cast<size_t>(words));
+      for (uint64_t& x : w) x = iter == 0 ? 0 : iter == 1 ? ~0ull : rng.next();
+      if (bits % 64 != 0) w.back() |= ~0ull << (bits % 64);
+      std::vector<int> clear_bits, set_bits;
+      for (int b = 0; b < bits; ++b) {
+        const bool set = (w[static_cast<size_t>(b >> 6)] >> (b & 63)) & 1ull;
+        (set ? set_bits : clear_bits).push_back(b);
+      }
+      for (size_t k = 0; k < clear_bits.size(); ++k)
+        ASSERT_EQ(nth_clear_bit(w.data(), bits, static_cast<int>(k)),
+                  clear_bits[k])
+            << "bits=" << bits << " iter=" << iter << " k=" << k;
+      for (size_t k = 0; k < set_bits.size(); ++k)
+        ASSERT_EQ(nth_set_bit(w.data(), bits, static_cast<int>(k)),
+                  set_bits[k])
+            << "bits=" << bits << " iter=" << iter << " k=" << k;
     }
   }
 }

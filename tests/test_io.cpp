@@ -112,7 +112,34 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"at_out_of_range",
                 "cdfg x\ninput a\nnop y a\noutput o y\nschedule 3\nat y 0\n"
                 "at o 3\n",
-                7}),
+                7},
+        BadCase{"next_twice",
+                "cdfg x\ninput a\nstate s\nadd w a s\nnext s w\nnext s w\n"
+                "output o w\n",
+                6},
+        BadCase{"next_target_not_state",
+                "cdfg x\ninput a\nstate s\nadd w a s\nnext w w\nnext s w\n"
+                "output o w\n",
+                5},
+        BadCase{"next_from_const",
+                "cdfg x\ninput a\nstate s\nconst 3 k\nadd w a s\nnext s k\n"
+                "output o w\n",
+                6},
+        BadCase{"next_from_state",
+                "cdfg x\ninput a\nstate s\nstate t\nadd w a t\nnext t w\n"
+                "next s t\nadd q s a\noutput o q\n",
+                7},
+        BadCase{"next_from_input",
+                "cdfg x\ninput a\nstate s\nadd q s a\nnext s a\noutput o q\n",
+                5},
+        BadCase{"next_value_feeds_two_states",
+                "cdfg x\ninput a\nstate s\nstate t\nadd w a s\nadd v w t\n"
+                "next s w\nnext t w\noutput o v\n",
+                8},
+        BadCase{"output_of_const",
+                "cdfg x\ninput a\nconst 3 k\nadd w a k\noutput o w\n"
+                "output o3 k\n",
+                6}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(TextFormat, RoundTripsBenchmarks) {

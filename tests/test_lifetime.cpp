@@ -156,7 +156,6 @@ TEST(Lifetime, DemandMatchesStorageSum) {
 // arc arithmetic (seg_at_step / step_at) on every storage of every schedule,
 // including the awkward arcs: single-segment lifetimes, full-period wrapping
 // state storages, and wrap-around arcs straddling the iteration boundary.
-// The suite runs under both the packed build and SALSA_BITPLANE_SCALAR=ON.
 
 TEST(Lifetime, MinimalSingleSegmentLifetime) {
   AccFixture f;

@@ -65,6 +65,29 @@ TEST(AsapAlap, PipelinedMulSameLatency) {
   EXPECT_EQ(min_schedule_length(g, np), min_schedule_length(g, p));
 }
 
+// A state whose next value is another state's value: the reader of the
+// first state must finish before the second state's node, which is pinned
+// to step 0, produces that value. No length fits, and the length search
+// must say so instead of counting forever.
+TEST(AsapAlap, NoFeasibleLengthThrows) {
+  Cdfg g("stuck");
+  const ValueId x = g.add_input("x");
+  const ValueId s = g.add_state("s");
+  const ValueId t = g.add_state("t");
+  g.set_state_next(t, g.add_op(OpKind::kAdd, x, t, "w"));
+  g.set_state_next(s, t);
+  g.add_output(g.add_op(OpKind::kAdd, s, x, "q"), "y");
+  g.validate();
+  try {
+    min_schedule_length(g, HwSpec{});
+    FAIL() << "expected an error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("CDFG 'stuck' fits no schedule"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(AsapAlap, AntiDependenceExtendsLength) {
   // State read by a long chain, rewritten by a short op: the rewrite must
   // wait for the last read.

@@ -6,6 +6,7 @@
 
 #include "util/args.h"
 #include "util/diagnostics.h"
+#include "util/fenwick.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -95,6 +96,41 @@ TEST(Diagnostics, CheckFailureThrowsWithLocation) {
 }
 
 TEST(Diagnostics, FailThrows) { EXPECT_THROW(fail("boom"), Error); }
+
+// Fenwick::select maps every Fenwick-backed candidate draw of the move
+// proposers: each rank k in [0, total) must land on the item whose
+// cumulative range holds it, with k's offset inside that item as the
+// remainder — checked against a linear prefix scan over counts that
+// include zeros (items no rank may land on).
+TEST(Fenwick, SelectMatchesLinearPrefixScan) {
+  Rng rng(31);
+  for (const int n : {1, 2, 3, 7, 8, 9, 33}) {
+    Fenwick fw;
+    fw.reset(n);
+    std::vector<int> counts(static_cast<size_t>(n), 0);
+    for (int round = 0; round < 40; ++round) {
+      const int i = rng.uniform(n);
+      // Mostly grow, sometimes drain an item back to zero.
+      const int delta = rng.chance(0.25) ? -counts[static_cast<size_t>(i)]
+                                         : rng.uniform(4);
+      fw.add(i, delta);
+      counts[static_cast<size_t>(i)] += delta;
+      int total = 0;
+      for (const int c : counts) total += c;
+      ASSERT_EQ(fw.total(), total);
+      int item = 0, below = 0;
+      for (int k = 0; k < total; ++k) {
+        while (k >= below + counts[static_cast<size_t>(item)])
+          below += counts[static_cast<size_t>(item++)];
+        int rem = -1;
+        ASSERT_EQ(fw.select(k, &rem), item)
+            << "n=" << n << " round=" << round << " k=" << k;
+        ASSERT_EQ(rem, k - below)
+            << "n=" << n << " round=" << round << " k=" << k;
+      }
+    }
+  }
+}
 
 TEST(TextTable, RendersAlignedColumns) {
   TextTable t;

@@ -1,11 +1,10 @@
 // salsa_audit — the SalsaCheck command line: drives the move fuzzer, the
-// determinism audit and the index/bitplane/segment/scaling
-// cross-checks over the standard targets, printing one summary line per
-// audit and exiting non-zero on any violation. Run with --help for the
-// full flag catalogue (kUsage below is the single source of truth; an
-// unknown flag prints it and exits 2 so CI invocations cannot silently
-// mis-type a mode, and a malformed flag value prints "error: ..." and
-// exits 2).
+// determinism audit and the segment/scaling cross-checks over the
+// standard targets, printing one summary line per audit and exiting
+// non-zero on any violation. Run with --help for the full flag catalogue
+// (kUsage below is the single source of truth; an unknown flag prints it
+// and exits 2 so CI invocations cannot silently mis-type a mode, and a
+// malformed flag value prints "error: ..." and exits 2).
 #include <algorithm>
 #include <cstdio>
 #include <limits>
@@ -17,7 +16,6 @@
 #include "analysis/fuzz.h"
 #include "core/initial.h"
 #include "frontend/generate.h"
-#include "core/moves.h"
 #include "core/search_engine.h"
 #include "util/args.h"
 #include "util/bitplane.h"
@@ -43,7 +41,8 @@ general
   --seed S           fuzz seed; a CI failure replays with the printed seed
   --every N          audit every Nth transaction (default: 1 = all)
   --commit-prob P    probability a feasible move is committed (default: 0.5)
-  --weighted         draw moves by MoveConfig weight instead of uniformly
+  --weighted         draw moves by MoveConfig::salsa_default() weight
+                     instead of uniformly
   --artifacts DIR    directory for failure artifacts (seed + binding JSON)
   --dump             print each target's start binding JSON and exit
   --help, -h         print this listing and exit
@@ -53,12 +52,6 @@ audit modes
                      per-restart digest streams (default threads 1,2,8)
   --restarts R       restarts for the determinism audit (default: 6)
   --threads a,b,c    comma-separated thread counts for the determinism audit
-  --index            cross-check the flat connection index against a
-                     from-scratch rebuild after every commit
-  --index-commits N  commits per index audit run (default: 2000)
-  --bitplane         run the packed-vs-scalar occupancy differential after
-                     every commit
-  --bitplane-commits N  commits per bitplane audit run (default: 2000)
   --segment          window-vs-whole differential: a segment-windowed engine
                      against a whole-storage-walk reference on the identical
                      move stream, cost integers and digests cross-checked
@@ -67,104 +60,45 @@ audit modes
                      size-sampled auditor (fails if sampling never engages)
   --scaling-ops N    target operation count for --scaling (default: 5000)
 
-mutation tests (expected output: a VIOLATION; CI asserts non-zero exit)
+mutation drills (expected output: a VIOLATION and exit 1; an armed hook
+that never fires also exits 1)
   --inject-broken-undo N   break the Nth rollback's undo
-  --break-flat-erase N     Nth FlatMap erase skips backward-shift compaction
-  --break-bitplane-word N  Nth ranged busy-plane word update left broken
+  --break-flat-erase N     Nth compacting FlatMap erase of the move fuzzer
+                           skips backward-shift compaction
+  --break-bitplane-word N  Nth ranged busy-plane word update of the move
+                           fuzzer left one bit short
   --break-segment-window N Nth windowed claim re-add drops its last segment
   --break-restore N        Nth checkpoint restore of the move fuzzer leaves a
                            changed storage unrestored (the fuzzer restores
                            every 2500 transactions)
 )";
 
-// --index: a weighted random search (commit-biased, so the connection index
-// churns through creation, refcount bumps and backward-shift erases) with
-// the incrementally maintained flat index cross-checked against a
-// from-scratch rebuild after every commit. An Error out of the engine (for
-// example FlatMap's missing-key CHECK on a corrupted table) counts as a
-// caught violation, same as a rebuild mismatch — that is the point of the
-// --break-flat-erase mutation.
-struct IndexAuditResult {
-  long commits = 0;
-  long proposals = 0;
-  bool ok = true;
-  std::string failure;
+// One --break-* mutation drill: a process-wide trigger (0 = disarmed)
+// and the counter it fires against. The counters are cumulative and
+// advance only while armed, so each target arms relative to the current
+// count and an earlier target cannot consume the mutation.
+struct Drill {
+  const char* flag;
+  const char* counted;  ///< what `count` counts, for the never-fired line
+  long* after;
+  const long* count;
+  long n = 0;  ///< 0 = not requested
+
+  void arm() const {
+    if (n > 0) *after = *count + n;
+  }
+
+  /// True, with a diagnostic, when the armed hook never fired: the run
+  /// proved nothing, which a drill expecting a VIOLATION must not mistake
+  /// for the wall standing. Disarms the hook.
+  bool never_fired() const {
+    if (n == 0 || *after == 0) return false;
+    *after = 0;
+    std::fprintf(stderr, "  %s %ld never fired (only %ld %s)\n", flag, n,
+                 *count, counted);
+    return true;
+  }
 };
-
-IndexAuditResult run_index_audit(const AllocProblem& prob, uint64_t seed,
-                                 long commits_target) {
-  IndexAuditResult res;
-  try {
-    Binding start = initial_allocation(
-        prob, InitialOptions{.seed = derive_seed(seed, 0)});
-    SearchEngine eng(start);
-    Rng rng(derive_seed(seed, 1));
-    const MoveConfig moves = MoveConfig::salsa_default();
-    const long cap = commits_target * 50;
-    while (res.commits < commits_target && res.proposals < cap) {
-      ++res.proposals;
-      if (!eng.propose(moves.pick(rng), rng)) continue;
-      if (rng.chance(0.3)) {
-        eng.rollback();
-        continue;
-      }
-      eng.commit();
-      ++res.commits;
-      std::string why;
-      if (!eng.index_matches_rebuild(&why)) {
-        res.ok = false;
-        res.failure = "index diverged from rebuild after commit " +
-                      std::to_string(res.commits) + ": " + why;
-        break;
-      }
-    }
-  } catch (const Error& e) {
-    res.ok = false;
-    res.failure = std::string("engine check failed: ") + e.what();
-  }
-  return res;
-}
-
-// --bitplane: same search shape as --index, but the per-commit cross-check
-// is the packed-vs-scalar occupancy differential
-// (SearchEngine::occupancy_planes_match) — O(resources x steps) word-and-bit
-// compares instead of a full O(design) rebuild. The --break-bitplane-word
-// mutation degrades one ranged busy-plane word update to a per-bit loop
-// that stops one bit short; the stale bit stays in the plane, a grid/plane
-// divergence the next commit's check must report.
-IndexAuditResult run_bitplane_audit(const AllocProblem& prob, uint64_t seed,
-                                    long commits_target) {
-  IndexAuditResult res;
-  try {
-    Binding start = initial_allocation(
-        prob, InitialOptions{.seed = derive_seed(seed, 0)});
-    SearchEngine eng(start);
-    Rng rng(derive_seed(seed, 1));
-    const MoveConfig moves = MoveConfig::salsa_default();
-    const long cap = commits_target * 50;
-    while (res.commits < commits_target && res.proposals < cap) {
-      ++res.proposals;
-      if (!eng.propose(moves.pick(rng), rng)) continue;
-      if (rng.chance(0.3)) {
-        eng.rollback();
-        continue;
-      }
-      eng.commit();
-      ++res.commits;
-      std::string why;
-      if (!eng.occupancy_planes_match(&why)) {
-        res.ok = false;
-        res.failure = "bitplanes diverged from the grids after commit " +
-                      std::to_string(res.commits) + ": " + why;
-        break;
-      }
-    }
-  } catch (const Error& e) {
-    res.ok = false;
-    res.failure = std::string("engine check failed: ") + e.what();
-  }
-  return res;
-}
 
 }  // namespace
 
@@ -172,17 +106,23 @@ int main(int argc, char** argv) {
   std::string target = "all";
   FuzzParams fuzz;
   bool determinism = false, dump = false;
-  bool index_audit = false;
-  long index_commits = 2000;
-  long break_flat_erase = 0;
-  bool bitplane_audit = false;
-  long bitplane_commits = 2000;
-  long break_bitplane_word = 0;
   bool segment_audit = false;
-  long break_segment_window = 0;
   bool scaling = false;
   int scaling_ops = 5000;
-  long break_restore = 0;
+  // Mutation drills run inside the move fuzzer, except the segment-window
+  // drill, which runs inside the --segment differential.
+  Drill flat_erase{"--break-flat-erase", "compacting erases",
+                   &flat_map_hooks::break_backward_shift_after,
+                   &flat_map_hooks::erase_count};
+  Drill bitplane_word{"--break-bitplane-word", "ranged word updates",
+                      &bitplane_hooks::break_word_update_after,
+                      &bitplane_hooks::word_update_count};
+  Drill restore{"--break-restore", "restores",
+                &checkpoint_hooks::break_restore_after,
+                &checkpoint_hooks::restores};
+  Drill segment_window{"--break-segment-window", "windowed transactions",
+                       &seg_window_hooks::break_claim_window_after,
+                       &seg_window_hooks::windowed_txns};
   int restarts = 6;
   std::vector<int> threads{1, 2, 8};
 
@@ -229,24 +169,16 @@ int main(int argc, char** argv) {
         // Mutation testing: break the Nth rollback's undo and watch the
         // digest check catch it (expected output: a VIOLATION).
         fuzz.inject_broken_undo_at = count(&i);
-      } else if (arg == "--index") {
-        index_audit = true;
-      } else if (arg == "--index-commits") {
-        index_commits = count(&i);
       } else if (arg == "--break-flat-erase") {
         // Mutation testing: skip the Nth erase's backward-shift compaction
-        // and watch the rebuild cross-check catch the orphaned keys.
-        index_audit = true;
-        break_flat_erase = count(&i);
-      } else if (arg == "--bitplane") {
-        bitplane_audit = true;
-      } else if (arg == "--bitplane-commits") {
-        bitplane_commits = count(&i);
+        // and watch the auditor's rebuild cross-check (b), or FlatMap's own
+        // missing-key CHECK, catch the orphaned keys.
+        flat_erase.n = count(&i);
       } else if (arg == "--break-bitplane-word") {
         // Mutation testing: cripple the Nth ranged busy-plane word update
-        // and watch the packed-vs-scalar differential catch the stale bit.
-        bitplane_audit = true;
-        break_bitplane_word = count(&i);
+        // and watch the auditor's plane-vs-grid check (e) catch the stale
+        // bit.
+        bitplane_word.n = count(&i);
       } else if (arg == "--segment") {
         segment_audit = true;
       } else if (arg == "--break-segment-window") {
@@ -255,7 +187,7 @@ int main(int argc, char** argv) {
         // cache from the binding — the window-vs-whole differential must
         // catch it.
         segment_audit = true;
-        break_segment_window = count(&i);
+        segment_window.n = count(&i);
       } else if (arg == "--scaling") {
         scaling = true;
       } else if (arg == "--scaling-ops") {
@@ -265,7 +197,7 @@ int main(int argc, char** argv) {
         // Mutation testing: the Nth checkpoint restore leaves one changed
         // storage unrestored and the auditor's restore digest check must
         // catch the binding that no longer equals the checkpoint.
-        break_restore = count(&i);
+        restore.n = count(&i);
       } else if (arg == "--dump") {
         dump = true;
       } else if (arg == "--help" || arg == "-h") {
@@ -301,12 +233,7 @@ int main(int argc, char** argv) {
 
     FuzzParams p = fuzz;
     p.name = name;
-    if (break_restore > 0) {
-      // Like the other mutation counters: process-wide, advances only
-      // while armed — arm relative to the current value.
-      checkpoint_hooks::break_restore_after =
-          checkpoint_hooks::restores + break_restore;
-    }
+    for (const Drill* d : {&flat_erase, &bitplane_word, &restore}) d->arm();
     const FuzzResult res = run_move_fuzz(t.prob(), p);
     std::printf(
         "fuzz %-6s seed %llu: %ld txns (%ld commit / %ld rollback / %ld "
@@ -321,91 +248,11 @@ int main(int argc, char** argv) {
       if (!res.artifact_path.empty())
         std::fprintf(stderr, "  artifact: %s\n", res.artifact_path.c_str());
     }
-    if (break_restore > 0 && checkpoint_hooks::break_restore_after != 0) {
-      // The armed mutation never fired (fewer restores than N, or none
-      // with a changed storage): the run proved nothing, which a CI step
-      // expecting a VIOLATION must not mistake for the wall standing.
-      failed = true;
-      checkpoint_hooks::break_restore_after = 0;
-      std::fprintf(stderr,
-                   "  --break-restore %ld never fired (only %ld restores)\n",
-                   break_restore, checkpoint_hooks::restores);
-    }
-
-    if (index_audit) {
-      if (break_flat_erase > 0) {
-        // The hook counter is process-wide and cumulative: arm relative to
-        // its current value so earlier targets' erases don't consume it.
-        flat_map_hooks::break_backward_shift_after =
-            flat_map_hooks::erase_count + break_flat_erase;
-      }
-      const IndexAuditResult ir =
-          run_index_audit(t.prob(), fuzz.seed, index_commits);
-      std::printf(
-          "index %-6s seed %llu: %ld commits cross-checked in %ld proposals "
-          "— %s\n",
-          name.c_str(), static_cast<unsigned long long>(fuzz.seed),
-          ir.commits, ir.proposals, ir.ok ? "ok" : "VIOLATION");
-      if (!ir.ok) {
-        failed = true;
-        std::fprintf(stderr, "  %s\n", ir.failure.c_str());
-      }
-      if (break_flat_erase > 0 &&
-          flat_map_hooks::break_backward_shift_after != 0) {
-        // The armed mutation never fired (fewer compacting erases than N):
-        // the run proved nothing, which a CI step expecting a VIOLATION
-        // must not mistake for the wall standing.
-        failed = true;
-        flat_map_hooks::break_backward_shift_after = 0;
-        std::fprintf(stderr,
-                     "  --break-flat-erase %ld never fired (only %ld "
-                     "compacting erases)\n",
-                     break_flat_erase, flat_map_hooks::erase_count);
-      }
-    }
-
-    if (bitplane_audit) {
-      if (break_bitplane_word > 0) {
-        // Like --break-flat-erase: the word-update counter is process-wide
-        // (and advances only while armed), so arm relative to its current
-        // value in case an earlier target already consumed the mutation.
-        bitplane_hooks::break_word_update_after =
-            bitplane_hooks::word_update_count + break_bitplane_word;
-      }
-      const IndexAuditResult br =
-          run_bitplane_audit(t.prob(), fuzz.seed, bitplane_commits);
-      std::printf(
-          "plane %-6s seed %llu: %ld commits differentially checked in %ld "
-          "proposals — %s\n",
-          name.c_str(), static_cast<unsigned long long>(fuzz.seed),
-          br.commits, br.proposals, br.ok ? "ok" : "VIOLATION");
-      if (!br.ok) {
-        failed = true;
-        std::fprintf(stderr, "  %s\n", br.failure.c_str());
-      }
-      if (break_bitplane_word > 0 &&
-          bitplane_hooks::break_word_update_after != 0) {
-        // The armed mutation never fired (fewer ranged word updates than
-        // N): the run proved nothing, which a CI step expecting a VIOLATION
-        // must not mistake for the wall standing.
-        failed = true;
-        bitplane_hooks::break_word_update_after = 0;
-        std::fprintf(stderr,
-                     "  --break-bitplane-word %ld never fired (only %ld "
-                     "ranged word updates)\n",
-                     break_bitplane_word, bitplane_hooks::word_update_count);
-      }
-    }
+    for (const Drill* d : {&flat_erase, &bitplane_word, &restore})
+      if (d->never_fired()) failed = true;
 
     if (segment_audit) {
-      if (break_segment_window > 0) {
-        // Like the other mutation counters: the windowed-transaction
-        // counter is process-wide and cumulative, so arm relative to its
-        // current value in case an earlier target already consumed the
-        // mutation.
-        seg_window_hooks::break_claim_window_after =
-            seg_window_hooks::windowed_txns + break_segment_window;
-      }
+      segment_window.arm();
       FuzzParams sp = fuzz;
       sp.name = name + "-segment";
       const SegmentDiffResult sgr = run_segment_diff(t.prob(), sp);
@@ -427,18 +274,7 @@ int main(int argc, char** argv) {
                      "  no transaction took a segment window — the windowed "
                      "path was never exercised\n");
       }
-      if (break_segment_window > 0 &&
-          seg_window_hooks::break_claim_window_after != 0) {
-        // The armed mutation never fired (fewer windowed transactions than
-        // N): the run proved nothing, which a CI step expecting a VIOLATION
-        // must not mistake for the wall standing.
-        failed = true;
-        seg_window_hooks::break_claim_window_after = 0;
-        std::fprintf(stderr,
-                     "  --break-segment-window %ld never fired (only %ld "
-                     "windowed transactions)\n",
-                     break_segment_window, seg_window_hooks::windowed_txns);
-      }
+      if (segment_window.never_fired()) failed = true;
     }
 
     if (scaling && !dump && name == names.front()) {
