@@ -15,6 +15,7 @@
 #include "core/ils.h"
 #include "datapath/vcd.h"
 #include "datapath/verilog.h"
+#include "frontend/generate.h"
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
 
@@ -202,6 +203,46 @@ TEST(Golden, StrictRetryRescuesTheWarmStart) {
         << "seed " << pin.seed << " binding 0x" << std::hex
         << digest_binding(res.binding);
     EXPECT_EQ(res.merging.muxes_after, pin.muxes_after) << "seed " << pin.seed;
+  }
+}
+
+// FNV-1a over merge_muxes's groups in output order: each group's sink keys,
+// then its source keys, each list in order and prefixed by its length.
+uint64_t merge_digest(const MuxMergeResult& m) {
+  Fnv1a h;
+  for (const MergedMux& mm : m.muxes) {
+    h.u32(static_cast<uint32_t>(mm.sinks.size()));
+    for (const Pin& p : mm.sinks) h.u64(key_of(p));
+    h.u32(static_cast<uint32_t>(mm.sources.size()));
+    for (const Endpoint& e : mm.sources) h.u64(key_of(e));
+  }
+  return h.value();
+}
+
+// The merged groups of generated designs, whose merges (unlike EWF's and
+// DCT's) include transitive joins: a group member that shares no source
+// with the group's first mux and joins through a source an earlier member
+// brought in.
+TEST(Golden, GeneratedMergeGroupsArePinned) {
+  struct Row {
+    GenFamily family;
+    uint64_t digest;
+    int muxes_before, muxes_after;
+  };
+  // Frozen on 2026-10-17; see file header before "fixing" these.
+  const Row rows[] = {
+      {GenFamily::kLayeredDag, 0xe7c8c90536f3092eull, 1769, 1755},
+      {GenFamily::kFilterCascade, 0xc097b9caf38eb594ull, 955, 936},
+  };
+  for (const Row& row : rows) {
+    const GeneratedDesign d = generate_design(
+        GenParams{.family = row.family, .target_ops = 1000, .seed = 1});
+    const AllocationResult res = allocate(*d.problem, golden_opts(3));
+    const char* name = gen_family_name(row.family);
+    EXPECT_EQ(merge_digest(res.merging), row.digest)
+        << name << " actual 0x" << std::hex << merge_digest(res.merging);
+    EXPECT_EQ(res.merging.muxes_before, row.muxes_before) << name;
+    EXPECT_EQ(res.merging.muxes_after, row.muxes_after) << name;
   }
 }
 
