@@ -85,7 +85,17 @@ Binding initial_allocation(const AllocProblem& prob,
   const int L = sched.length();
   const int R = prob.num_regs();
   Rng rng(opts.seed);
-  Binding b(prob);
+  // Placement fills flat arrays, the FU of each operation and the register
+  // of each storage segment (storage sid's segments from seg_at[sid]), and
+  // becomes a Binding only after the last storage is placed: a strict start
+  // that throws never builds one.
+  std::vector<FuId> fu_of(static_cast<size_t>(g.num_nodes()), kInvalidId);
+  std::vector<size_t> seg_at(static_cast<size_t>(lt.num_storages()) + 1, 0);
+  for (int sid = 0; sid < lt.num_storages(); ++sid)
+    seg_at[static_cast<size_t>(sid) + 1] =
+        seg_at[static_cast<size_t>(sid)] +
+        static_cast<size_t>(lt.storage(sid).len);
+  std::vector<RegId> seg_reg(seg_at.back(), kInvalidId);
 
   // ---- operators to FUs, first-available per control step -----------------
   BitPlane fu_busy;  // rows = FUs, bits = control steps
@@ -111,7 +121,7 @@ Binding initial_allocation(const AllocProblem& prob,
                     "initial allocation: FU pool too small for op '" +
                         g.node(n).name + "'");
     fu_busy.set_range(chosen, start, occ);
-    b.op(n).fu = chosen;
+    fu_of[static_cast<size_t>(n)] = chosen;
   }
 
   // ---- storages to registers ----------------------------------------------
@@ -145,14 +155,15 @@ Binding initial_allocation(const AllocProblem& prob,
     if (seg <= 0)
       fn(s.producer == kInvalidId
              ? Endpoint{Endpoint::Kind::kInPort, g.producer(s.members[0])}
-             : Endpoint{Endpoint::Kind::kFuOut, b.op(s.producer).fu});
+             : Endpoint{Endpoint::Kind::kFuOut,
+                        fu_of[static_cast<size_t>(s.producer)]});
     for (const StorageRead& r : s.reads) {
       if (seg >= 0 && r.seg != seg) continue;
       const Node& cn = g.node(r.consumer);
       fn(cn.kind == OpKind::kOutput
              ? Pin{Pin::Kind::kOutPort, r.consumer}
              : Pin{r.operand == 0 ? Pin::Kind::kFuIn0 : Pin::Kind::kFuIn1,
-                   b.op(r.consumer).fu});
+                   fu_of[static_cast<size_t>(r.consumer)]});
     }
   };
 
@@ -195,7 +206,7 @@ Binding initial_allocation(const AllocProblem& prob,
   for (int sid : order) {
     const Storage& s = lt.storage(sid);
     const std::vector<int>& steps = lt.steps_of(sid);
-    StorageBinding& sb = b.sto(sid);
+    RegId* regs = seg_reg.data() + seg_at[static_cast<size_t>(sid)];
     // Contiguous: one register free over every live step.
     busy_over.zero();
     for (int step : steps)
@@ -204,8 +215,7 @@ Binding initial_allocation(const AllocProblem& prob,
     const RegId reg = pick(s, -1, busy_over, 0);
     if (reg != kInvalidId) {
       for (int seg = 0; seg < s.len; ++seg) {
-        sb.cells[static_cast<size_t>(seg)].assign(
-            1, Cell{reg, seg == 0 ? -1 : 0, kInvalidId});
+        regs[seg] = reg;
         reg_busy.set(steps[static_cast<size_t>(seg)], reg);
       }
       for_each_end(s, -1, [&](const auto& end) { wires.connect(end, reg); });
@@ -224,11 +234,19 @@ Binding initial_allocation(const AllocProblem& prob,
         SALSA_CHECK_MSG(cur != kInvalidId,
                         "initial allocation: register demand exceeded");
       }
-      sb.cells[static_cast<size_t>(seg)].assign(
-          1, Cell{cur, seg == 0 ? -1 : 0, kInvalidId});
+      regs[seg] = cur;
       for_each_end(s, seg, [&](const auto& end) { wires.connect(end, cur); });
       reg_busy.set(step, cur);
     }
+  }
+
+  Binding b(prob);
+  for (NodeId n : ops) b.op(n).fu = fu_of[static_cast<size_t>(n)];
+  for (int sid = 0; sid < lt.num_storages(); ++sid) {
+    const RegId* regs = seg_reg.data() + seg_at[static_cast<size_t>(sid)];
+    StorageBinding& sb = b.sto(sid);
+    for (size_t seg = 0; seg < sb.cells.size(); ++seg)
+      sb.cells[seg].assign(1, Cell{regs[seg], seg == 0 ? -1 : 0, kInvalidId});
   }
   return b;
 }

@@ -1,8 +1,6 @@
 #include "core/verify.h"
 
-#include <algorithm>
-#include <map>
-#include <sstream>
+#include <cstdint>
 
 #include "core/cost.h"
 
@@ -157,16 +155,44 @@ std::vector<std::string> verify(const Binding& b) {
   if (!bad.empty()) return bad;  // connection pass needs a structurally sound binding
 
   // --- one driver per pin per step -----------------------------------------
-  std::map<std::pair<uint64_t, int>, uint64_t> driver;
-  for (const ConnUse& u : connection_uses(b)) {
-    const auto pin_step = std::make_pair(key_of(u.sink), u.step);
-    const uint64_t src = key_of(u.src);
-    auto [it, inserted] = driver.emplace(pin_step, src);
-    if (!inserted && it->second != src) {
-      std::ostringstream os;
-      os << "module input pin driven by two sources at step " << u.step;
-      complain(os.str());
+  // A dense table of pack()ed sources, one row per module input pin (FU
+  // input 0, FU input 1, register inputs, output ports) and one column per
+  // step. The first use of a (pin, step) sets its driver; every later use
+  // with another source is a conflict, reported in use order.
+  constexpr uint32_t kNoDriver = ~0u;  // no pack()ed endpoint has kind 15
+  const std::vector<NodeId> outputs = g.output_nodes();
+  std::vector<int> out_row(static_cast<size_t>(g.num_nodes()), -1);
+  for (size_t i = 0; i < outputs.size(); ++i)
+    out_row[static_cast<size_t>(outputs[i])] =
+        2 * nfu + nreg + static_cast<int>(i);
+  const auto row = [&](const Pin& p) {
+    switch (p.kind) {
+      case Pin::Kind::kFuIn0:
+        return p.id;
+      case Pin::Kind::kFuIn1:
+        return nfu + p.id;
+      case Pin::Kind::kRegIn:
+        return 2 * nfu + p.id;
+      case Pin::Kind::kOutPort:
+        return out_row[static_cast<size_t>(p.id)];
     }
+    return -1;
+  };
+  const size_t steps = static_cast<size_t>(L);
+  std::vector<uint32_t> driver(
+      (static_cast<size_t>(2 * nfu + nreg) + outputs.size()) * steps,
+      kNoDriver);
+  for (const ConnUse& u : connection_uses(b)) {
+    const int r = row(u.sink);
+    SALSA_DCHECK(r >= 0 && u.step >= 0 && u.step < L);
+    uint32_t& d = driver[static_cast<size_t>(r) * steps +
+                         static_cast<size_t>(u.step)];
+    const uint32_t src = pack(u.src);
+    if (d == kNoDriver)
+      d = src;
+    else if (d != src)
+      complain("module input pin driven by two sources at step " +
+               std::to_string(u.step));
   }
   return bad;
 }

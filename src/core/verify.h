@@ -18,7 +18,10 @@ namespace salsa {
 ///   * cell chains well-formed (seg-0 cells producer-written, others with a
 ///     valid parent; via only on actual transfers, on idle pass-capable FUs);
 ///   * every read served by an existing cell;
-///   * at most one driving source per module input pin per step.
+///   * at most one driving source per module input pin per step (checked
+///     only when the rules above all hold, over a dense pin x step table of
+///     packed sources; each conflicting use adds one message, in
+///     connection_uses() order).
 std::vector<std::string> verify(const Binding& b);
 
 /// Convenience: throws salsa::Error with all violations if any.

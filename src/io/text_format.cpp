@@ -61,6 +61,7 @@ ParsedDesign parse_design(std::istream& in) {
   std::vector<PendingAt> ats;
   bool have_schedule = false;
   int sched_length = 0;
+  int schedule_line = 0;
   bool pipelined = false;
 
   auto value_of = [&](const std::string& name, int line_no) {
@@ -143,6 +144,7 @@ ParsedDesign parse_design(std::istream& in) {
         pipelined = true;
       }
       have_schedule = true;
+      schedule_line = line_no;
     } else if (kw == "at") {
       need(2);
       if (!have_schedule) parse_fail(line_no, "'at' before 'schedule'");
@@ -185,14 +187,28 @@ ParsedDesign parse_design(std::istream& in) {
   if (have_schedule) {
     design.hw.pipelined_mul = pipelined;
     design.schedule.emplace(*g, design.hw, sched_length);
+    // Every operation and output gets exactly one start: a second `at` is
+    // rejected at its own line, a missing one at the `schedule` line.
+    std::map<NodeId, int> at_line;
     for (const PendingAt& pa : ats) {
       const auto it = named_nodes.find(pa.node);
       if (it == named_nodes.end())
         parse_fail(pa.line, "unknown node '" + pa.node + "'");
+      const auto [first, fresh] = at_line.emplace(it->second, pa.line);
+      if (!fresh)
+        parse_fail(pa.line, "node '" + pa.node +
+                                "' already has a start at line " +
+                                std::to_string(first->second));
       design.schedule->set_start(
           it->second,
           static_cast<int>(parse_int_at(pa.line, "step of '" + pa.node + "'",
                                         pa.step, 0, sched_length - 1)));
+    }
+    for (NodeId n = 0; n < g->num_nodes(); ++n) {
+      const Node& nd = g->node(n);
+      if ((is_operation(nd.kind) || nd.kind == OpKind::kOutput) &&
+          !at_line.contains(n))
+        parse_fail(schedule_line, "node '" + nd.name + "' has no 'at' start");
     }
     design.schedule->validate();
   }

@@ -139,7 +139,21 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"output_of_const",
                 "cdfg x\ninput a\nconst 3 k\nadd w a k\noutput o w\n"
                 "output o3 k\n",
-                6}),
+                6},
+        // Every operation and output gets exactly one `at`: a node left
+        // unpinned is named at the `schedule` line, a second `at` at its own.
+        BadCase{"operations_without_at",
+                "cdfg z\ninput x\nconst 3 c\nmul p x c\nadd q x x\n"
+                "add r p q\noutput y r\nschedule 6\nat r 3\nat y 4\n",
+                8},
+        BadCase{"output_without_at",
+                "cdfg z\ninput x\nadd q x x\noutput y q\nschedule 3\n"
+                "at q 0\n",
+                5},
+        BadCase{"second_at",
+                "cdfg z\ninput x\nadd q x x\noutput y q\nschedule 3\n"
+                "at q 1\nat q 0\nat y 2\n",
+                7}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(TextFormat, RoundTripsBenchmarks) {
