@@ -20,7 +20,7 @@ Both files are the JSON array bench_runtime emits via SALSA_SCALING_JSON
 
 --self-test runs the unit tests for the per-move ratio math and the
 missing-row / NaN / non-positive error paths (wired into ctest as
-scaling_gate_selftest and into the scaling-smoke CI job), exiting non-zero
+scaling_gate_selftest and into the release-bench CI job), exiting non-zero
 on any failure.
 """
 

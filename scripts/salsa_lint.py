@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""SalsaLint — custom AST/token lint wall for determinism & concurrency
-discipline (stdlib only; libclang used opportunistically when present).
+"""SalsaLint — custom token lint wall for determinism & concurrency
+discipline (stdlib only: a comment- and string-blanking token lexer).
 
 The runtime SalsaCheck wall (digests, InvariantAuditor, fuzzers, TSan)
 verifies that trajectories are byte-identical per (seed, threads, k); this
@@ -79,20 +79,11 @@ Usage:
 
 Options:
   --root DIR              repo root (default: the script's parent's parent)
-  --engine auto|lexer|libclang
-                          auto (default) uses libclang for type-resolved
-                          range-for facts when clang.cindex imports and a
-                          compilation database exists, else the pure-token
-                          lexer engine (the reference engine asserted by
-                          ctest; stdlib only)
-  --compile-commands PATH compilation database for the libclang engine
-                          (default: <root>/build/compile_commands.json)
 
 Exit codes: 0 clean, 1 violations or fixture-assertion failures, 2 usage.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -308,7 +299,7 @@ def range_for_exprs(code):
 class FileLint:
     """Lints one file: raw text for suppressions, blanked text for tokens."""
 
-    def __init__(self, path, rel, text, strict, seam_exempt, clang_facts=None,
+    def __init__(self, path, rel, text, strict, seam_exempt,
                  simd_exempt=False, parse_exempt=False):
         self.path = path
         self.rel = rel
@@ -319,7 +310,6 @@ class FileLint:
         self.seam_exempt = seam_exempt
         self.simd_exempt = simd_exempt
         self.parse_exempt = parse_exempt
-        self.clang_facts = clang_facts or []
         self.violations = []
         self.allows = {}     # line -> list of (check, reason)
         self.expects = []    # check ids declared via expect()
@@ -402,8 +392,6 @@ class FileLint:
                 f"FlatMap::{m.group(1)}() visits entries in slot-layout "
                 f"order — only order-independent (commutative) folds may "
                 f"use it, stated in an allow() rationale")
-        for fact_line, fact_msg in self.clang_facts:
-            self.report(fact_line, "no-unordered-iteration", fact_msg)
 
     # -- check: no-nondeterministic-sources -------------------------------
     NONDET_PATTERNS = (
@@ -583,7 +571,7 @@ class FileLint:
         self.check_transaction_seam()
         self.check_simd_intrinsics()
         self.check_raw_number_parse()
-        # Deduplicate (libclang facts can mirror lexer findings).
+        # Deduplicate (two patterns can flag one line).
         seen = set()
         uniq = []
         for v in self.violations:
@@ -593,66 +581,6 @@ class FileLint:
                 uniq.append(v)
         self.violations = sorted(uniq, key=lambda v: (v.path, v.line))
         return self.violations
-
-
-# -- libclang engine (optional refinement) --------------------------------
-
-def load_libclang_facts(compile_commands, wanted_paths):
-    """Type-resolved iteration facts from the AST: {abs path -> [(line,
-    message)]} for range-fors / begin()/drain()/for_each() whose receiver
-    type names an unordered container. Returns None when libclang or the
-    compilation database is unavailable (caller falls back to pure lexer).
-    """
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None
-    if not os.path.exists(compile_commands):
-        return None
-    try:
-        with open(compile_commands) as f:
-            db = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"salsa_lint: cannot read {compile_commands}: {e}",
-              file=sys.stderr)
-        return None
-
-    def is_unordered_type(type_spelling):
-        return ("unordered_" in type_spelling
-                or "FlatMap" in type_spelling)
-
-    facts = {}
-    index = cindex.Index.create()
-    wanted = {os.path.realpath(p) for p in wanted_paths}
-    for entry in db:
-        src = os.path.realpath(
-            os.path.join(entry.get("directory", "."), entry["file"]))
-        if src not in wanted:
-            continue
-        args = [a for a in entry.get("command", "").split()[1:]
-                if not a.endswith(".o") and a not in ("-c", "-o", entry["file"])]
-        try:
-            tu = index.parse(src, args=args)
-        except cindex.TranslationUnitLoadError:
-            continue
-        out = facts.setdefault(src, [])
-        for cur in tu.cursor.walk_preorder():
-            try:
-                if (cur.kind == cindex.CursorKind.CXX_FOR_RANGE_STMT
-                        and cur.location.file
-                        and os.path.realpath(cur.location.file.name) == src):
-                    children = list(cur.get_children())
-                    if len(children) >= 2 and is_unordered_type(
-                            children[-2].type.spelling):
-                        out.append((
-                            cur.location.line,
-                            f"range-for over "
-                            f"'{children[-2].type.spelling}' (AST-resolved): "
-                            f"hash-layout iteration order is not "
-                            f"deterministic"))
-            except ValueError:
-                continue  # unknown cursor kind in this libclang version
-    return facts
 
 
 # -- driver ----------------------------------------------------------------
@@ -680,15 +608,8 @@ def rel_to_root(root, path):
         return path
 
 
-def lint_paths(root, paths, engine, compile_commands, force_strict=False):
+def lint_paths(root, paths, force_strict=False):
     files = collect_files(root, paths)
-    clang_facts = None
-    if engine in ("auto", "libclang"):
-        clang_facts = load_libclang_facts(compile_commands, files)
-        if clang_facts is None and engine == "libclang":
-            print("salsa_lint: --engine libclang requested but clang.cindex "
-                  f"or {compile_commands} is unavailable", file=sys.stderr)
-            return None
     violations = []
     for path in files:
         rel = rel_to_root(root, path)
@@ -704,14 +625,13 @@ def lint_paths(root, paths, engine, compile_commands, force_strict=False):
         except OSError as e:
             print(f"salsa_lint: cannot read {path}: {e}", file=sys.stderr)
             return None
-        facts = (clang_facts or {}).get(os.path.realpath(path), [])
-        fl = FileLint(path, rel, text, strict, seam_exempt, facts,
+        fl = FileLint(path, rel, text, strict, seam_exempt,
                       simd_exempt=simd_exempt, parse_exempt=parse_exempt)
         violations.extend(fl.run())
     return violations
 
 
-def run_fixtures(root, fixtures_dir, engine, compile_commands):
+def run_fixtures(root, fixtures_dir):
     """Fire-assertions: every fixture's expect()ed checks must fire on it,
     and no unexpected check may. Returns process exit code."""
     files = collect_files(root, [fixtures_dir])
@@ -755,9 +675,6 @@ def main():
     ap.add_argument("paths", nargs="*", help="files/dirs to lint "
                     "(default: src/ under --root)")
     ap.add_argument("--root", default=None)
-    ap.add_argument("--engine", choices=("auto", "lexer", "libclang"),
-                    default="auto")
-    ap.add_argument("--compile-commands", default=None)
     ap.add_argument("--fixtures", metavar="DIR",
                     help="run fixture fire-assertions over DIR and exit")
     ap.add_argument("--list-checks", action="store_true")
@@ -765,8 +682,6 @@ def main():
 
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    compile_commands = args.compile_commands or os.path.join(
-        root, "build", "compile_commands.json")
 
     if args.list_checks:
         for check, desc in CHECKS.items():
@@ -774,15 +689,10 @@ def main():
         return 0
 
     if args.fixtures:
-        return run_fixtures(root, args.fixtures, args.engine,
-                            compile_commands)
+        return run_fixtures(root, args.fixtures)
 
     paths = args.paths or ["src"]
-    engine = "lexer" if args.engine == "lexer" else args.engine
-    if engine == "lexer":
-        violations = lint_paths(root, paths, "lexer", compile_commands)
-    else:
-        violations = lint_paths(root, paths, engine, compile_commands)
+    violations = lint_paths(root, paths)
     if violations is None:
         return 2
     for v in violations:

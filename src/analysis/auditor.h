@@ -75,15 +75,6 @@ class InvariantAuditor final : public SearchObserver {
 
   const AuditorStats& stats() const { return stats_; }
 
-  /// Effective audit period after the first transaction resolved the
-  /// large-design sampling rate (0 until then); > 1 means sampling or an
-  /// explicit `every` throttle is active.
-  long effective_every() const { return effective_every_; }
-
-  /// True once large-design auto-sampling engaged (never for an explicit
-  /// `every` throttle or a design at/below the threshold).
-  bool sampling() const { return sampling_; }
-
   // SearchObserver:
   void on_txn_begin(const SearchEngine& eng) override;
   void on_txn_abort(const SearchEngine& eng) override;

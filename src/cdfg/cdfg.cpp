@@ -132,7 +132,7 @@ void Cdfg::set_state_next(ValueId state, ValueId next) {
   sn.state_next = next;
 }
 
-void Cdfg::validate() const {
+std::optional<Violation> Cdfg::first_violation() const {
   for (NodeId id = 0; id < num_nodes(); ++id) {
     const Node& n = node(id);
     const size_t want_ins = is_binary(n.kind)                        ? 2
@@ -140,26 +140,32 @@ void Cdfg::validate() const {
                                n.kind == OpKind::kOutput)            ? 1
                                                                      : 0;
     if (n.ins.size() != want_ins)
-      fail("node '" + n.name + "' has wrong operand count");
+      return Violation{"node '" + n.name + "' has wrong operand count", id};
     if (n.kind == OpKind::kOutput) {
-      if (n.out != kInvalidId) fail("output node produces a value");
+      if (n.out != kInvalidId)
+        return Violation{"output node produces a value", id};
     } else {
       if (n.out == kInvalidId || value(n.out).producer != id)
-        fail("node '" + n.name + "' has inconsistent output wiring");
+        return Violation{
+            "node '" + n.name + "' has inconsistent output wiring", id};
     }
     if (n.kind == OpKind::kState && n.state_next == kInvalidId)
-      fail("state '" + n.name + "' has no next-iteration value");
+      return Violation{"state '" + n.name + "' has no next-iteration value",
+                       id};
     if (n.kind != OpKind::kState && n.state_next != kInvalidId)
-      fail("non-state node '" + n.name + "' has state_next set");
+      return Violation{"non-state node '" + n.name + "' has state_next set",
+                       id};
   }
   for (ValueId v = 0; v < num_values(); ++v) {
     const Value& val = value(v);
-    if (val.producer == kInvalidId) fail("value '" + val.name + "' has no producer");
+    if (val.producer == kInvalidId)
+      return Violation{"value '" + val.name + "' has no producer"};
     for (NodeId c : val.consumers) {
       const Node& cn = node(c);
       if (std::count(cn.ins.begin(), cn.ins.end(), v) <
           std::count(val.consumers.begin(), val.consumers.end(), c))
-        fail("consumer list of value '" + val.name + "' is inconsistent");
+        return Violation{"consumer list of value '" + val.name +
+                         "' is inconsistent"};
     }
   }
   // A state and its next-iteration value share one storage (core/lifetime.h
@@ -179,11 +185,22 @@ void Cdfg::validate() const {
     if (!value(v).consumers.empty()) read[static_cast<size_t>(find(v))] = true;
   for (NodeId id : states)
     if (!read[static_cast<size_t>(find(node(id).out))])
-      fail("state '" + node(id).name +
-           "' is never read: neither it nor its next-iteration value has a "
-           "consumer");
-  // The intra-iteration dependence graph must be acyclic.
-  (void)topo_order();
+      return Violation{"state '" + node(id).name +
+                           "' is never read: neither it nor its "
+                           "next-iteration value has a consumer",
+                       id};
+  // The intra-iteration dependence graph must be acyclic; topo_order()
+  // throws on a cycle.
+  try {
+    (void)topo_order();
+  } catch (const Error& e) {
+    return Violation{e.what()};
+  }
+  return std::nullopt;
+}
+
+void Cdfg::validate() const {
+  if (const auto v = first_violation()) fail(v->message);
 }
 
 std::vector<NodeId> Cdfg::topo_order() const {

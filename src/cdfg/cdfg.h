@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,13 @@ struct Node {
   ValueId state_next = kInvalidId;
 };
 
+/// A broken rule: its message and the node it concerns (kInvalidId for a
+/// rule about the graph as a whole). Readers map the node to a source line.
+struct Violation {
+  std::string message;
+  NodeId node = kInvalidId;
+};
+
 struct Value {
   std::string name;
   NodeId producer = kInvalidId;
@@ -90,8 +98,10 @@ class Cdfg {
   /// next iteration. Must be called exactly once per State node.
   void set_state_next(ValueId state, ValueId next);
 
-  /// Checks structural sanity (operand arity, state wiring, no dangling
-  /// values). Throws salsa::Error on violation. Idempotent.
+  /// The first broken structural rule (operand arity, state wiring, no
+  /// dangling values, every state read, no intra-iteration cycle), if any.
+  std::optional<Violation> first_violation() const;
+  /// Throws salsa::Error with first_violation()'s message. Idempotent.
   void validate() const;
 
   // ---- access -------------------------------------------------------------
@@ -100,8 +110,6 @@ class Cdfg {
   int num_values() const { return static_cast<int>(values_.size()); }
   const Node& node(NodeId n) const { return nodes_[static_cast<size_t>(n)]; }
   const Value& value(ValueId v) const { return values_[static_cast<size_t>(v)]; }
-  const std::vector<Node>& nodes() const { return nodes_; }
-  const std::vector<Value>& values() const { return values_; }
 
   /// Producer node of a value (always valid after validate()).
   NodeId producer(ValueId v) const { return value(v).producer; }

@@ -13,6 +13,40 @@ uint64_t key_of(const Pin& p) {
   return (static_cast<uint64_t>(p.kind) << 32) | static_cast<uint32_t>(p.id);
 }
 
+PinIndex::PinIndex(const AllocProblem& prob)
+    : fus_(static_cast<size_t>(prob.fus().size())),
+      regs_(static_cast<size_t>(prob.num_regs())),
+      inputs_(prob.cdfg().input_nodes()),
+      outputs_(prob.cdfg().output_nodes()),
+      port_(static_cast<size_t>(prob.cdfg().num_nodes()), kNoPort) {
+  for (size_t i = 0; i < inputs_.size(); ++i)
+    port_[static_cast<size_t>(inputs_[i])] = i;
+  for (size_t i = 0; i < outputs_.size(); ++i)
+    port_[static_cast<size_t>(outputs_[i])] = i;
+}
+
+Pin PinIndex::pin_at(size_t id) const {
+  SALSA_DCHECK(id < num_pins());
+  if (id < fus_) return {Pin::Kind::kFuIn0, static_cast<int>(id)};
+  if (id < 2 * fus_) return {Pin::Kind::kFuIn1, static_cast<int>(id - fus_)};
+  if (id < 2 * fus_ + regs_)
+    return {Pin::Kind::kRegIn, static_cast<int>(id - 2 * fus_)};
+  return {Pin::Kind::kOutPort, outputs_[id - 2 * fus_ - regs_]};
+}
+
+Endpoint PinIndex::source_at(size_t id) const {
+  SALSA_DCHECK(id < num_sources());
+  if (id < fus_) return {Endpoint::Kind::kFuOut, static_cast<int>(id)};
+  if (id < fus_ + regs_)
+    return {Endpoint::Kind::kRegOut, static_cast<int>(id - fus_)};
+  return {Endpoint::Kind::kInPort, inputs_[id - fus_ - regs_]};
+}
+
+RouteTable::RouteTable(const AllocProblem& prob)
+    : index_(prob),
+      steps_(static_cast<size_t>(prob.sched().length())),
+      driver_(index_.num_pins() * steps_, kNoDriver) {}
+
 std::vector<ConnUse> connection_uses(const Binding& b) {
   const AllocProblem& prob = b.prob();
   const Cdfg& g = prob.cdfg();

@@ -5,12 +5,14 @@
 // equivalent 2-1 multiplexers — the metric reported in Tables 2 and 3.
 // Constant operands are free (Section 5).
 //
-// The same connection enumeration drives the datapath netlist builder and
-// the mux-merging post-pass, which additionally need the control step at
-// which each connection carries data.
+// The same connection enumeration fills the route table (which source
+// drives each module input pin at each control step) that the legality
+// check, the mux-merging post-pass and the datapath netlist read.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/binding.h"
@@ -61,6 +63,99 @@ inline uint32_t pack(const Pin& p) {
   SALSA_DCHECK(p.id >= 0 && p.id < (1 << 28));
   return (static_cast<uint32_t>(p.kind) << 28) | static_cast<uint32_t>(p.id);
 }
+
+/// The endpoint a pack()ed key names.
+inline Endpoint unpack_endpoint(uint32_t key) {
+  return {static_cast<Endpoint::Kind>(key >> 28),
+          static_cast<int>(key & ((1u << 28) - 1))};
+}
+
+/// Dense ids for a problem's module input pins and non-constant sources,
+/// the one numbering of its interconnect (DESIGN.md, "Interconnect index").
+/// Pins: FU input 0, FU input 1, register inputs, then output ports by
+/// output position. Sources: FU outputs, register outputs, then input ports
+/// by input position. Ids ascend in pack() order.
+class PinIndex {
+ public:
+  explicit PinIndex(const AllocProblem& prob);
+
+  size_t num_pins() const { return 2 * fus_ + regs_ + outputs_.size(); }
+  size_t num_sources() const { return fus_ + regs_ + inputs_.size(); }
+
+  size_t pin(const Pin& p) const {
+    SALSA_DCHECK(p.id >= 0);
+    const size_t id = static_cast<size_t>(p.id);
+    return p.kind == Pin::Kind::kFuIn0   ? id
+           : p.kind == Pin::Kind::kFuIn1 ? fus_ + id
+           : p.kind == Pin::Kind::kRegIn ? 2 * fus_ + id
+                                         : 2 * fus_ + regs_ + port(p.id);
+  }
+  /// Constant sources have no id.
+  size_t source(const Endpoint& e) const {
+    SALSA_DCHECK(e.id >= 0 && e.kind != Endpoint::Kind::kConstPort);
+    const size_t id = static_cast<size_t>(e.id);
+    return e.kind == Endpoint::Kind::kFuOut    ? id
+           : e.kind == Endpoint::Kind::kRegOut ? fus_ + id
+                                               : fus_ + regs_ + port(e.id);
+  }
+  Pin pin_at(size_t id) const;
+  Endpoint source_at(size_t id) const;
+
+  /// Position of an input node in cdfg.input_nodes(), or of an output node
+  /// in cdfg.output_nodes().
+  size_t port(NodeId n) const {
+    SALSA_DCHECK(port_[static_cast<size_t>(n)] != kNoPort);
+    return port_[static_cast<size_t>(n)];
+  }
+
+ private:
+  static constexpr size_t kNoPort = ~size_t{0};
+  size_t fus_;
+  size_t regs_;
+  std::vector<NodeId> inputs_;
+  std::vector<NodeId> outputs_;
+  std::vector<size_t> port_;  ///< per node
+};
+
+/// The driver of every module input pin at every control step: one row per
+/// PinIndex pin, holding a pack()ed source (constants included) per step.
+class RouteTable {
+ public:
+  /// No pack()ed endpoint has kind 15.
+  static constexpr uint32_t kNoDriver = ~0u;
+
+  explicit RouteTable(const AllocProblem& prob);
+
+  const PinIndex& index() const { return index_; }
+
+  /// Routes u.src to u.sink at u.step. The first use of a (pin, step) sets
+  /// its driver; a use with another source leaves it and returns false.
+  bool route(const ConnUse& u) {
+    SALSA_DCHECK(u.step >= 0 && static_cast<size_t>(u.step) < steps_);
+    uint32_t& d = driver_[index_.pin(u.sink) * steps_ +
+                          static_cast<size_t>(u.step)];
+    const uint32_t src = pack(u.src);
+    if (d == kNoDriver) d = src;
+    return d == src;
+  }
+
+  /// The pack()ed driver of pin `pin` at each step, kNoDriver where none.
+  std::span<const uint32_t> row(size_t pin) const {
+    return {driver_.data() + pin * steps_, steps_};
+  }
+
+  /// The source driving a pin at a step, if any.
+  std::optional<Endpoint> driver(const Pin& pin, int step) const {
+    const uint32_t d = row(index_.pin(pin))[static_cast<size_t>(step)];
+    if (d == kNoDriver) return std::nullopt;
+    return unpack_endpoint(d);
+  }
+
+ private:
+  PinIndex index_;
+  size_t steps_;
+  std::vector<uint32_t> driver_;  ///< row-major, pins x steps
+};
 
 /// Enumerates every routed data flow of the binding with the control step it
 /// occurs at: operand reads, output samples, producer result latches,

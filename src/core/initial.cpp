@@ -22,29 +22,29 @@ namespace {
 // of new connections (DESIGN.md, "Constructive start").
 class WireTracker {
  public:
-  WireTracker(int num_fus, int num_nodes)
-      : fus_(num_fus),
-        nodes_(num_nodes),
-        wired_(static_cast<size_t>(3 * num_fus + 2 * num_nodes)) {}
+  explicit WireTracker(const AllocProblem& prob)
+      : index_(prob),
+        to_pin_(index_.num_pins()),
+        from_source_(index_.num_sources()) {}
 
   /// Registers wired to a producer endpoint (RegIn r <- src) or to a sink
   /// pin (sink <- RegOut r), each listed once.
   const std::vector<RegId>& wired(const Endpoint& src) const {
-    return wired_[slot(src)];
+    return from_source_[index_.source(src)];
   }
   const std::vector<RegId>& wired(const Pin& sink) const {
-    return wired_[slot(sink)];
+    return to_pin_[index_.pin(sink)];
   }
 
   /// Records the connection; a register joins the wired list the first
   /// time its (sink, source) pair is seen.
   void connect(const Endpoint& src, RegId r) {
     if (seen_.increment(key(Pin{Pin::Kind::kRegIn, r}, src)) == 1)
-      wired_[slot(src)].push_back(r);
+      from_source_[index_.source(src)].push_back(r);
   }
   void connect(const Pin& sink, RegId r) {
     if (seen_.increment(key(sink, Endpoint{Endpoint::Kind::kRegOut, r})) == 1)
-      wired_[slot(sink)].push_back(r);
+      to_pin_[index_.pin(sink)].push_back(r);
   }
 
  private:
@@ -52,27 +52,10 @@ class WireTracker {
     return (static_cast<uint64_t>(pack(sink)) << 32) | pack(src);
   }
 
-  // Dense list index: FU input pins, output ports, FU outputs, input ports
-  // (the only ends a storage's connections have besides its register).
-  size_t slot(const Pin& p) const {
-    SALSA_DCHECK(p.kind != Pin::Kind::kRegIn);
-    const int base = p.kind == Pin::Kind::kFuIn0   ? 0
-                     : p.kind == Pin::Kind::kFuIn1 ? fus_
-                                                   : 2 * fus_;
-    return static_cast<size_t>(base + p.id);
-  }
-  size_t slot(const Endpoint& e) const {
-    SALSA_DCHECK(e.kind == Endpoint::Kind::kFuOut ||
-                 e.kind == Endpoint::Kind::kInPort);
-    const int base = e.kind == Endpoint::Kind::kFuOut ? 2 * fus_ + nodes_
-                                                      : 3 * fus_ + nodes_;
-    return static_cast<size_t>(base + e.id);
-  }
-
-  int fus_;
-  int nodes_;
+  PinIndex index_;
   FlatMap<uint64_t> seen_;  ///< (sink, source) pairs, counted
-  std::vector<std::vector<RegId>> wired_;
+  std::vector<std::vector<RegId>> to_pin_;       ///< per PinIndex pin
+  std::vector<std::vector<RegId>> from_source_;  ///< per PinIndex source
 };
 
 }  // namespace
@@ -171,7 +154,7 @@ Binding initial_allocation(const AllocProblem& prob,
   reg_busy.resize(L, R);
   BitPlane busy_over;  // one row: registers busy at any step of a storage
   busy_over.resize(1, R);
-  WireTracker wires(prob.fus().size(), g.num_nodes());
+  WireTracker wires(prob);
   std::vector<int> hits(static_cast<size_t>(R), 0);
   std::vector<RegId> touched;
 

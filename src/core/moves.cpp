@@ -90,7 +90,7 @@ struct CellRef {
 // rewritten on every call, and each proposer holds at most one collected
 // list at a time. Cell scans run in (sid, seg, pos)-lexicographic order —
 // the candidate-order contract the engine's per-storage statistics
-// (num_cells/num_vias/num_bare_transfers) prune against.
+// (cell, via and bare-transfer counts) prune against.
 
 const Cell& cell_at(const Binding& b, const CellRef& cr) {
   return b.sto(cr.sid).cells[static_cast<size_t>(cr.seg)]

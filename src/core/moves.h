@@ -70,9 +70,6 @@ struct MoveConfig {
   static MoveConfig no_split();
 
   MoveKind pick(Rng& rng) const;
-  bool enabled(MoveKind k) const {
-    return weight[static_cast<size_t>(k)] > 0;
-  }
 
   /// Left-to-right weight total, cached by the first pick() (the identical
   /// summation order keeps every draw bit-identical to the uncached scan).

@@ -32,15 +32,15 @@ struct MuxMergeResult {
 /// Constant sources are excluded (they are free in the cost model).
 ///
 /// Order contract: the multi-source muxes are taken in ascending sink-key
-/// order (key_of); each group opens at the lowest unused mux and tries the
-/// later unused muxes once each, in ascending order, merging those that
-/// share a source with the group and never need a different source at one
-/// of its steps. `muxes` lists the groups in that order, each with its
-/// sinks in merge order and its sources in ascending key order. A group's
-/// candidates come from an inverted source index, so the pass costs about
-/// the uses plus the candidates that share a source, not every mux pair
-/// (DESIGN.md, "Mux merge"); tests/mux_merge_reference.h keeps the pairwise
-/// loop it must equal.
+/// order (key_of, the PinIndex order); each group opens at the lowest unused
+/// mux and tries the later unused muxes once each, in ascending order,
+/// merging those that share a source with the group and never need a
+/// different source at one of its steps. `muxes` lists the groups in that
+/// order, each with its sinks in merge order and its sources in ascending
+/// key order. A group's candidates come from an inverted source index, so
+/// the pass costs about the route table plus the candidates that share a
+/// source, not every mux pair (DESIGN.md, "Mux merge");
+/// tests/mux_merge_reference.h keeps the pairwise loop it must equal.
 MuxMergeResult merge_muxes(const Binding& b);
 
 }  // namespace salsa

@@ -275,7 +275,6 @@ void SearchEngine::enum_gen_uses(int gen, Fn&& fn) const {
   const AllocProblem& prob = b_.prob();
   const Cdfg& g = prob.cdfg();
   const Lifetimes& lt = prob.lifetimes();
-  const int L = prob.sched().length();
 
   if (gen >= statics_->const_gen_base) {  // constant operands of one operation
     const NodeId n = gen - statics_->const_gen_base;
@@ -316,7 +315,6 @@ void SearchEngine::enum_gen_uses(int gen, Fn&& fn) const {
   // Cell writes: producer latches, environment loads, transfers.
   for (int seg = 0; seg < s.len; ++seg)
     enum_write_seg_uses(sid, s, sb, seg, fn);
-  (void)L;
 }
 
 template <typename Fn>
@@ -471,7 +469,7 @@ void SearchEngine::add_write_gen_spliced(int sid, size_t stash_idx, int wlo,
               olds.end());
 }
 
-bool SearchEngine::add_read_gen_spliced(int sid, size_t stash_idx) {
+void SearchEngine::add_read_gen_spliced(int sid, size_t stash_idx) {
   // Read keys depend on exactly three things: the register of the cell
   // the read fetches from (changes only when that cell's segment is inside
   // the mutation window), which cell the read fetches from (read_cell,
@@ -484,7 +482,9 @@ bool SearchEngine::add_read_gen_spliced(int sid, size_t stash_idx) {
   const StorageBinding& sb = b_.sto(sid);
   const std::vector<uint64_t>& olds =
       gen_keys_[static_cast<size_t>(gen_reads(sid))];
-  if (olds.size() != s.reads.size()) return false;
+  // Every read's source is a register and only constant sources are ever
+  // skipped, so the cache holds exactly one key per read.
+  SALSA_DCHECK(olds.size() == s.reads.size());
   // The generator may have been retired through touch_op alone (a consumer
   // changed FU or swap) with the storage itself untouched — then its cells
   // and read_cell are unchanged, the window is empty, and the save buffer
@@ -517,7 +517,6 @@ bool SearchEngine::add_read_gen_spliced(int sid, size_t stash_idx) {
     }
     keys.push_back((static_cast<uint64_t>(sk) << 32) | src);
   }
-  return true;
 }
 
 void SearchEngine::install_fresh_gen_caches() {
@@ -1048,7 +1047,8 @@ void SearchEngine::finish_mutation() {
         spliced = true;
       }
     } else if (seg_windows_ && is_read_gen(gen)) {
-      spliced = add_read_gen_spliced(gen / 2, i);
+      add_read_gen_spliced(gen / 2, i);
+      spliced = true;
     }
     if (!spliced) add_gen(gen, gen_stash_[i]);
     // Net the retired key list (still in the cache) against the fresh one

@@ -239,21 +239,12 @@ class SearchEngine {
   // Incrementally maintained per-storage binding statistics (refreshed at
   // commit, so they describe the binding between transactions). Move
   // proposers use them to skip storages that cannot contribute a candidate
-  // — e.g. a storage with num_cells == len has no multi-cell segment — and
-  // to map a uniform cell draw through prefix sums instead of materializing
-  // the full cell list. They only prune provably-empty scans, so candidate
-  // sets and RNG draws are unchanged.
-  /// Total register cells bound across all segments of storage `sid`.
-  int num_cells(int sid) const { return sto_cells_[static_cast<size_t>(sid)]; }
+  // — e.g. a storage with as many cells as segments has no multi-cell
+  // segment — and to map a uniform cell draw through prefix sums instead
+  // of materializing the full cell list. They only prune provably-empty
+  // scans, so candidate sets and RNG draws are unchanged.
   /// Total cells across all storages.
   int total_cells() const { return total_cells_; }
-  /// Cells of `sid` routed through a pass-through FU.
-  int num_vias(int sid) const { return sto_vias_[static_cast<size_t>(sid)]; }
-  /// Direct (no-via) inter-register transfer cells of `sid` — the bindable
-  /// candidates of the pass-through binder.
-  int num_bare_transfers(int sid) const {
-    return sto_xfers_[static_cast<size_t>(sid)];
-  }
 
   // --- O(log) candidate selection -------------------------------------
   // Fenwick-backed totals and rank selects over the per-storage statistics
@@ -536,10 +527,8 @@ class SearchEngine {
   /// consumer op was touched this epoch.
   /// Every other entry is copied from the cached pre-move list verbatim;
   /// the changed ones are recomputed in place with the same logic as
-  /// enum_gen_uses' read branch. Returns false (caller falls back to the
-  /// full enumeration) if the cache doesn't hold the expected
-  /// one-key-per-read shape.
-  bool add_read_gen_spliced(int sid, size_t stash_idx);
+  /// enum_gen_uses' read branch.
+  void add_read_gen_spliced(int sid, size_t stash_idx);
   bool is_write_gen(int gen) const {
     return gen < statics_->const_gen_base && (gen & 1) != 0;
   }

@@ -1,7 +1,5 @@
 #include "core/verify.h"
 
-#include <cstdint>
-
 #include "core/cost.h"
 
 namespace salsa {
@@ -155,45 +153,14 @@ std::vector<std::string> verify(const Binding& b) {
   if (!bad.empty()) return bad;  // connection pass needs a structurally sound binding
 
   // --- one driver per pin per step -----------------------------------------
-  // A dense table of pack()ed sources, one row per module input pin (FU
-  // input 0, FU input 1, register inputs, output ports) and one column per
-  // step. The first use of a (pin, step) sets its driver; every later use
-  // with another source is a conflict, reported in use order.
-  constexpr uint32_t kNoDriver = ~0u;  // no pack()ed endpoint has kind 15
-  const std::vector<NodeId> outputs = g.output_nodes();
-  std::vector<int> out_row(static_cast<size_t>(g.num_nodes()), -1);
-  for (size_t i = 0; i < outputs.size(); ++i)
-    out_row[static_cast<size_t>(outputs[i])] =
-        2 * nfu + nreg + static_cast<int>(i);
-  const auto row = [&](const Pin& p) {
-    switch (p.kind) {
-      case Pin::Kind::kFuIn0:
-        return p.id;
-      case Pin::Kind::kFuIn1:
-        return nfu + p.id;
-      case Pin::Kind::kRegIn:
-        return 2 * nfu + p.id;
-      case Pin::Kind::kOutPort:
-        return out_row[static_cast<size_t>(p.id)];
-    }
-    return -1;
-  };
-  const size_t steps = static_cast<size_t>(L);
-  std::vector<uint32_t> driver(
-      (static_cast<size_t>(2 * nfu + nreg) + outputs.size()) * steps,
-      kNoDriver);
-  for (const ConnUse& u : connection_uses(b)) {
-    const int r = row(u.sink);
-    SALSA_DCHECK(r >= 0 && u.step >= 0 && u.step < L);
-    uint32_t& d = driver[static_cast<size_t>(r) * steps +
-                         static_cast<size_t>(u.step)];
-    const uint32_t src = pack(u.src);
-    if (d == kNoDriver)
-      d = src;
-    else if (d != src)
+  // The first use of a (pin, step) sets its driver in the route table;
+  // every later use with another source is a conflict, reported in use
+  // order.
+  RouteTable routes(prob);
+  for (const ConnUse& u : connection_uses(b))
+    if (!routes.route(u))
       complain("module input pin driven by two sources at step " +
                std::to_string(u.step));
-  }
   return bad;
 }
 

@@ -19,9 +19,8 @@ namespace salsa {
 ///     valid parent; via only on actual transfers, on idle pass-capable FUs);
 ///   * every read served by an existing cell;
 ///   * at most one driving source per module input pin per step (checked
-///     only when the rules above all hold, over a dense pin x step table of
-///     packed sources; each conflicting use adds one message, in
-///     connection_uses() order).
+///     only when the rules above all hold, by filling a RouteTable; each
+///     conflicting use adds one message, in connection_uses() order).
 std::vector<std::string> verify(const Binding& b);
 
 /// Convenience: throws salsa::Error with all violations if any.

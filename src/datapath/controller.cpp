@@ -15,7 +15,7 @@ int bits_for(int choices) {
   return bits;
 }
 
-// The control word of one step: per pin the selected source key (or absent),
+// The control word of one step: per FU input pin the selected packed source,
 // per register whether it loads, per FU which op kind starts.
 struct Word {
   std::map<uint64_t, uint64_t> pin_select;
@@ -30,25 +30,21 @@ struct Word {
 };
 
 std::vector<Word> control_words(const Netlist& nl) {
-  const Binding& b = nl.binding();
-  const AllocProblem& prob = b.prob();
-  const Cdfg& g = prob.cdfg();
-  const int L = prob.sched().length();
-  std::vector<Word> words(static_cast<size_t>(L));
-  for (int t = 0; t < L; ++t) {
-    Word& w = words[static_cast<size_t>(t)];
-    for (FuId f = 0; f < prob.fus().size(); ++f) {
-      for (int slot = 0; slot < 2; ++slot) {
-        const Pin pin{slot == 0 ? Pin::Kind::kFuIn0 : Pin::Kind::kFuIn1, f};
-        if (auto src = nl.source_of(pin, t)) w.pin_select[key_of(pin)] = key_of(*src);
-      }
-    }
-    for (const RegLoad& ld : nl.reg_loads())
-      if (ld.step == t) w.reg_loads.insert(ld.reg);
-    for (const FuAction& a : nl.fu_actions())
-      if (a.step == t)
-        w.fu_op[a.fu] = static_cast<int>(g.node(a.node).kind);
+  const AllocProblem& prob = nl.binding().prob();
+  const RouteTable& routes = nl.routes();
+  std::vector<Word> words(static_cast<size_t>(prob.sched().length()));
+  for (size_t p = 0; p < routes.index().num_pins(); ++p) {
+    const Pin::Kind kind = routes.index().pin_at(p).kind;
+    if (kind != Pin::Kind::kFuIn0 && kind != Pin::Kind::kFuIn1) continue;
+    const auto row = routes.row(p);
+    for (size_t t = 0; t < row.size(); ++t)
+      if (row[t] != RouteTable::kNoDriver) words[t].pin_select[p] = row[t];
   }
+  for (const RegLoad& ld : nl.reg_loads())
+    words[static_cast<size_t>(ld.step)].reg_loads.insert(ld.reg);
+  for (const FuAction& a : nl.fu_actions())
+    words[static_cast<size_t>(a.step)].fu_op[a.fu] =
+        static_cast<int>(prob.cdfg().node(a.node).kind);
   return words;
 }
 
@@ -58,26 +54,19 @@ ControllerStats analyze_controller(const Netlist& nl) {
   const Binding& b = nl.binding();
   const AllocProblem& prob = b.prob();
   const Cdfg& g = prob.cdfg();
-  const int L = prob.sched().length();
   ControllerStats stats;
 
-  // Mux select bits per pin: distinct sources over all steps.
-  std::map<uint64_t, std::set<uint64_t>> pin_sources;
-  for (int t = 0; t < L; ++t) {
-    for (FuId f = 0; f < prob.fus().size(); ++f)
-      for (int slot = 0; slot < 2; ++slot) {
-        const Pin pin{slot == 0 ? Pin::Kind::kFuIn0 : Pin::Kind::kFuIn1, f};
-        if (auto src = nl.source_of(pin, t))
-          pin_sources[key_of(pin)].insert(key_of(*src));
-      }
-    for (const RegLoad& ld : nl.reg_loads())
-      if (ld.step == t)
-        pin_sources[key_of(Pin{Pin::Kind::kRegIn, ld.reg})].insert(
-            key_of(ld.src));
-  }
-  for (const auto& [pin, sources] : pin_sources) {
-    (void)pin;
-    stats.mux_select_bits += bits_for(static_cast<int>(sources.size()));
+  // Mux select bits per FU and register input pin: its distinct sources
+  // over all steps, off its route row (output ports select nothing).
+  const RouteTable& routes = nl.routes();
+  std::vector<uint32_t> sources;
+  for (size_t p = 0; p < routes.index().num_pins(); ++p) {
+    if (routes.index().pin_at(p).kind == Pin::Kind::kOutPort) continue;
+    sources.assign(routes.row(p).begin(), routes.row(p).end());
+    std::erase(sources, RouteTable::kNoDriver);
+    std::sort(sources.begin(), sources.end());
+    stats.mux_select_bits += bits_for(static_cast<int>(
+        std::unique(sources.begin(), sources.end()) - sources.begin()));
   }
 
   std::set<int> loading_regs;

@@ -1,14 +1,12 @@
-// Datapath netlist: the structural view of a legal binding. Routing tables
-// give, for every module input pin and control step, the unique source
+// Datapath netlist: the structural view of a legal binding. Its route table
+// gives, for every module input pin and control step, the unique source
 // driving it (derived from the point-to-point connection enumeration), plus
 // the per-step controller actions (which ops execute where, which registers
 // load, which outputs sample). The simulator executes this structure; the
 // Verilog emitter prints it.
 #pragma once
 
-#include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/cost.h"
@@ -46,22 +44,21 @@ class Netlist {
   const Binding& binding() const { return b_; }
 
   /// Source driving a pin at a step, if any.
-  std::optional<Endpoint> source_of(const Pin& pin, int step) const;
+  std::optional<Endpoint> source_of(const Pin& pin, int step) const {
+    return routes_.driver(pin, step);
+  }
+  const RouteTable& routes() const { return routes_; }
 
   const std::vector<FuAction>& fu_actions() const { return fu_actions_; }
   const std::vector<RegLoad>& reg_loads() const { return reg_loads_; }
   const std::vector<OutSample>& out_samples() const { return out_samples_; }
 
-  /// Distinct non-constant point-to-point connections.
-  int num_connections() const { return connections_; }
-
  private:
   Binding b_;
-  std::map<std::pair<uint64_t, int>, Endpoint> route_;  // (pin key, step)
+  RouteTable routes_;
   std::vector<FuAction> fu_actions_;
   std::vector<RegLoad> reg_loads_;
   std::vector<OutSample> out_samples_;
-  int connections_ = 0;
 };
 
 }  // namespace salsa

@@ -1,6 +1,5 @@
 #include "datapath/simulator.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "cdfg/eval.h"
@@ -17,17 +16,11 @@ std::vector<int64_t> initial_register_image(
   const Lifetimes& lt = prob.lifetimes();
 
   const auto state_nodes = g.state_nodes();
-  const auto input_nodes = g.input_nodes();
   std::vector<int64_t> states(state_nodes.size(), 0);
   if (!initial_states.empty()) {
     SALSA_CHECK(initial_states.size() == state_nodes.size());
     states.assign(initial_states.begin(), initial_states.end());
   }
-  auto input_index = [&](NodeId n) {
-    for (size_t i = 0; i < input_nodes.size(); ++i)
-      if (input_nodes[i] == n) return static_cast<int>(i);
-    fail("unknown input node");
-  };
   auto state_index = [&](int sid) -> int {
     for (ValueId v : lt.storage(sid).members) {
       const NodeId p = g.producer(v);
@@ -52,8 +45,7 @@ std::vector<int64_t> initial_register_image(
       v = states[static_cast<size_t>(sx)];
     } else if (s.producer == kInvalidId) {
       SALSA_CHECK(!inputs.empty());
-      v = inputs[0][static_cast<size_t>(
-          input_index(g.producer(s.members[0])))];
+      v = inputs[0][nl.routes().index().port(g.producer(s.members[0]))];
     } else if (!s.wraps && s.birth == 0) {
       // Non-state value born at the boundary: produced by iteration -1,
       // never read before being rewritten; zero is fine.
@@ -79,10 +71,7 @@ SimResult simulate(const Netlist& nl,
 
   SALSA_CHECK_MSG(static_cast<int>(inputs.size()) >= iterations,
                   "simulate: not enough input vectors");
-  std::vector<int> port(static_cast<size_t>(g.num_nodes()), -1);
-  const auto input_nodes = g.input_nodes();
-  for (size_t i = 0; i < input_nodes.size(); ++i)
-    port[static_cast<size_t>(input_nodes[i])] = static_cast<int>(i);
+  const PinIndex& index = nl.routes().index();
 
   // Compile: resolve every route once and bucket the work by control step.
   // A result lands at start + delay - 1 of the same iteration (Schedule::
@@ -142,12 +131,8 @@ SimResult simulate(const Netlist& nl,
       at(t).starts.push_back(Start{slots, OpKind::kNop, *src, *src});
       at(t).lands.push_back(Land{f, slots++});
     }
-  const auto output_nodes = g.output_nodes();
-  for (const OutSample& o : nl.out_samples()) {
-    const auto k = std::find(output_nodes.begin(), output_nodes.end(), o.node);
-    at(o.step).samples.push_back(
-        Sample{static_cast<size_t>(k - output_nodes.begin()), o.reg});
-  }
+  for (const OutSample& o : nl.out_samples())
+    at(o.step).samples.push_back(Sample{index.port(o.node), o.reg});
   for (const RegLoad& ld : nl.reg_loads()) at(ld.step).loads.push_back(ld);
 
   // Execute: registers, FU outputs and waiting results in flat arrays.
@@ -168,7 +153,7 @@ SimResult simulate(const Netlist& nl,
         // The port carries the *next* iteration's value at the boundary
         // load (step L-1) — see the connection enumeration.
         SALSA_CHECK(iter + 1 < inputs.size());
-        return inputs[iter + 1][static_cast<size_t>(port[id])];
+        return inputs[iter + 1][index.port(e.id)];
       case Endpoint::Kind::kFuOut:
         SALSA_CHECK_MSG(fu_has[id], "FU output read while no result is present");
         return fu_out[id];
@@ -182,7 +167,7 @@ SimResult simulate(const Netlist& nl,
 
   SimResult result;
   result.outputs.assign(static_cast<size_t>(iterations),
-                        std::vector<int64_t>(output_nodes.size(), 0));
+                        std::vector<int64_t>(g.output_nodes().size(), 0));
   for (; iter < static_cast<size_t>(iterations); ++iter) {
     for (const Step& s : steps) {
       // Starting operations read their pins against the previous edge;

@@ -1,9 +1,11 @@
 #include "datapath/testbench.h"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
 #include "cdfg/eval.h"
+#include "datapath/simulator.h"
 
 namespace salsa {
 
@@ -81,37 +83,22 @@ std::string to_testbench(const Netlist& nl,
       os << "    expect_mem[" << i << "][" << k << "] = 64'd"
          << static_cast<uint64_t>(expected[static_cast<size_t>(i)][k])
          << ";\n";
-  // Preload the registers holding step-0 cells (states / first inputs) —
-  // the datapath assumes them written "before time zero".
-  auto state_value = [&](int sid) -> std::pair<bool, int64_t> {
-    const auto states = g.state_nodes();
-    for (ValueId v : lt.storage(sid).members) {
-      const NodeId p = g.producer(v);
-      if (g.node(p).kind != OpKind::kState) continue;
-      for (size_t i = 0; i < states.size(); ++i)
-        if (states[i] == p)
-          return {true, initial_states.empty() ? 0 : initial_states[i]};
-    }
-    return {false, 0};
-  };
+  // Preload the registers holding step-0 cells of states and inputs, from
+  // the image the simulator starts from: the datapath assumes them written
+  // "before time zero".
+  const std::vector<int64_t> image =
+      initial_register_image(nl, inputs, initial_states);
   for (int sid = 0; sid < lt.num_storages(); ++sid) {
-    const int seg = lt.seg_at_step(sid, 0);
-    if (seg < 0) continue;
     const Storage& s = lt.storage(sid);
-    int64_t v = 0;
-    if (const auto [is_state, sv] = state_value(sid); is_state) {
-      v = sv;
-    } else if (s.producer == kInvalidId) {
-      size_t idx = 0;
-      for (size_t i = 0; i < in_nodes.size(); ++i)
-        if (in_nodes[i] == g.producer(s.members[0])) idx = i;
-      v = inputs[0][idx];
-    } else {
-      continue;
-    }
+    const int seg = lt.seg_at_step(sid, 0);
+    const bool state =
+        std::any_of(s.members.begin(), s.members.end(), [&](ValueId v) {
+          return g.node(g.producer(v)).kind == OpKind::kState;
+        });
+    if (seg < 0 || (!state && s.producer != kInvalidId)) continue;
     for (const Cell& c : b.sto(sid).cells[static_cast<size_t>(seg)])
-      os << "    dut.r" << c.reg << " = 64'd" << static_cast<uint64_t>(v)
-         << ";\n";
+      os << "    dut.r" << c.reg << " = 64'd"
+         << static_cast<uint64_t>(image[static_cast<size_t>(c.reg)]) << ";\n";
   }
   os << "    @(posedge clk);\n    #1 rst = 0;\n  end\n\n";
 
@@ -129,9 +116,7 @@ std::string to_testbench(const Netlist& nl,
         "its sample step.\n";
   os << "  always @(posedge clk) begin\n    if (!rst) begin\n";
   for (const OutSample& o : nl.out_samples()) {
-    size_t k = 0;
-    const auto outs = g.output_nodes();
-    while (outs[k] != o.node) ++k;
+    const size_t k = nl.routes().index().port(o.node);
     const std::string s = sanitize(g.node(o.node).name);
     os << "      if (t == " << o.step << " && iter < " << iterations
        << ") begin\n"

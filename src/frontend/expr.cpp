@@ -147,7 +147,7 @@ class Compiler {
       std::string name;
       if (!(head >> name)) err("'state' expects a name");
       define(name, g_.add_state(name));
-      states_.emplace(name, StateInfo{});
+      states_.emplace(name, StateInfo{false, line_no_});
       return;
     }
     if (first == "out" || first == "output") {
@@ -192,6 +192,7 @@ class Compiler {
  private:
   struct StateInfo {
     bool updated = false;
+    int line = 0;  ///< the `state` line
   };
 
   [[noreturn]] void err(const std::string& msg) const {
@@ -275,15 +276,24 @@ class Compiler {
     }
   }
 
+  // State rules, checked once the program is read, name the `state` line;
+  // no other graph rule can break here.
   void finish() {
     for (const auto& [name, info] : states_)
-      if (!info.updated)
-        fail("expr error: state '" + name + "' is never updated (':=')");
+      if (!info.updated) {
+        line_no_ = info.line;
+        err("state '" + name + "' is never updated (':=')");
+      }
     for (const auto& [name, line] : outputs_) {
       line_no_ = line;
       g_.add_output(lookup(name), name + "_out");
     }
-    g_.validate();
+    if (const auto v = g_.first_violation()) {
+      if (v->node == kInvalidId || g_.node(v->node).kind != OpKind::kState)
+        fail(v->message);
+      line_no_ = states_.at(g_.node(v->node).name).line;
+      err(v->message);
+    }
   }
 
   Cdfg g_;

@@ -59,6 +59,7 @@ ParsedDesign parse_design(std::istream& in) {
     int line;
   };
   std::vector<PendingAt> ats;
+  std::vector<int> node_line;  // the line that declared each node
   bool have_schedule = false;
   int sched_length = 0;
   int schedule_line = 0;
@@ -152,7 +153,18 @@ ParsedDesign parse_design(std::istream& in) {
     } else {
       parse_fail(line_no, "unknown directive '" + kw + "'");
     }
+    node_line.resize(static_cast<size_t>(g->num_nodes()), line_no);
   }
+  // A broken rule names its node's `at` line, else the line declaring the
+  // node (a state's `state` line). Every value is defined before its use,
+  // so no rule about the graph as a whole can break here.
+  const auto reject = [&](const Violation& v, const std::map<NodeId, int>& at) {
+    if (v.node == kInvalidId) fail(v.message);
+    const auto it = at.find(v.node);
+    parse_fail(
+        it != at.end() ? it->second : node_line[static_cast<size_t>(v.node)],
+        v.message);
+  };
 
   // A state's next value is computed by an operation (a bare state, input
   // or constant is copied through a nop), and one value feeds at most one
@@ -182,7 +194,7 @@ ParsedDesign parse_design(std::istream& in) {
                               "; copy it through a nop");
     g->set_state_next(st, next);
   }
-  g->validate();
+  if (const auto v = g->first_violation()) reject(*v, {});
 
   if (have_schedule) {
     design.hw.pipelined_mul = pipelined;
@@ -210,7 +222,7 @@ ParsedDesign parse_design(std::istream& in) {
           !at_line.contains(n))
         parse_fail(schedule_line, "node '" + nd.name + "' has no 'at' start");
     }
-    design.schedule->validate();
+    if (const auto v = design.schedule->first_violation()) reject(*v, at_line);
   }
   return design;
 }

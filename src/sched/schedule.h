@@ -74,8 +74,11 @@ class Schedule {
   /// Output samples count as reads.
   int value_last_read(ValueId v) const;
 
-  /// Checks all precedence, boundary and state anti-dependence constraints;
-  /// throws salsa::Error with a description on violation.
+  /// The first broken precedence, boundary or state anti-dependence
+  /// constraint, if any, with the node it concerns (the reader, the late
+  /// operation, or the state).
+  std::optional<Violation> first_violation() const;
+  /// Throws salsa::Error with first_violation()'s message.
   void validate() const;
 
   /// Number of operations whose FU occupancy includes `step`, per kind

@@ -1,7 +1,8 @@
 // The binding corpus of the set-up passes' reference differentials:
 // test_mux_merge runs merge_muxes() against the pairwise merge kept in
-// mux_merge_reference.h, and test_verify runs verify()'s one-driver table
-// against the map-based pass it replaced. Every binding is legal:
+// mux_merge_reference.h, test_verify runs verify()'s one-driver rule
+// against the map-based pass it replaced, and test_interconnect_index runs
+// Netlist against the std::map route it replaced. Every binding is legal:
 //   * the paper's grids — EWF at 17-21 steps and DCT at 7-13, both
 //     multiplier pipelinings, 0-2 spare registers: each constructive start
 //     and a short allocate() result;

@@ -90,7 +90,6 @@ TEST_P(Consistency, NetlistRoutesEveryUse) {
     ASSERT_TRUE(src.has_value());
     EXPECT_EQ(key_of(*src), key_of(u.src));
   }
-  EXPECT_EQ(nl.num_connections(), evaluate_cost(*binding_).connections);
 }
 
 TEST_P(Consistency, MergedMuxesNeverNeedTwoSourcesAtOnce) {

@@ -147,35 +147,53 @@ out y
 struct ExprError {
   const char* name;
   const char* text;
+  int line;  // the line the diagnostic must name
 };
 
 class ExprRejects : public ::testing::TestWithParam<ExprError> {};
 
 TEST_P(ExprRejects, WithLineNumber) {
+  const std::string want =
+      "expr error at line " + std::to_string(GetParam().line) + ": ";
   try {
     compile_expr_string(GetParam().text);
     FAIL() << "expected error";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("expr error"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()).rfind(want, 0), 0u) << e.what();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, ExprRejects,
     ::testing::Values(
-        ExprError{"unknown_name", "design d\ny = q + 1\nout y\n"},
-        ExprError{"reassignment", "design d\ninput x\ny = x\ny = x\nout y\n"},
-        ExprError{"update_non_state", "design d\ninput x\nx := x\n"},
+        ExprError{"unknown_name", "design d\ny = q + 1\nout y\n", 2},
+        ExprError{"reassignment", "design d\ninput x\ny = x\ny = x\nout y\n",
+                  4},
+        ExprError{"update_non_state", "design d\ninput x\nx := x\n", 3},
         ExprError{"double_update",
-                  "design d\ninput x\nstate s\na = s + x\ns := a\ns := a\n"},
+                  "design d\ninput x\nstate s\na = s + x\ns := a\ns := a\n",
+                  6},
+        // State rules found after the last line name the `state` line.
         ExprError{"missing_update",
-                  "design d\ninput x\nstate s\ny = s + x\nout y\n"},
-        ExprError{"bad_char", "design d\ninput x\ny = x @ 2\nout y\n"},
-        ExprError{"unbalanced_paren", "design d\ninput x\ny = (x + 1\nout y\n"},
-        ExprError{"trailing_tokens", "design d\ninput x\ny = x + 1 2\nout y\n"},
-        ExprError{"unknown_output", "design d\ninput x\ny = x + 1\nout z\n"},
+                  "design d\ninput x\nstate s\ny = s + x\nout y\n", 3},
+        ExprError{"second_state_never_updated",
+                  "design d\ninput x\nstate s\nstate t\ny = s + t\n"
+                  "s := y\nout y\n",
+                  4},
+        ExprError{"state_never_read",
+                  "design d\ninput x\nstate z\nz := x + 1\ny = x * 2\n"
+                  "out y\n",
+                  3},
+        ExprError{"bad_char", "design d\ninput x\ny = x @ 2\nout y\n", 3},
+        ExprError{"unbalanced_paren",
+                  "design d\ninput x\ny = (x + 1\nout y\n", 3},
+        ExprError{"trailing_tokens",
+                  "design d\ninput x\ny = x + 1 2\nout y\n", 3},
+        ExprError{"unknown_output",
+                  "design d\ninput x\ny = x + 1\nout z\n", 4},
         ExprError{"literal_overflow",
-                  "design d\ninput x\ny = 99999999999999999999*x\nout y\n"}),
+                  "design d\ninput x\ny = 99999999999999999999*x\nout y\n",
+                  3}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Expr, CompiledDesignsAllocateAndSimulate) {

@@ -153,7 +153,27 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"second_at",
                 "cdfg z\ninput x\nadd q x x\noutput y q\nschedule 3\n"
                 "at q 1\nat q 0\nat y 2\n",
-                7}),
+                7},
+        // State rules name the `state` line, schedule rules the node's `at`
+        // line.
+        BadCase{"state_without_next",
+                "cdfg x\ninput a\nstate s\nadd w a s\noutput o w\n", 3},
+        BadCase{"state_never_read",
+                "cdfg x\ninput a\nstate s\nadd w a a\nadd q a a\n"
+                "next s w\noutput o q\n",
+                3},
+        BadCase{"at_reads_before_ready",
+                "cdfg x\ninput a\nadd w a a\nadd v w a\noutput o v\n"
+                "schedule 4\nat w 0\nat v 0\nat o 2\n",
+                8},
+        BadCase{"result_not_ready_before_period_end",
+                "cdfg x\ninput a\nmul w a a\noutput o w\nschedule 3\n"
+                "at w 1\nat o 2\n",
+                6},
+        BadCase{"state_next_ready_before_last_read",
+                "cdfg x\ninput a\nstate s\nadd w a s\nadd q s a\nnext s w\n"
+                "output o q\nschedule 3\nat w 0\nat q 1\nat o 2\n",
+                3}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(TextFormat, RoundTripsBenchmarks) {
