@@ -42,6 +42,7 @@ TEST(Generate, DeterministicAndDigestPinned) {
       {GenFamily::kGemmPipeline, 1000, 1, 0xaf629e18ea6b045full},
       {GenFamily::kLayeredDag, 1000, 1, 0x2c6e914813213111ull},
       {GenFamily::kLayeredDag, 1000, 2, 0x4a72b58d7a9b7e66ull},
+      {GenFamily::kMemoryTraffic, 1000, 1, 0x41f8a8fe6555653eull},
   };
   for (const Pin& pin : pins) {
     const GenParams p = params_for(pin.family, pin.target, pin.seed);

@@ -8,14 +8,19 @@
 
 #include "analysis/digest.h"
 #include "baseline/traditional.h"
+#include "bench_suite/ar_filter.h"
 #include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
+#include "bench_suite/harness.h"
 #include "core/allocator.h"
 #include "core/annealer.h"
 #include "core/ils.h"
+#include "datapath/controller.h"
+#include "datapath/testbench.h"
 #include "datapath/vcd.h"
 #include "datapath/verilog.h"
 #include "frontend/generate.h"
+#include "layout/linear_placement.h"
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
 
@@ -334,6 +339,113 @@ TEST(Golden, VerilogDigestsArePinned) {
     for (char c : v) h.byte(static_cast<uint8_t>(c));
     EXPECT_EQ(h.value(), row.digest) << row.name << " actual 0x" << std::hex
                                      << h.value();
+  }
+}
+
+uint64_t text_digest(const std::string& text) {
+  Fnv1a h;
+  for (char c : text) h.byte(static_cast<uint8_t>(c));
+  return h.value();
+}
+
+// FNV-1a over module_affinity's matrix, row by row.
+void feed_affinity(Fnv1a& h, const Binding& b) {
+  const auto w = module_affinity(b);
+  h.u32(static_cast<uint32_t>(w.size()));
+  for (const auto& row : w)
+    for (double v : row) h.f64(v);
+}
+
+// ---------------------------------------------------------------------------
+// Golden layout: module_affinity and place_linear (seed 17) on the four
+// cases of bench_layout, over both models' run_comparison results
+// (traditional first, when feasible). The affinity digest hashes both
+// matrices; the placement digest hashes both slot vectors and wirelengths.
+TEST(Golden, LayoutOfBenchCasesIsPinned) {
+  struct Row {
+    const char* name;
+    Cdfg (*make)();
+    int len;
+    int extra_regs;
+    uint64_t affinity, placement;
+  };
+  // Frozen on 2026-10-18; see file header before "fixing" these.
+  const Row rows[] = {
+      {"ewf@17", make_ewf, 17, 1, 0xdb173ba89e00b1b5ull,
+       0xea1a64ff14d532f2ull},
+      {"ewf@21", make_ewf, 21, 1, 0xca2d1ad8e3e7f9b5ull,
+       0x3d479f0b22ce4af0ull},
+      {"dct@9", make_dct, 9, 2, 0x12a34d80819a20e5ull,
+       0x2d70730831496645ull},
+      {"ar@16", make_ar_filter, 16, 2, 0xcf223b1443ba88a5ull,
+       0x5a4231c898fb87c5ull},
+  };
+  for (const Row& row : rows) {
+    const benchharness::ProblemBundle b =
+        benchharness::make_problem(row.make(), row.len, false, row.extra_regs);
+    const benchharness::Comparison cmp =
+        benchharness::run_comparison(*b.problem, 13);
+    Fnv1a affinity, placement;
+    auto feed = [&](const AllocationResult& res) {
+      feed_affinity(affinity, res.binding);
+      const LinearPlacement p = place_linear(res.binding, 17);
+      for (int s : p.slot_of) placement.i32(s);
+      placement.f64(p.wirelength);
+    };
+    if (cmp.traditional_feasible) feed(cmp.traditional);
+    feed(cmp.salsa);
+    EXPECT_EQ(affinity.value(), row.affinity)
+        << row.name << " affinity 0x" << std::hex << affinity.value();
+    EXPECT_EQ(placement.value(), row.placement)
+        << row.name << " placement 0x" << std::hex << placement.value();
+  }
+}
+
+// Golden artifacts of the generated 1k-op designs' golden_opts(3)
+// allocations: module_affinity, and the to_verilog, to_testbench (two
+// iterations of seeded stimulus) and controller_table texts.
+TEST(Golden, GeneratedArtifactsArePinned) {
+  struct Row {
+    GenFamily family;
+    uint64_t affinity, verilog, testbench, controller;
+  };
+  // Frozen on 2026-10-18; see file header before "fixing" these.
+  const Row rows[] = {
+      {GenFamily::kLayeredDag, 0xa86ec7ad8acbb9f4ull, 0x8193fdfd0de9fc0cull,
+       0x8b20da44a75117d8ull, 0x1d3d46cda1745457ull},
+      {GenFamily::kFilterCascade, 0x6ca8042f6a0225c1ull, 0xaf6e772a923784cdull,
+       0x6465cbbe7fc2628dull, 0x3adef9ba6b689db9ull},
+  };
+  for (const Row& row : rows) {
+    const GeneratedDesign d = generate_design(
+        GenParams{.family = row.family, .target_ops = 1000, .seed = 1});
+    const AllocationResult res = allocate(*d.problem, golden_opts(3));
+    const Netlist nl(res.binding);
+    const char* name = gen_family_name(row.family);
+
+    Fnv1a affinity;
+    feed_affinity(affinity, res.binding);
+    EXPECT_EQ(affinity.value(), row.affinity)
+        << name << " affinity 0x" << std::hex << affinity.value();
+
+    const uint64_t verilog = text_digest(to_verilog(nl, name));
+    EXPECT_EQ(verilog, row.verilog) << name << " verilog 0x" << std::hex
+                                    << verilog;
+
+    Rng rng(2024);
+    std::vector<std::vector<int64_t>> inputs(
+        3, std::vector<int64_t>(d.graph->input_nodes().size(), 0));
+    for (auto& vec : inputs)
+      for (auto& v : vec) v = static_cast<int64_t>(rng.next() % 2001) - 1000;
+    const std::vector<int64_t> states(d.graph->state_nodes().size(), 2);
+    const uint64_t testbench =
+        text_digest(to_testbench(nl, inputs, states, 2, name));
+    EXPECT_EQ(testbench, row.testbench) << name << " testbench 0x" << std::hex
+                                        << testbench;
+
+    const uint64_t controller = text_digest(controller_table(nl));
+    EXPECT_EQ(controller, row.controller) << name << " controller 0x"
+                                          << std::hex << controller;
   }
 }
 
