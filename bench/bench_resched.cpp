@@ -49,7 +49,6 @@ int main() {
       p.variants = 3;
       p.alloc.improve = standard_improve(22);
       p.alloc.improve.max_trials = 8;
-      p.extra_regs = 1;
       p.seed = 5;
       const ScheduleExploreResult res =
           explore_schedules(c.make(), hw, c.len, budget, p);

@@ -90,12 +90,11 @@ void InvariantAuditor::on_commit(const SearchEngine& eng, double delta) {
   // The engine defines the delta as the weighted sum of the integer
   // component diffs (baseline-independent — see SearchEngine::propose),
   // so the audit recomputes it the same way from the from-scratch counts.
-  const CostWeights& w = eng.prob().weights();
   const double expected =
-      w.fu * (full.fus_used - cost_before_.fus_used) +
-      w.reg * (full.regs_used - cost_before_.regs_used) +
-      w.mux * (full.muxes - cost_before_.muxes) +
-      w.conn * (full.connections - cost_before_.connections);
+      weighted_cost(full.fus_used - cost_before_.fus_used,
+                    full.regs_used - cost_before_.regs_used,
+                    full.muxes - cost_before_.muxes,
+                    full.connections - cost_before_.connections);
   if (expected != delta) {
     std::ostringstream os;
     os << "committed delta " << delta << " does not equal the exact "

@@ -111,8 +111,7 @@ AllocationResult allocate_traditional(const AllocProblem& prob,
     ImproveParams params = opts.improve;
     params.moves = MoveConfig::traditional();
     params.seed = opts.improve.seed + static_cast<uint64_t>(r) * 104729;
-    Binding start = traditional_initial(
-        prob, params.seed, opts.placement_retries);
+    Binding start = traditional_initial(prob, params.seed);
     ImproveResult res = improve(start, params);
     SALSA_CHECK_MSG(res.best.is_traditional(),
                     "restricted move set left the traditional model");

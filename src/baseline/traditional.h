@@ -17,9 +17,6 @@ struct TraditionalOptions {
     return p;
   }();
   int restarts = 1;
-  /// Randomised placement retries before falling back to the exact
-  /// backtracking placement.
-  int placement_retries = 32;
 };
 
 /// Places every storage contiguously in one register (greedy with retries,

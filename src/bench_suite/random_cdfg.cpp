@@ -47,13 +47,14 @@ Cdfg make_random_cdfg(const RandomCdfgParams& p) {
   }
   if (pool.empty()) pool.push_back(g.add_input("in0"));
 
+  constexpr double kSubFrac = 0.2;  // fraction of ops that are subtractions
   std::vector<ValueId> computed;
   for (int i = 0; i < p.num_ops; ++i) {
     OpKind kind = OpKind::kAdd;
     const double roll = rng.uniform01();
     if (roll < p.mul_frac) {
       kind = OpKind::kMul;
-    } else if (roll < p.mul_frac + p.sub_frac) {
+    } else if (roll < p.mul_frac + kSubFrac) {
       kind = OpKind::kSub;
     }
     // The first ops consume the states so every state is read.

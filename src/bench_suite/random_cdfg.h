@@ -14,7 +14,6 @@ struct RandomCdfgParams {
   int num_states = 2;
   int num_ops = 20;
   double mul_frac = 0.3;  ///< fraction of ops that are multiplications
-  double sub_frac = 0.2;  ///< fraction of ops that are subtractions
   uint64_t seed = 1;
 };
 

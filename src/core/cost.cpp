@@ -146,13 +146,11 @@ CostBreakdown evaluate_cost(const Binding& b) {
   out.regs_used = b.regs_used();
 
   auto uses = connection_uses(b);
-  // Distinct (sink, src) pairs; constants excluded per the paper's rule
-  // unless the problem's weights charge them.
-  const bool charge_consts = b.prob().weights().constants_cost;
+  // Distinct (sink, src) pairs; constants are free (Section 5).
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
   pairs.reserve(uses.size());
   for (const ConnUse& u : uses) {
-    if (!charge_consts && u.src.kind == Endpoint::Kind::kConstPort) continue;
+    if (u.src.kind == Endpoint::Kind::kConstPort) continue;
     pairs.emplace_back(key_of(u.sink), key_of(u.src));
   }
   std::sort(pairs.begin(), pairs.end());
@@ -165,10 +163,8 @@ CostBreakdown evaluate_cost(const Binding& b) {
     out.muxes += static_cast<int>(j - i) - 1;
     i = j;
   }
-
-  const CostWeights& w = b.prob().weights();
-  out.total = w.fu * out.fus_used + w.reg * out.regs_used +
-              w.mux * out.muxes + w.conn * out.connections;
+  out.total = weighted_cost(out.fus_used, out.regs_used, out.muxes,
+                            out.connections);
   return out;
 }
 

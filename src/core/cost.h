@@ -163,12 +163,31 @@ class RouteTable {
 /// pass-through FUs). The binding must be structurally complete.
 std::vector<ConnUse> connection_uses(const Binding& b);
 
+/// Weights of the allocation cost function (Section 4: a weighted sum of
+/// functional unit, register and interconnect costs; interconnect is
+/// evaluated on the point-to-point model). FU and register *budgets* are
+/// inputs of each experiment, so the weights emphasise interconnect.
+struct CostWeights {
+  double fu;    ///< per functional unit actually used
+  double reg;   ///< per register actually used
+  double mux;   ///< per equivalent 2-1 multiplexer
+  double conn;  ///< per point-to-point connection (wire)
+};
+inline constexpr CostWeights kCostWeights{0.0, 5.0, 10.0, 1.0};
+
+/// The weighted sum of the four counts — of a binding's totals, or of the
+/// differences a move made to them.
+constexpr double weighted_cost(int fus, int regs, int muxes, int conns) {
+  return kCostWeights.fu * fus + kCostWeights.reg * regs +
+         kCostWeights.mux * muxes + kCostWeights.conn * conns;
+}
+
 struct CostBreakdown {
   int fus_used = 0;
   int regs_used = 0;
   int connections = 0;  ///< distinct non-constant (src, sink) pairs
   int muxes = 0;        ///< equivalent 2-1 multiplexers before merging
-  double total = 0;     ///< weighted sum per the problem's CostWeights
+  double total = 0;     ///< weighted_cost of the four counts
 };
 
 /// Evaluates the allocation cost function on a binding.

@@ -27,6 +27,10 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
 }
 
 ImproveStats improve(SearchEngine& eng, const ImproveParams& params) {
+  // Largest cost increase an uphill move may carry. Unbounded uphill jumps
+  // routinely undo more structure than the rest of the trial can rebuild;
+  // steps below one multiplexer's weight keep the perturbation local.
+  constexpr double kMaxUphillDelta = 6.0;
   SALSA_DCHECK(eng.dirty_units() == 0);
   double best_cost = eng.total();
 
@@ -47,7 +51,7 @@ ImproveStats improve(SearchEngine& eng, const ImproveParams& params) {
       if (!delta) continue;
       ++stats.attempted;
       bool accept = *delta <= 0;
-      if (!accept && uphill_left > 0 && *delta <= params.max_uphill_delta) {
+      if (!accept && uphill_left > 0 && *delta <= kMaxUphillDelta) {
         accept = true;
         --uphill_left;
         ++stats.uphill;

@@ -40,11 +40,6 @@ struct ImproveParams {
   int max_trials = 40;
   int moves_per_trial = 3000;
   int uphill_per_trial = 8;    ///< uphill acceptances admitted per trial
-  /// Largest cost increase an uphill move may carry. Unbounded uphill jumps
-  /// routinely undo more structure than the rest of the trial can rebuild
-  /// (bench_ablation_search quantifies this); one-multiplexer-sized steps
-  /// keep the perturbation local.
-  double max_uphill_delta = 6.0;
   int stop_after_stale = 3;    ///< improvement-free trials before stopping
   uint64_t seed = 1;
   /// When set, the search streams one JSONL record per decided proposal

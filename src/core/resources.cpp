@@ -34,12 +34,10 @@ std::vector<FuId> FuPool::pass_capable() const {
   return out;
 }
 
-AllocProblem::AllocProblem(const Schedule& sched, FuPool fus, int num_regs,
-                           CostWeights weights)
+AllocProblem::AllocProblem(const Schedule& sched, FuPool fus, int num_regs)
     : sched_(&sched),
       fus_(std::move(fus)),
       num_regs_(num_regs),
-      weights_(weights),
       lifetimes_(std::make_unique<Lifetimes>(sched)) {
   SALSA_CHECK_MSG(num_regs_ >= lifetimes_->min_registers(),
                   "register budget below the schedule's minimum demand (" +

@@ -1,7 +1,7 @@
 // Datapath resources available to an allocation: functional-unit instances
-// and a register budget, plus the cost weights of the paper's weighted-sum
-// objective. An AllocProblem bundles a schedule with the resources it must
-// be implemented on; every binding refers back to its problem.
+// and a register budget. An AllocProblem bundles a schedule with the
+// resources it must be implemented on; every binding refers back to its
+// problem.
 #pragma once
 
 #include <memory>
@@ -48,29 +48,13 @@ class FuPool {
   std::vector<FuInst> fus_;
 };
 
-/// Weights of the allocation cost function (Section 4: a weighted sum of
-/// functional unit, register and interconnect costs; interconnect is
-/// evaluated on the point-to-point model). FU and register *budgets* are
-/// inputs of each experiment, so the defaults emphasise interconnect.
-struct CostWeights {
-  double fu = 0.0;    ///< per functional unit actually used
-  double reg = 5.0;   ///< per register actually used
-  double mux = 10.0;  ///< per equivalent 2-1 multiplexer
-  double conn = 1.0;  ///< per point-to-point connection (wire)
-  /// The paper's experiments exclude constant (coefficient) inputs from the
-  /// cost ("constants for multiplication were not considered to contribute",
-  /// Section 5). Set to true to charge them like any other source.
-  bool constants_cost = false;
-};
-
 class Lifetimes;  // core/lifetime.h
 
 /// A complete allocation problem: a validated schedule plus the resources
 /// the datapath may use. Owns the lifetime (segment) analysis.
 class AllocProblem {
  public:
-  AllocProblem(const Schedule& sched, FuPool fus, int num_regs,
-               CostWeights weights = {});
+  AllocProblem(const Schedule& sched, FuPool fus, int num_regs);
   ~AllocProblem();
   AllocProblem(const AllocProblem&) = delete;
   AllocProblem& operator=(const AllocProblem&) = delete;
@@ -79,14 +63,12 @@ class AllocProblem {
   const Cdfg& cdfg() const { return sched_->cdfg(); }
   const FuPool& fus() const { return fus_; }
   int num_regs() const { return num_regs_; }
-  const CostWeights& weights() const { return weights_; }
   const Lifetimes& lifetimes() const { return *lifetimes_; }
 
  private:
   const Schedule* sched_;
   FuPool fus_;
   int num_regs_;
-  CostWeights weights_;
   std::unique_ptr<Lifetimes> lifetimes_;
 };
 

@@ -42,9 +42,9 @@ ScheduleExploreResult explore_schedules(const Cdfg& cdfg, const HwSpec& hw,
     }
     auto schedule = std::make_unique<Schedule>(std::move(*sched));
     const Lifetimes lt(*schedule);
+    constexpr int kExtraRegs = 1;  // register budget above the minimum
     auto problem = std::make_unique<AllocProblem>(
-        *schedule, FuPool::standard(budget),
-        lt.min_registers() + params.extra_regs);
+        *schedule, FuPool::standard(budget), lt.min_registers() + kExtraRegs);
     AllocatorOptions opts = params.alloc;
     opts.improve.seed = derive_seed(params.seed, 2 * vv + 1);
     AllocationResult res = allocate(*problem, opts);

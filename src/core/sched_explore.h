@@ -20,7 +20,6 @@ namespace salsa {
 struct ScheduleExploreParams {
   int variants = 6;  ///< randomised schedules to try (plus the baseline)
   AllocatorOptions alloc;
-  int extra_regs = 1;  ///< register budget above each variant's minimum
   uint64_t seed = 1;
   /// Variant-level parallelism. Each variant owns its Schedule/AllocProblem
   /// and draws schedule jitter and allocation seeds from SplitMix64 streams

@@ -25,10 +25,7 @@ void SearchEngine::build_static() {
   const Lifetimes& lt = prob.lifetimes();
   const int S = lt.num_storages();
   EngineStatics st;
-  st.charge_consts = prob.weights().constants_cost;
-  st.const_gen_base = 2 * S;
-
-  st.op_info.assign(static_cast<size_t>(g.num_nodes()), OpInfo{});
+  st.op_gens.assign(static_cast<size_t>(g.num_nodes()), {});
   // Which storages each operation reads (its operand-fetch sinks live in
   // the storages' read generators) and which storage it produces.
   std::vector<int> produced(static_cast<size_t>(g.num_nodes()), -1);
@@ -40,25 +37,20 @@ void SearchEngine::build_static() {
     }
     for (const StorageRead& r : s.reads) {
       if (g.node(r.consumer).kind == OpKind::kOutput) continue;
-      auto& gens = st.op_info[static_cast<size_t>(r.consumer)].gens;
+      auto& gens = st.op_gens[static_cast<size_t>(r.consumer)];
       if (gens.empty() || gens.back() != gen_reads(sid))
         gens.push_back(gen_reads(sid));
     }
   }
   for (NodeId n : g.operations()) {
-    OpInfo& info = st.op_info[static_cast<size_t>(n)];
+    std::vector<int>& gens = st.op_gens[static_cast<size_t>(n)];
     // Dedup read generators (an op may read two operands of one storage,
     // interleaved with other storages in the scan above).
-    std::sort(info.gens.begin(), info.gens.end());
-    info.gens.erase(std::unique(info.gens.begin(), info.gens.end()),
-                    info.gens.end());
+    std::sort(gens.begin(), gens.end());
+    gens.erase(std::unique(gens.begin(), gens.end()), gens.end());
     if (produced[static_cast<size_t>(n)] >= 0)
-      info.gens.push_back(gen_writes(produced[static_cast<size_t>(n)]));
-    for (ValueId v : g.node(n).ins)
-      if (g.is_const_value(v)) info.has_const_ins = true;
-    if (info.has_const_ins) info.gens.push_back(st.const_gen_base + n);
+      gens.push_back(gen_writes(produced[static_cast<size_t>(n)]));
   }
-  st.num_gens = st.const_gen_base + g.num_nodes();
   st.ops = g.operations();
   for (size_t c = 0; c < st.fus_by_class.size(); ++c)
     st.fus_by_class[c] = prob.fus().of_class(static_cast<FuClass>(c));
@@ -128,8 +120,8 @@ void SearchEngine::build_static() {
 void SearchEngine::init_from_statics() {
   const Cdfg& g = b_.prob().cdfg();
   const int S = b_.prob().lifetimes().num_storages();
-  gen_epoch_.assign(static_cast<size_t>(statics_->num_gens), 0);
-  gen_keys_.assign(static_cast<size_t>(statics_->num_gens), {});
+  gen_epoch_.assign(2 * static_cast<size_t>(S), 0);
+  gen_keys_.assign(2 * static_cast<size_t>(S), {});
   op_epoch_.assign(static_cast<size_t>(g.num_nodes()), 0);
   sto_epoch_.assign(static_cast<size_t>(S), 0);
   sto_save_.assign(static_cast<size_t>(S), StorageBinding{});
@@ -236,9 +228,6 @@ void SearchEngine::rebuild() {
     add_gen(gen_writes(sid),
             gen_keys_[static_cast<size_t>(gen_writes(sid))]);
   }
-  for (NodeId n : g.operations())
-    if (statics_->op_info[static_cast<size_t>(n)].has_const_ins)
-      add_gen(gen_const(n), gen_keys_[static_cast<size_t>(gen_const(n))]);
   recompute_total();
 #ifndef NDEBUG
   // Segment-windowed transactions rely on the binding being normalized
@@ -260,69 +249,39 @@ void SearchEngine::rebuild() {
 }
 
 void SearchEngine::recompute_total() {
-  // Same expression as evaluate_cost, term for term, so totals compare
-  // bit-identically.
-  const CostWeights& w = b_.prob().weights();
-  cost_.total = w.fu * cost_.fus_used + w.reg * cost_.regs_used +
-                w.mux * cost_.muxes + w.conn * cost_.connections;
+  // Same function as evaluate_cost, so totals compare bit-identically.
+  cost_.total = weighted_cost(cost_.fus_used, cost_.regs_used, cost_.muxes,
+                              cost_.connections);
 }
 
 // ---------------------------------------------------------------------------
 // Use enumeration — one generator at a time, mirroring connection_uses().
 
 template <typename Fn>
-void SearchEngine::enum_gen_uses(int gen, Fn&& fn) const {
-  const AllocProblem& prob = b_.prob();
-  const Cdfg& g = prob.cdfg();
-  const Lifetimes& lt = prob.lifetimes();
-
-  if (gen >= statics_->const_gen_base) {  // constant operands of one operation
-    const NodeId n = gen - statics_->const_gen_base;
-    const Node& nd = g.node(n);
-    const OpBind& ob = b_.op(n);
-    for (size_t k = 0; k < nd.ins.size(); ++k) {
-      if (!g.is_const_value(nd.ins[k])) continue;
-      const int slot = ob.swap ? 1 - static_cast<int>(k) : static_cast<int>(k);
-      fn(Endpoint{Endpoint::Kind::kConstPort, g.producer(nd.ins[k])},
-         Pin{slot == 0 ? Pin::Kind::kFuIn0 : Pin::Kind::kFuIn1, ob.fu});
-    }
-    return;
-  }
-
-  const int sid = gen / 2;
-  const Storage& s = lt.storage(sid);
+void SearchEngine::enum_read_uses(int sid, Fn&& fn) const {
+  const Storage& s = b_.prob().lifetimes().storage(sid);
   const StorageBinding& sb = b_.sto(sid);
-  if (gen == gen_reads(sid)) {  // operand fetches and output samples
-    for (size_t ri = 0; ri < s.reads.size(); ++ri) {
-      const StorageRead& r = s.reads[ri];
-      // Binding::read_reg(sid, ri), with the storage rows already in hand.
-      const RegId rreg =
-          sb.cells[static_cast<size_t>(r.seg)]
-                  [static_cast<size_t>(sb.read_cell[ri])].reg;
-      const Endpoint src{Endpoint::Kind::kRegOut, rreg};
-      if (statics_->node_is_output[static_cast<size_t>(r.consumer)]) {
-        fn(src, Pin{Pin::Kind::kOutPort, r.consumer});
-      } else {
-        const OpBind& ob = b_.op(r.consumer);
-        const int slot = ob.swap ? 1 - r.operand : r.operand;
-        fn(src,
-           Pin{slot == 0 ? Pin::Kind::kFuIn0 : Pin::Kind::kFuIn1, ob.fu});
-      }
+  for (size_t ri = 0; ri < s.reads.size(); ++ri) {
+    const StorageRead& r = s.reads[ri];
+    // Binding::read_reg(sid, ri), with the storage rows already in hand.
+    const RegId rreg = sb.cells[static_cast<size_t>(r.seg)]
+                               [static_cast<size_t>(sb.read_cell[ri])].reg;
+    const Endpoint src{Endpoint::Kind::kRegOut, rreg};
+    if (statics_->node_is_output[static_cast<size_t>(r.consumer)]) {
+      fn(src, Pin{Pin::Kind::kOutPort, r.consumer});
+    } else {
+      const OpBind& ob = b_.op(r.consumer);
+      const int slot = ob.swap ? 1 - r.operand : r.operand;
+      fn(src, Pin{slot == 0 ? Pin::Kind::kFuIn0 : Pin::Kind::kFuIn1, ob.fu});
     }
-    return;
   }
-
-  // Cell writes: producer latches, environment loads, transfers.
-  for (int seg = 0; seg < s.len; ++seg)
-    enum_write_seg_uses(sid, s, sb, seg, fn);
 }
 
 template <typename Fn>
-void SearchEngine::enum_write_seg_uses(int sid, const Storage& s,
+void SearchEngine::enum_write_seg_uses(const Storage& s,
                                        const StorageBinding& sb, int seg,
                                        Fn&& fn) const {
   const Cdfg& g = b_.prob().cdfg();
-  (void)sid;
   for (const Cell& c : sb.cells[static_cast<size_t>(seg)]) {
     const Pin sink{Pin::Kind::kRegIn, c.reg};
     if (seg == 0) {
@@ -389,8 +348,6 @@ void SearchEngine::add_gen(int gen, std::vector<uint64_t>& keys) {
   // header).
   keys.clear();
   auto emit = [this, &keys](const Endpoint& src, const Pin& sink) {
-    if (!statics_->charge_consts && src.kind == Endpoint::Kind::kConstPort)
-      return;
     const uint64_t key = (static_cast<uint64_t>(pack(sink)) << 32) | pack(src);
     keys.push_back(key);
     // Inside a transaction finish_mutation nets the old and new key lists.
@@ -408,7 +365,7 @@ void SearchEngine::add_gen(int gen, std::vector<uint64_t>& keys) {
     const int off = statics_->sto_seg_off[static_cast<size_t>(sid)];
     for (int seg = 0; seg < s.len; ++seg) {
       const size_t before = keys.size();
-      enum_write_seg_uses(sid, s, sb, seg, emit);
+      enum_write_seg_uses(s, sb, seg, emit);
       int& slot = write_seg_keys_[static_cast<size_t>(off + seg)];
       const int now = static_cast<int>(keys.size() - before);
       if (slot != now) {
@@ -418,7 +375,7 @@ void SearchEngine::add_gen(int gen, std::vector<uint64_t>& keys) {
     }
     return;
   }
-  enum_gen_uses(gen, emit);
+  enum_read_uses(gen / 2, emit);
 }
 
 void SearchEngine::add_write_gen_spliced(int sid, size_t stash_idx, int wlo,
@@ -451,7 +408,7 @@ void SearchEngine::add_write_gen_spliced(int sid, size_t stash_idx, int wlo,
               olds.begin() + static_cast<ptrdiff_t>(pre));
   for (int seg = wlo; seg <= whi_add; ++seg) {
     const size_t before = keys.size();
-    enum_write_seg_uses(sid, s, sb, seg,
+    enum_write_seg_uses(s, sb, seg,
                         [&keys](const Endpoint& src, const Pin& sink) {
                           keys.push_back(
                               (static_cast<uint64_t>(pack(sink)) << 32) |
@@ -482,8 +439,8 @@ void SearchEngine::add_read_gen_spliced(int sid, size_t stash_idx) {
   const StorageBinding& sb = b_.sto(sid);
   const std::vector<uint64_t>& olds =
       gen_keys_[static_cast<size_t>(gen_reads(sid))];
-  // Every read's source is a register and only constant sources are ever
-  // skipped, so the cache holds exactly one key per read.
+  // Every read's source is a register, so the cache holds exactly one key
+  // per read.
   SALSA_DCHECK(olds.size() == s.reads.size());
   // The generator may have been retired through touch_op alone (a consumer
   // changed FU or swap) with the storage itself untouched — then its cells
@@ -879,7 +836,7 @@ OpBind& SearchEngine::touch_op(NodeId n) {
     op_epoch_[static_cast<size_t>(n)] = epoch_;
     touched_ops_.push_back({n, b_.op(n)});
     remove_op_claims(n);
-    for (int gen : statics_->op_info[static_cast<size_t>(n)].gens)
+    for (int gen : statics_->op_gens[static_cast<size_t>(n)])
       remove_gen_once(gen);
   }
   return b_.op(n);
@@ -1046,7 +1003,7 @@ void SearchEngine::finish_mutation() {
         add_write_gen_spliced(sid, i, wlo, whi, whi_add);
         spliced = true;
       }
-    } else if (seg_windows_ && is_read_gen(gen)) {
+    } else if (seg_windows_) {
       add_read_gen_spliced(gen / 2, i);
       spliced = true;
     }
@@ -1139,15 +1096,11 @@ std::optional<double> SearchEngine::propose(MoveKind kind, Rng& rng) {
   pending_kind_ = kind;
   // The delta is the weighted sum of the *integer component diffs*, not
   // total_after - total_before: it depends only on what the move changed,
-  // never on the absolute counts it changed them from, so it is exact even
-  // under fractional cost weights.
-  {
-    const CostWeights& w = b_.prob().weights();
-    pending_delta_ = w.fu * (cost_.fus_used - cost_before_.fus_used) +
-                     w.reg * (cost_.regs_used - cost_before_.regs_used) +
-                     w.mux * (cost_.muxes - cost_before_.muxes) +
-                     w.conn * (cost_.connections - cost_before_.connections);
-  }
+  // never on the absolute counts it changed them from.
+  pending_delta_ = weighted_cost(cost_.fus_used - cost_before_.fus_used,
+                                 cost_.regs_used - cost_before_.regs_used,
+                                 cost_.muxes - cost_before_.muxes,
+                                 cost_.connections - cost_before_.connections);
   ++steps_;
   MoveKindStats& ks = kind_stats_[static_cast<size_t>(kind)];
   ++ks.attempted;
@@ -1336,7 +1289,7 @@ void SearchEngine::restore_checkpoint() {
   };
   for (const NodeId n : dirty_ops_) {
     remove_op_claims(n);
-    for (const int gen : statics_->op_info[static_cast<size_t>(n)].gens)
+    for (const int gen : statics_->op_gens[static_cast<size_t>(n)])
       retire_gen(gen);
   }
   for (const int sid : dirty_stos_) {

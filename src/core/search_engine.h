@@ -32,8 +32,8 @@
 // index at all. The cost breakdown returns wholesale to its propose()-entry
 // value.
 //
-// The problem-side static tables (per-operation generator lists, constant
-// layout) are immutable after construction and shared between engines of
+// The problem-side static tables (per-operation generator lists, candidate
+// tables) are immutable after construction and shared between engines of
 // the same problem via shared_ptr, so the rebuild cross-check
 // (index_matches_rebuild) constructs its reference engine without
 // re-deriving them.
@@ -390,26 +390,16 @@ class SearchEngine {
     NodeId n;
     OpBind saved;
   };
-  /// Static (problem-side) description of which use generators an
-  /// operation's binding feeds. Generator ids: 2*sid = reads of storage
-  /// sid, 2*sid+1 = writes of storage sid, 2*S+n = constant operands of
-  /// node n.
-  struct OpInfo {
-    std::vector<int> gens;
-    bool has_const_ins = false;
-  };
   /// Immutable problem-side rows, derived once per problem and shared
   /// between engines of that problem (see the second constructor): which
-  /// generators each operation feeds, the generator id layout, whether
-  /// constant operands are charged, and the candidate tables the move
-  /// proposers scan every proposal (operation nodes, FUs by class) —
-  /// cached here so proposals stop paying an allocation per
-  /// Cdfg::operations()/FuPool::of_class() call.
+  /// use generators each operation's binding feeds, and the candidate
+  /// tables the move proposers scan every proposal (operation nodes, FUs by
+  /// class) — cached here so proposals stop paying an allocation per
+  /// Cdfg::operations()/FuPool::of_class() call. Generator ids: 2*sid =
+  /// reads of storage sid, 2*sid+1 = writes of storage sid; constant
+  /// operands are free (Section 5), so no generator enumerates them.
   struct EngineStatics {
-    std::vector<OpInfo> op_info;  // indexed by NodeId (ops only populated)
-    int const_gen_base = 0;
-    int num_gens = 0;
-    bool charge_consts = false;
+    std::vector<std::vector<int>> op_gens;  // indexed by NodeId (ops only)
     std::vector<NodeId> ops;
     std::array<std::vector<FuId>, 2> fus_by_class;  // indexed by FuClass
     // Ops whose result lands (start + delay - 1, mod schedule length) at
@@ -489,17 +479,18 @@ class SearchEngine {
 
   int gen_reads(int sid) const { return 2 * sid; }
   int gen_writes(int sid) const { return 2 * sid + 1; }
-  int gen_const(NodeId n) const { return statics_->const_gen_base + n; }
+  bool is_write_gen(int gen) const { return (gen & 1) != 0; }
 
+  /// Enumerates the read uses of storage `sid`, one per StorageRead:
+  /// operand fetches and output samples.
   template <typename Fn>
-  void enum_gen_uses(int gen, Fn&& fn) const;
-  /// Enumerates the write uses of one segment of storage `sid` (the
-  /// per-segment body of enum_gen_uses' write branch): producer latch /
-  /// environment load for segment 0, nothing for a hold, one transfer key
-  /// or a via key pair otherwise.
+  void enum_read_uses(int sid, Fn&& fn) const;
+  /// Enumerates the write uses of one segment of storage `s`: producer
+  /// latch / environment load for segment 0, nothing for a hold, one
+  /// transfer key or a via key pair otherwise.
   template <typename Fn>
-  void enum_write_seg_uses(int sid, const Storage& s, const StorageBinding& sb,
-                           int seg, Fn&& fn) const;
+  void enum_write_seg_uses(const Storage& s, const StorageBinding& sb, int seg,
+                           Fn&& fn) const;
   /// Enumerates generator `gen`'s uses from the binding into `keys`:
   /// the cache itself outside a transaction (rebuild), the removal's stash
   /// slot inside one (commit installs it via install_fresh_gen_caches).
@@ -527,14 +518,8 @@ class SearchEngine {
   /// consumer op was touched this epoch.
   /// Every other entry is copied from the cached pre-move list verbatim;
   /// the changed ones are recomputed in place with the same logic as
-  /// enum_gen_uses' read branch.
+  /// enum_read_uses.
   void add_read_gen_spliced(int sid, size_t stash_idx);
-  bool is_write_gen(int gen) const {
-    return gen < statics_->const_gen_base && (gen & 1) != 0;
-  }
-  bool is_read_gen(int gen) const {
-    return gen < statics_->const_gen_base && (gen & 1) == 0;
-  }
   void remove_gen_once(int gen);
   /// The packed-key halves of a use charge/retire: maintain the two index
   /// tables and the connections/muxes counts for one charged pair key.

@@ -1,10 +1,12 @@
 #include "core/verify.h"
 
-#include "core/cost.h"
-
 namespace salsa {
 
-std::vector<std::string> verify(const Binding& b) {
+namespace {
+
+// verify(), filling `routes` in its one-driver pass (which runs only when
+// every structural rule holds).
+std::vector<std::string> verify_into(const Binding& b, RouteTable& routes) {
   std::vector<std::string> bad;
   const AllocProblem& prob = b.prob();
   const Cdfg& g = prob.cdfg();
@@ -156,7 +158,6 @@ std::vector<std::string> verify(const Binding& b) {
   // The first use of a (pin, step) sets its driver in the route table;
   // every later use with another source is a conflict, reported in use
   // order.
-  RouteTable routes(prob);
   for (const ConnUse& u : connection_uses(b))
     if (!routes.route(u))
       complain("module input pin driven by two sources at step " +
@@ -164,9 +165,17 @@ std::vector<std::string> verify(const Binding& b) {
   return bad;
 }
 
-void check_legal(const Binding& b) {
-  const auto bad = verify(b);
-  if (bad.empty()) return;
+}  // namespace
+
+std::vector<std::string> verify(const Binding& b) {
+  RouteTable routes(b.prob());
+  return verify_into(b, routes);
+}
+
+RouteTable check_legal(const Binding& b) {
+  RouteTable routes(b.prob());
+  const auto bad = verify_into(b, routes);
+  if (bad.empty()) return routes;
   std::string msg = "illegal binding:";
   for (const auto& m : bad) msg += "\n  - " + m;
   fail(msg);

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "core/binding.h"
+#include "core/cost.h"
 
 namespace salsa {
 
@@ -23,7 +23,8 @@ namespace salsa {
 ///     conflicting use adds one message, in connection_uses() order).
 std::vector<std::string> verify(const Binding& b);
 
-/// Convenience: throws salsa::Error with all violations if any.
-void check_legal(const Binding& b);
+/// Convenience: throws salsa::Error with all violations if any. Otherwise
+/// returns the route table the one-driver check filled.
+RouteTable check_legal(const Binding& b);
 
 }  // namespace salsa

@@ -4,14 +4,12 @@
 
 namespace salsa {
 
-Netlist::Netlist(const Binding& b) : b_(b), routes_(b.prob()) {
-  check_legal(b);
+Netlist::Netlist(const Binding& b) : b_(b), routes_(check_legal(b)) {
   const AllocProblem& prob = b.prob();
   const Cdfg& g = prob.cdfg();
   const Schedule& sched = prob.sched();
 
   for (const ConnUse& u : connection_uses(b)) {
-    routes_.route(u);
     if (u.sink.kind == Pin::Kind::kRegIn)
       reg_loads_.push_back(RegLoad{u.sink.id, u.src, u.step});
     if (u.sink.kind == Pin::Kind::kOutPort) {

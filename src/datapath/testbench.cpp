@@ -1,26 +1,13 @@
 #include "datapath/testbench.h"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 
 #include "cdfg/eval.h"
 #include "datapath/simulator.h"
+#include "datapath/verilog.h"
 
 namespace salsa {
-
-namespace {
-
-std::string sanitize(const std::string& name) {
-  std::string out;
-  for (char c : name)
-    out += (std::isalnum(static_cast<unsigned char>(c)) || c == '_') ? c : '_';
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0])))
-    out = "n_" + out;
-  return out;
-}
-
-}  // namespace
 
 std::string to_testbench(const Netlist& nl,
                          std::span<const std::vector<int64_t>> inputs,
@@ -43,7 +30,7 @@ std::string to_testbench(const Netlist& nl,
 
   const auto in_nodes = g.input_nodes();
   const auto out_nodes = g.output_nodes();
-  const std::string mod = sanitize(module_name);
+  const std::string mod = verilog_identifier(module_name);
   std::ostringstream os;
   os << "// Self-checking testbench for " << mod
      << " — stimulus and expected values from the behavioural evaluator.\n"
@@ -53,17 +40,17 @@ std::string to_testbench(const Netlist& nl,
      << "  reg clk = 0, rst = 1;\n"
      << "  always #5 clk = ~clk;\n";
   for (NodeId n : in_nodes)
-    os << "  reg [W-1:0] in_" << sanitize(g.node(n).name) << ";\n";
+    os << "  reg [W-1:0] in_" << verilog_identifier(g.node(n).name) << ";\n";
   for (NodeId n : out_nodes)
-    os << "  wire [W-1:0] out_" << sanitize(g.node(n).name) << ";\n";
+    os << "  wire [W-1:0] out_" << verilog_identifier(g.node(n).name) << ";\n";
 
   os << "  " << mod << " #(.W(W)) dut(.clk(clk), .rst(rst)";
   for (NodeId n : in_nodes) {
-    const std::string s = sanitize(g.node(n).name);
+    const std::string s = verilog_identifier(g.node(n).name);
     os << ", .in_" << s << "(in_" << s << ")";
   }
   for (NodeId n : out_nodes) {
-    const std::string s = sanitize(g.node(n).name);
+    const std::string s = verilog_identifier(g.node(n).name);
     os << ", .out_" << s << "(out_" << s << ")";
   }
   os << ");\n\n";
@@ -104,10 +91,11 @@ std::string to_testbench(const Netlist& nl,
 
   // Drive inputs per cycle: the ports are sampled at the boundary (step "
   os << "  always @(posedge clk) if (!rst) cycle <= cycle + 1;\n"
-     << "  wire [15:0] t = cycle % " << L << ";\n"
+     << "  wire [" << step_counter_bits(L) - 1 << ":0] t = cycle % " << L
+     << ";\n"
      << "  wire [31:0] iter = cycle / " << L << ";\n";
   for (size_t k = 0; k < in_nodes.size(); ++k) {
-    const std::string s = sanitize(g.node(in_nodes[k]).name);
+    const std::string s = verilog_identifier(g.node(in_nodes[k]).name);
     os << "  always @(*) in_" << s << " = (t == " << L - 1
        << ") ? stim[iter+1][" << k << "][W-1:0] : stim[iter][" << k
        << "][W-1:0];\n";
@@ -117,7 +105,7 @@ std::string to_testbench(const Netlist& nl,
   os << "  always @(posedge clk) begin\n    if (!rst) begin\n";
   for (const OutSample& o : nl.out_samples()) {
     const size_t k = nl.routes().index().port(o.node);
-    const std::string s = sanitize(g.node(o.node).name);
+    const std::string s = verilog_identifier(g.node(o.node).name);
     os << "      if (t == " << o.step << " && iter < " << iterations
        << ") begin\n"
        << "        #2;\n"

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "datapath/verilog.h"
+
 namespace salsa {
 
 namespace {
@@ -43,7 +45,8 @@ std::string dump_vcd(const Netlist& nl,
   std::ostringstream os;
   os << "$date today $end\n$version salsa datapath simulator $end\n"
      << "$timescale 1ns $end\n$scope module " << module_name << " $end\n";
-  os << "$var wire 16 " << vcd_id(nreg) << " step $end\n";
+  os << "$var wire " << step_counter_bits(L) << " " << vcd_id(nreg)
+     << " step $end\n";
   for (RegId r = 0; r < nreg; ++r)
     os << "$var wire 64 " << vcd_id(r) << " r" << r << " $end\n";
   os << "$upscope $end\n$enddefinitions $end\n";

@@ -15,4 +15,14 @@ namespace salsa {
 std::string to_verilog(const Netlist& nl, const std::string& module_name,
                        int width = 16);
 
+/// The Verilog identifier of a design or port name: every character other
+/// than a letter, digit or '_' becomes '_', and a name that is empty or
+/// starts with a digit gets an "n_" prefix. The module and its testbench
+/// (datapath/testbench.h) name ports and modules through it.
+std::string verilog_identifier(const std::string& name);
+
+/// Width of the modulo-L control-step counter: enough bits for step L - 1,
+/// and never fewer than 16.
+int step_counter_bits(int L);
+
 }  // namespace salsa

@@ -52,8 +52,8 @@ std::vector<ValueId> coefficient_pool(Cdfg& g, Rng& rng, int n) {
 // steps-indexed table) along with it.
 Cdfg make_cascade(const GenParams& p, Rng& rng) {
   Cdfg g(std::string("gen_cascade_") + std::to_string(p.seed));
-  const int sections = p.cascade_sections < 1 ? 1 : p.cascade_sections;
-  const int per_channel = 10 * sections;
+  constexpr int kSections = 16;  // biquads per channel
+  const int per_channel = 10 * kSections;
   const int channels = (p.target_ops + per_channel - 1) / per_channel;
   const std::vector<ValueId> coeffs = coefficient_pool(g, rng, 8);
   auto coeff = [&]() {
@@ -63,9 +63,9 @@ Cdfg make_cascade(const GenParams& p, Rng& rng) {
 
   for (int ch = 0; ch < channels; ++ch) {
     ValueId in = g.add_input(numbered("x", ch));
-    for (int s = 0; s < sections; ++s) {
-      const ValueId s1 = g.add_state(numbered("s1_", ch * sections + s));
-      const ValueId s2 = g.add_state(numbered("s2_", ch * sections + s));
+    for (int s = 0; s < kSections; ++s) {
+      const ValueId s1 = g.add_state(numbered("s1_", ch * kSections + s));
+      const ValueId s2 = g.add_state(numbered("s2_", ch * kSections + s));
       const ValueId t1 = g.add_op(OpKind::kMul, coeff(), s1);
       const ValueId t2 = g.add_op(OpKind::kMul, coeff(), s2);
       const ValueId t3 = g.add_op(OpKind::kAdd, t1, t2);
@@ -93,30 +93,30 @@ Cdfg make_cascade(const GenParams& p, Rng& rng) {
 // register-pressure-bound end of the corpus.
 Cdfg make_gemm(const GenParams& p, Rng& /*rng*/) {
   Cdfg g(std::string("gen_gemm_") + std::to_string(p.seed));
-  const int k_depth = p.gemm_depth < 1 ? 1 : p.gemm_depth;
-  const int per_elem = 2 * k_depth - 1;
+  constexpr int kDepth = 8;  // K: MAC-chain depth per tile element
+  const int per_elem = 2 * kDepth - 1;
   int tile = 1;
   while ((tile + 1) * (tile + 1) * per_elem <= p.target_ops) ++tile;
   if (tile * tile * per_elem < p.target_ops) ++tile;
 
-  std::vector<ValueId> a(static_cast<size_t>(tile * k_depth));
-  std::vector<ValueId> b(static_cast<size_t>(k_depth * tile));
+  std::vector<ValueId> a(static_cast<size_t>(tile * kDepth));
+  std::vector<ValueId> b(static_cast<size_t>(kDepth * tile));
   for (int i = 0; i < tile; ++i)
-    for (int k = 0; k < k_depth; ++k)
-      a[static_cast<size_t>(i * k_depth + k)] =
+    for (int k = 0; k < kDepth; ++k)
+      a[static_cast<size_t>(i * kDepth + k)] =
           g.add_input(numbered("a", i) + numbered("_", k));
-  for (int k = 0; k < k_depth; ++k)
+  for (int k = 0; k < kDepth; ++k)
     for (int j = 0; j < tile; ++j)
       b[static_cast<size_t>(k * tile + j)] =
           g.add_input(numbered("b", k) + numbered("_", j));
 
   for (int i = 0; i < tile; ++i)
     for (int j = 0; j < tile; ++j) {
-      ValueId acc = g.add_op(OpKind::kMul, a[static_cast<size_t>(i * k_depth)],
+      ValueId acc = g.add_op(OpKind::kMul, a[static_cast<size_t>(i * kDepth)],
                              b[static_cast<size_t>(j)]);
-      for (int k = 1; k < k_depth; ++k) {
+      for (int k = 1; k < kDepth; ++k) {
         const ValueId m =
-            g.add_op(OpKind::kMul, a[static_cast<size_t>(i * k_depth + k)],
+            g.add_op(OpKind::kMul, a[static_cast<size_t>(i * kDepth + k)],
                      b[static_cast<size_t>(k * tile + j)]);
         acc = g.add_op(OpKind::kAdd, acc, m);
       }
@@ -134,13 +134,15 @@ Cdfg make_gemm(const GenParams& p, Rng& /*rng*/) {
 // where bench_suite/random_cdfg.cpp's reaches_any() walk cannot.
 Cdfg make_layered_dag(const GenParams& p, Rng& rng) {
   Cdfg g(std::string("gen_dag_") + std::to_string(p.seed));
-  const int width = p.dag_width < 2 ? 2 : p.dag_width;
-  const int layers = (p.target_ops + width - 1) / width < 2
+  constexpr int kWidth = 64;   // ops per layer
+  constexpr int kWindow = 3;   // operand window in layers
+  constexpr int kMulPct = 35;  // % of ops that are multiplies
+  constexpr int kSubPct = 20;  // % of ops that are subtractions
+  const int layers = (p.target_ops + kWidth - 1) / kWidth < 2
                          ? 2
-                         : (p.target_ops + width - 1) / width;
-  const int window = p.dag_window < 1 ? 1 : p.dag_window;
-  const int num_inputs = width / 2 + 1;
-  const int num_states = width / 4 < 1 ? 1 : (width / 4 > 8 ? 8 : width / 4);
+                         : (p.target_ops + kWidth - 1) / kWidth;
+  constexpr int num_inputs = kWidth / 2 + 1;
+  constexpr int num_states = kWidth / 4 > 8 ? 8 : kWidth / 4;
 
   std::vector<ValueId> pool;  // layer-0 operand candidates
   std::vector<ValueId> states;
@@ -156,8 +158,8 @@ Cdfg make_layered_dag(const GenParams& p, Rng& rng) {
 
   auto pick_kind = [&]() {
     const int roll = rng.uniform(100);
-    if (roll < p.dag_mul_pct) return OpKind::kMul;
-    if (roll < p.dag_mul_pct + p.dag_sub_pct) return OpKind::kSub;
+    if (roll < kMulPct) return OpKind::kMul;
+    if (roll < kMulPct + kSubPct) return OpKind::kSub;
     return OpKind::kAdd;
   };
 
@@ -165,10 +167,10 @@ Cdfg make_layered_dag(const GenParams& p, Rng& rng) {
       static_cast<size_t>(layers));
   std::vector<ValueId> window_vals;
   for (int l = 0; l < layers; ++l) {
-    // Operand window: the previous `window` layers' values (layer 0 draws
+    // Operand window: the previous kWindow layers' values (layer 0 draws
     // from the input/const/state pool instead).
     window_vals.clear();
-    for (int back = 1; back <= window && l - back >= 0; ++back) {
+    for (int back = 1; back <= kWindow && l - back >= 0; ++back) {
       const auto& prev = layer_vals[static_cast<size_t>(l - back)];
       window_vals.insert(window_vals.end(), prev.begin(), prev.end());
     }
@@ -177,7 +179,7 @@ Cdfg make_layered_dag(const GenParams& p, Rng& rng) {
       return src[static_cast<size_t>(
           rng.uniform(static_cast<int>(src.size())))];
     };
-    for (int i = 0; i < width; ++i) {
+    for (int i = 0; i < kWidth; ++i) {
       // The first layer-0 ops consume the states so every state is read.
       const ValueId va = (l == 0 && i < num_states)
                              ? states[static_cast<size_t>(i)]
@@ -212,14 +214,14 @@ Cdfg make_layered_dag(const GenParams& p, Rng& rng) {
 
 // Parallel (address, data) stream pairs. Per stream: an affine address
 // walker addr = a*stride + base with a' = a + step (3 ops), and a MAC chain
-// of `mem_chain` stages folding the stream input into a running data state
+// of kChain stages folding the stream input into a running data state
 // (2 ops per stage). Outputs are emitted in (addr, data) adjacent pairs.
 Cdfg make_memory_traffic(const GenParams& p, Rng& rng) {
   Cdfg g(std::string("gen_mem_") + std::to_string(p.seed));
-  // chain >= 2 keeps the data chain's final op (the state-next producer)
+  // kChain >= 2 keeps the data chain's final op (the state-next producer)
   // from reading the data state directly — same anti-dependence rule.
-  const int chain = p.mem_chain < 2 ? 2 : p.mem_chain;
-  const int per_stream = 5 + 2 * chain;  // 4 addr ops, 2/stage, 1 output nop
+  constexpr int kChain = 4;
+  const int per_stream = 5 + 2 * kChain;  // 4 addr ops, 2/stage, 1 output nop
   const int streams = (p.target_ops + per_stream - 1) / per_stream;
   const std::vector<ValueId> coeffs = coefficient_pool(g, rng, 8);
   auto coeff = [&]() {
@@ -242,7 +244,7 @@ Cdfg make_memory_traffic(const GenParams& p, Rng& rng) {
 
     const ValueId d = g.add_state(numbered("d", j));
     ValueId data = d;
-    for (int s = 0; s < chain; ++s)
+    for (int s = 0; s < kChain; ++s)
       data = g.add_op(s % 2 ? OpKind::kSub : OpKind::kAdd,
                       g.add_op(OpKind::kMul, in, coeff()), data);
     g.set_state_next(d, data);
@@ -292,7 +294,8 @@ GeneratedDesign generate_design(const GenParams& p) {
   // heuristic, so infeasibility grows the budget (and, every other retry,
   // the length) deterministically until a schedule fits.
   const int minlen = min_schedule_length(g, hw);
-  int length = minlen + (minlen * p.slack_eighths) / 8 + 2;
+  constexpr int kSlackEighths = 2;  // margin over the critical path: +25%
+  int length = minlen + (minlen * kSlackEighths) / 8 + 2;
   const long mul_occ = static_cast<long>(mul_ops) *
                        (hw.pipelined_mul ? 1 : hw.mul_delay);
   FuBudget budget;

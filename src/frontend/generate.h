@@ -55,19 +55,6 @@ struct GenParams {
   /// granularity (section, tile element, layer) rounds it up.
   int target_ops = 1000;
   uint64_t seed = 1;
-
-  // --- family shape knobs --------------------------------------------------
-  int cascade_sections = 16;  ///< biquads per channel; channels = target/10C
-  int gemm_depth = 8;         ///< K: MAC-chain depth per tile element
-  int dag_width = 64;         ///< ops per layer; layers = target/width
-  int dag_window = 3;         ///< operand window in layers
-  int dag_mul_pct = 35;       ///< % of DAG ops that are multiplies
-  int dag_sub_pct = 20;       ///< % of DAG ops that are subtractions
-  int mem_chain = 4;          ///< MAC stages per memory-traffic data chain
-
-  // --- scheduling / resources ----------------------------------------------
-  /// Schedule length margin over the critical path, in eighths (2 = +25%).
-  int slack_eighths = 2;
   int extra_regs = 2;  ///< registers beyond the lifetime minimum
 };
 

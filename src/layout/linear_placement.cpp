@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "util/rng.h"
 
@@ -40,15 +41,17 @@ std::vector<std::vector<double>> module_affinity(const Binding& b) {
   std::vector<std::vector<double>> w(
       static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(n), 0));
   // Distinct connections only: a wire is laid out once however often used.
-  std::vector<std::pair<uint64_t, uint64_t>> seen;
+  // Each wire's (source, sink) keys, then the two modules it joins.
+  std::vector<std::tuple<uint64_t, uint64_t, int, int>> wires;
   for (const ConnUse& u : connection_uses(b)) {
-    if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    const auto key = std::make_pair(key_of(u.src), key_of(u.sink));
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
-    seen.push_back(key);
     const int a = module_of(b, u.src);
     const int c = module_of(b, u.sink);
     if (a < 0 || c < 0 || a == c) continue;
+    wires.emplace_back(key_of(u.src), key_of(u.sink), a, c);
+  }
+  std::sort(wires.begin(), wires.end());
+  wires.erase(std::unique(wires.begin(), wires.end()), wires.end());
+  for (const auto& [src, sink, a, c] : wires) {
     w[static_cast<size_t>(a)][static_cast<size_t>(c)] += 1;
     w[static_cast<size_t>(c)][static_cast<size_t>(a)] += 1;
   }

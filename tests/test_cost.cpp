@@ -129,7 +129,7 @@ TEST(Cost, WeightsScaleTotal) {
   TinyFixture f;
   Binding b = f.contiguous(1, 0);
   const CostBreakdown cost = evaluate_cost(b);
-  const CostWeights& w = f.prob().weights();
+  const CostWeights& w = kCostWeights;
   EXPECT_DOUBLE_EQ(cost.total, w.fu * cost.fus_used + w.reg * cost.regs_used +
                                    w.mux * cost.muxes +
                                    w.conn * cost.connections);

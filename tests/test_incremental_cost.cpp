@@ -38,13 +38,13 @@ struct Ctx {
   std::unique_ptr<Schedule> sched;
   std::unique_ptr<AllocProblem> prob;
 
-  Ctx(Cdfg graph, int len, int extra_regs, CostWeights weights = {}) {
+  Ctx(Cdfg graph, int len, int extra_regs) {
     g = std::make_unique<Cdfg>(std::move(graph));
     sched = std::make_unique<Schedule>(
         schedule_min_fu(*g, HwSpec{}, len).schedule);
     prob = std::make_unique<AllocProblem>(
         *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs, weights);
+        Lifetimes(*sched).min_registers() + extra_regs);
   }
 };
 
@@ -127,16 +127,9 @@ TEST(IncrementalCost, MatchesFullEvalOnRandomCdfg) {
   run_equivalence(*ctx.prob, 37, 5000);
 }
 
-TEST(IncrementalCost, MatchesFullEvalWithChargedConstants) {
-  CostWeights w;
-  w.constants_cost = true;
-  Ctx ctx(make_ewf(), 19, 2, w);
-  run_equivalence(*ctx.prob, 41, 5000);
-}
-
 // --- best-so-far checkpoint -------------------------------------------------
 
-// The checkpoint tests' problems: the four equivalence problems above plus
+// The checkpoint tests' problems: the three equivalence problems above plus
 // a generated 1k-op filter cascade.
 struct RestoreTarget {
   std::unique_ptr<Ctx> ctx;
@@ -152,10 +145,6 @@ struct RestoreTarget {
       p.num_ops = 24;
       p.seed = 5;
       ctx = std::make_unique<Ctx>(make_random_cdfg(p), 12, 2);
-    } else if (name == "consts") {
-      CostWeights w;
-      w.constants_cost = true;
-      ctx = std::make_unique<Ctx>(make_ewf(), 19, 2, w);
     } else {
       gen = std::make_unique<GeneratedDesign>(generate_design(GenParams{
           .family = GenFamily::kFilterCascade, .target_ops = 1000, .seed = 1}));
@@ -390,7 +379,7 @@ TEST_P(CheckpointRestore, PhaseSwitchMatchesFreshEngine) {
 
 INSTANTIATE_TEST_SUITE_P(
     Problems, CheckpointRestore,
-    ::testing::Values("ewf", "dct", "random", "consts", "cascade1k"),
+    ::testing::Values("ewf", "dct", "random", "cascade1k"),
     [](const auto& info) { return info.param; });
 
 TEST(IncrementalCost, TraceStreamsJsonlRecords) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <regex>
 
 #include "bench_suite/diffeq.h"
 #include "bench_suite/ewf.h"
 #include "core/initial.h"
+#include "datapath/testbench.h"
+#include "datapath/vcd.h"
 #include "datapath/verilog.h"
 #include "sched/fu_search.h"
 
@@ -145,6 +148,49 @@ TEST(Verilog, SanitizesIdentifiers) {
   EXPECT_NE(v.find("module weird_name_"), std::string::npos);
   EXPECT_NE(v.find("in_in_1"), std::string::npos);
   EXPECT_EQ(v.find("in-1"), std::string::npos);
+}
+
+// A schedule longer than 65,536 steps needs more than 16 counter bits: the
+// module's step register and every sized step literal, the testbench's step
+// wire and the VCD's step variable must all hold step L - 1.
+TEST(Verilog, StepCounterHoldsLongSchedules) {
+  constexpr int L = 70000;
+  Cdfg g("long");
+  const ValueId x = g.add_input("x");
+  const ValueId p = g.add_op(OpKind::kMul, x, g.add_const(3, "k"), "p");
+  const ValueId q = g.add_op(OpKind::kAdd, p, x, "q");
+  const NodeId y = g.add_output(q, "y");
+  g.validate();
+  Schedule s(g, HwSpec{}, L);
+  s.set_start(g.producer(p), 69986);
+  s.set_start(g.producer(q), 69988);
+  s.set_start(y, 69990);
+  s.validate();
+  AllocProblem prob(s, FuPool::standard(peak_fu_demand(s)),
+                    Lifetimes(s).min_registers());
+  const Netlist nl(initial_allocation(prob));
+
+  const std::string v = to_verilog(nl, "long");
+  EXPECT_NE(v.find("  reg [16:0] step;\n"), std::string::npos);
+  EXPECT_NE(v.find("(step == 69999) ? 17'd0 : step + 17'd1;"),
+            std::string::npos);
+  EXPECT_NE(v.find("if (step == 17'd69990) out_y <= r"), std::string::npos);
+  // Every sized decimal literal fits its declared width.
+  const std::regex literal(R"((\d+)'d(\d+))");
+  int literals = 0;
+  for (auto it = std::sregex_iterator(v.begin(), v.end(), literal);
+       it != std::sregex_iterator(); ++it, ++literals) {
+    const int bits = std::stoi((*it)[1]);
+    const long long value = std::stoll((*it)[2]);
+    EXPECT_LT(value, 1LL << bits) << it->str();
+  }
+  EXPECT_GT(literals, 0);
+
+  const std::vector<std::vector<int64_t>> inputs(2, std::vector<int64_t>{5});
+  const std::string tb = to_testbench(nl, inputs, {}, 1, "long");
+  EXPECT_NE(tb.find("  wire [16:0] t = cycle % 70000;\n"), std::string::npos);
+  const std::string vcd = dump_vcd(nl, inputs, {}, 1, "long");
+  EXPECT_NE(vcd.find("$var wire 17 "), std::string::npos);
 }
 
 }  // namespace
