@@ -112,7 +112,8 @@ BENCHMARK(BM_EngineMoveStep);
 
 // Raw connection-index throughput: refcount churn (increment / lookup /
 // decrement with backward-shift erase) over packed 64-bit pair keys — the
-// op mix the engine's transaction drain drives against FlatMap. Half the
+// op mix the engine drives against FlatMap: probes of the netted keys in
+// every proposal, net adds at commit, refcount steps in restores. Half the
 // key set is pre-seeded, so increments split between creating entries
 // (erased again on the decrement) and bumping live ones, and lookups mix
 // hits with misses. ops_per_sec counts individual table operations.

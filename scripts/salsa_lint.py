@@ -10,11 +10,11 @@ before any fuzzer runs:
   no-unordered-iteration
       Result-affecting modules (src/core, src/sched, src/analysis) must not
       iterate hash-layout-ordered containers (std::unordered_*, FlatMap):
-      range-for, .begin() iterator loops, and FlatMap's .drain()/.for_each()
-      all visit entries in layout order, which depends on insertion history
-      and rehash timing. Order-independent uses (commutative refcount
-      arithmetic) are sanctioned per-site with an allow() suppression
-      carrying the order-independence argument.
+      range-for, .begin() iterator loops, and .drain()/.for_each() visitors
+      (FlatMap's for_each) all visit entries in layout order, which depends
+      on insertion history and rehash timing. Order-independent uses
+      (commutative refcount arithmetic) are sanctioned per-site with an
+      allow() suppression carrying the order-independence argument.
 
   no-nondeterministic-sources
       Deterministic modules must not read wall clocks
@@ -382,9 +382,9 @@ class FileLint:
                     line_of(self.code, m.start()), "no-unordered-iteration",
                     f"iterator loop over '{name}' ({tracked[name]}): "
                     f"hash-layout order is not deterministic")
-        # drain/for_each are FlatMap's layout-order visitors; receiver-based
-        # so the two sanctioned drain sites in search_engine.cpp (members
-        # declared in the header) are still seen.
+        # for_each is FlatMap's layout-order visitor, and a drain-style
+        # visitor would be one too; receiver-based so a call on a member
+        # declared in a header is still seen.
         for m in re.finditer(
                 r"(?:\.|->)\s*(drain|for_each)\s*\(", self.code):
             self.report(

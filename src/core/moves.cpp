@@ -186,7 +186,7 @@ bool move_operand_reverse(SearchEngine& eng, Rng& rng) {
   if (cands.empty()) return false;
   const NodeId a =
       cands[static_cast<size_t>(rng.uniform(static_cast<int>(cands.size())))];
-  OpBind& ob = eng.touch_op(a);
+  OpBind& ob = eng.touch_op_swap(a);
   ob.swap = !ob.swap;
   return true;
 }

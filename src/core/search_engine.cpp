@@ -136,18 +136,10 @@ void SearchEngine::init_from_statics() {
   pair_refs_.mark_mutation_target();
   sink_sources_.mark_mutation_target();
   // Transaction scratch. The journals and touch lists are pre-sized so the
-  // steady-state move loop never grows them mid-proposal; the netting
-  // tables (txn_delta_ / sink_delta_) are deliberately NOT pre-reserved —
-  // drain() walks the whole slot array, so their per-proposal cost is
-  // proportional to *capacity*, and a blanket reserve sized for the
-  // largest whole-storage touch would make every small transaction scan
-  // kilobytes of empty slots (measured ~300ns per proposal at EWF scale).
-  // Demand growth converges to the largest transaction footprint within
-  // the warmup moves and never rehashes again — the steady-state pin in
-  // tests/test_audit_scaling.cpp snapshots index_rehashes() after warmup.
+  // steady-state move loop rarely grows them mid-proposal; a larger
+  // transaction grows them once and the capacity stays.
   undo_ints_.reserve(256);
   pending_uses_.reserve(512);
-  sink_scratch_.reserve(256);
   touched_ops_.reserve(16);
   touched_sids_.reserve(16);
   removed_gens_.reserve(64);
@@ -619,6 +611,7 @@ void SearchEngine::apply_claims_walk() {
   const Schedule& sched = b_.prob().sched();
   const Lifetimes& lt = b_.prob().lifetimes();
   for (const TouchedOp& t : touched_ops_) {
+    if (!t.claims) continue;  // operand swap: the claim never moved
     const FuId f = b_.op(t.n).fu;
     const int oc = statics_->op_occ[static_cast<size_t>(t.n)];
     const int start = sched.start(t.n);
@@ -834,11 +827,29 @@ OpBind& SearchEngine::touch_op(NodeId n) {
   SALSA_DCHECK(in_txn_);
   if (op_epoch_[static_cast<size_t>(n)] != epoch_) {
     op_epoch_[static_cast<size_t>(n)] = epoch_;
-    touched_ops_.push_back({n, b_.op(n)});
+    touched_ops_.push_back({n, b_.op(n), true});
     remove_op_claims(n);
     for (int gen : statics_->op_gens[static_cast<size_t>(n)])
       remove_gen_once(gen);
   }
+  SALSA_DCHECK(std::none_of(
+      touched_ops_.begin(), touched_ops_.end(),
+      [n](const TouchedOp& t) { return t.n == n && !t.claims; }));
+  return b_.op(n);
+}
+
+OpBind& SearchEngine::touch_op_swap(NodeId n) {
+  SALSA_DCHECK(in_txn_);
+  if (!seg_windows_) return touch_op(n);
+  SALSA_DCHECK(op_epoch_[static_cast<size_t>(n)] != epoch_);
+  op_epoch_[static_cast<size_t>(n)] = epoch_;
+  touched_ops_.push_back({n, b_.op(n), false});
+  // The swap re-routes the op's operand fetches — keys of the read
+  // generators of the storages it reads, which add_read_gen_spliced
+  // recomputes for a touched consumer. The produced storage's write
+  // generator reads only the op's FU, so it stays live.
+  for (int gen : statics_->op_gens[static_cast<size_t>(n)])
+    if (!is_write_gen(gen)) remove_gen_once(gen);
   return b_.op(n);
 }
 
@@ -948,7 +959,8 @@ void SearchEngine::finish_mutation() {
   // sto_xfers_/total_cells_) only feed candidate enumeration in *later*
   // proposals, never the pending delta, so their recount rides along to
   // commit too.
-  for (const TouchedOp& t : touched_ops_) stage_op_claims(t.n);
+  for (const TouchedOp& t : touched_ops_)
+    if (t.claims) stage_op_claims(t.n);
   for (int sid : touched_sids_) {
     const int wlo = sto_wlo_[static_cast<size_t>(sid)];
     const int whi = sto_whi_[static_cast<size_t>(sid)];
@@ -971,6 +983,7 @@ void SearchEngine::finish_mutation() {
     if (hi >= wlo) normalize_and_stage_sto(sid, wlo, hi);
   }
   settle_staged_claims();
+  SALSA_DCHECK(pending_uses_.empty());  // the netting below owns the list
   for (size_t i = 0; i < removed_gens_.size(); ++i) {
     const int gen = removed_gens_[i];
     // Windowed refresh for write generators: splice the cached key list
@@ -1008,13 +1021,13 @@ void SearchEngine::finish_mutation() {
       spliced = true;
     }
     if (!spliced) add_gen(gen, gen_stash_[i]);
-    // Net the retired key list (still in the cache) against the fresh one
-    // (in the stash slot). A touched generator usually re-enumerates
-    // almost the same uses in the same deterministic order, so skipping
-    // the common prefix and suffix keeps the unchanged bulk out of the
-    // scratch table; whatever the middle still shares nets to zero inside
-    // it. Per-key refcount arithmetic commutes, so the final nets are what
-    // full push-both-sides would give.
+    // Collect the retired key list (still in the cache) against the fresh
+    // one (in the stash slot) as -1/+1 entries. A touched generator usually
+    // re-enumerates almost the same uses in the same deterministic order,
+    // so skipping the common prefix and suffix keeps the unchanged bulk out
+    // of the list; whatever the middle still shares nets to zero below.
+    // Per-key refcount arithmetic commutes, so the final nets are what full
+    // push-both-sides would give.
     const std::vector<uint64_t>& olds = gen_keys_[static_cast<size_t>(gen)];
     const std::vector<uint64_t>& news = gen_stash_[i];
     size_t lo = 0, oe = olds.size(), ne = news.size();
@@ -1024,56 +1037,76 @@ void SearchEngine::finish_mutation() {
       --oe;
       --ne;
     }
-    for (size_t k = lo; k < oe; ++k) txn_delta_.add(olds[k], -1);
-    for (size_t k = lo; k < ne; ++k) txn_delta_.add(news[k], +1);
+    for (size_t k = lo; k < oe; ++k) pending_uses_.push_back({olds[k], -1});
+    for (size_t k = lo; k < ne; ++k) pending_uses_.push_back({news[k], +1});
   }
-  // Evaluate the netted use deltas against the shared index READ-ONLY:
-  // most retire/re-charge pairs cancelled inside txn_delta_, and the
-  // survivors are probed (never written) to advance cost_.connections and
-  // accumulate per-sink source-count deltas. The shared tables stay at
-  // their pre-transaction contents until commit applies the stashed nets
-  // (apply_pending_uses) — so a rejected move costs two table probes per
-  // changed pair instead of an apply-then-undo write pair, and rollback
-  // has nothing to replay against the index at all. Per-key refcount
-  // arithmetic commutes, so the scratch tables' layout-dependent drain
-  // order yields the exact counts sequential application would.
-  // Each drain runs as two passes: collect the netted entries (issuing a
-  // prefetch for the index slot each will probe), then probe. The probe
-  // loop's loads then overlap instead of serializing — on large designs
-  // pair_refs_ spans megabytes and a cold probe per changed key was the
-  // single largest per-transaction memory stall. Entry order, probe
-  // results and all count arithmetic are unchanged.
-  SALSA_DCHECK(pending_uses_.empty());  // the probe loop assumes it owns all
-  // salsa-lint: allow(no-unordered-iteration) per-key refcount arithmetic commutes; any drain order yields the same counts
-  txn_delta_.drain([this](uint64_t key, int net) {
-    pending_uses_.push_back({key, net});
+  // Net by sorting: equal keys, whichever generators emitted them, become
+  // adjacent, and one compaction pass sums them and keeps the nonzero nets.
+  // As the pass finds each survivor it prefetches the index slot the probe
+  // below will read (and the sink row, once per sink), so the probe loop's
+  // loads overlap instead of serializing — on large designs pair_refs_
+  // spans megabytes and a cold probe per changed key is the largest
+  // per-transaction memory stall.
+  std::sort(pending_uses_.begin(), pending_uses_.end(),
+            [](const PendingUse& a, const PendingUse& b) {
+              return a.key < b.key;
+            });
+  size_t kept = 0;
+  uint32_t hinted = 0;
+  for (size_t i = 0; i < pending_uses_.size();) {
+    const uint64_t key = pending_uses_[i].key;
+    int net = 0;
+    do {
+      net += pending_uses_[i++].net;
+    } while (i < pending_uses_.size() && pending_uses_[i].key == key);
+    if (net == 0) continue;
+    pending_uses_[kept++] = {key, net};
     pair_refs_.prefetch(key);
-  });
+    const uint32_t sink = static_cast<uint32_t>(key >> 32);
+    if (kept == 1 || sink != hinted) {
+      sink_sources_.prefetch(sink);
+      hinted = sink;
+    }
+  }
+  pending_uses_.resize(kept);
+  // Evaluate the netted deltas against the shared index READ-ONLY: each is
+  // probed (never written) to advance cost_.connections, and a pair going
+  // live or dead moves its sink's distinct-source count. The sink is the
+  // key's high half, so one sink's pairs are adjacent in the sorted list
+  // and its mux change (muxes = sum over sinks of max(0, sources - 1))
+  // settles when the pass leaves it. The shared tables stay at their
+  // pre-transaction contents until commit applies the nets
+  // (apply_pending_uses) — so a rejected move costs one probe per changed
+  // pair and one per changed sink instead of an apply-then-undo write
+  // pair, and rollback has nothing to replay against the index at all.
+  auto settle_sink = [this](uint32_t sink, int d) {
+    if (d == 0) return;
+    const int* p = sink_sources_.find(sink);
+    const int before = p ? *p : 0;
+    const int after = before + d;
+    cost_.muxes += (after > 1 ? after - 1 : 0) - (before > 1 ? before - 1 : 0);
+  };
+  uint32_t sink = 0;
+  int sources = 0;  // the current sink's distinct-source change so far
   for (const PendingUse& u : pending_uses_) {
+    const uint32_t s = static_cast<uint32_t>(u.key >> 32);
+    if (s != sink) {
+      settle_sink(sink, sources);
+      sink = s;
+      sources = 0;
+    }
     const int* p = pair_refs_.find(u.key);
     const int before = p ? *p : 0;
     const int after = before + u.net;
     if (before == 0) {
       ++cost_.connections;
-      sink_delta_.add(static_cast<uint32_t>(u.key >> 32), +1);
+      ++sources;
     } else if (after == 0) {
       --cost_.connections;
-      sink_delta_.add(static_cast<uint32_t>(u.key >> 32), -1);
+      --sources;
     }
   }
-  sink_scratch_.clear();
-  // salsa-lint: allow(no-unordered-iteration) per-sink max(0, n-1) mux folds are independent across sinks; order cannot matter
-  sink_delta_.drain([this](uint32_t sink, int d) {
-    sink_scratch_.push_back({sink, d});
-    sink_sources_.prefetch(sink);
-  });
-  for (const auto& [sink, d] : sink_scratch_) {
-    const int* p = sink_sources_.find(sink);
-    const int before = p ? *p : 0;
-    const int after = before + d;
-    // muxes = sum over sinks of max(0, sources - 1).
-    cost_.muxes += (after > 1 ? after - 1 : 0) - (before > 1 ? before - 1 : 0);
-  }
+  settle_sink(sink, sources);
   // cost_.total is deliberately left stale here: the decision reads only
   // the component-diff delta computed in propose(), rollback restores the
   // whole struct, and commit recomputes the total once the move is kept —
@@ -1277,10 +1310,8 @@ void SearchEngine::restore_checkpoint() {
   // rebuild() restricted to the dirty units. Retire first: release their
   // claims and the connection uses of every generator reading them (the
   // generator sets touch_op/touch_sto retire, deduplicated by a fresh
-  // epoch stamp). The index tables are written directly, outside any
-  // transaction, so the per-move netting scratch (txn_delta_/sink_delta_)
-  // never grows: its drain walks capacity, and a restore-sized table
-  // would slow every later move.
+  // epoch stamp). The index tables are written directly (remove_key /
+  // add_key), outside any transaction, so nothing is netted.
   ++epoch_;
   auto retire_gen = [this](int gen) {
     if (gen_epoch_[static_cast<size_t>(gen)] == epoch_) return;

@@ -32,6 +32,13 @@
 // index at all. The cost breakdown returns wholesale to its propose()-entry
 // value.
 //
+// The use deltas are netted by sorting, not hashing: every retired key
+// enters one list as (key, -1) and every re-charged key as (key, +1), the
+// list is sorted, and one pass sums equal keys. The sink is the key's high
+// half, so one sink's pairs are adjacent and its mux change settles as the
+// pass leaves it. A proposal pays for the keys it changed, not for the
+// capacity of a scratch table.
+//
 // The problem-side static tables (per-operation generator lists, candidate
 // tables) are immutable after construction and shared between engines of
 // the same problem via shared_ptr, so the rebuild cross-check
@@ -180,6 +187,14 @@ class SearchEngine {
   // unit, and only once the move is certain to succeed. The first touch of
   // a unit saves its undo state and retires its uses from the index.
   OpBind& touch_op(NodeId n);
+  /// Operand-swap touch: only ob.swap will be mutated — the FU, and with it
+  /// the op's FU window and the write generator of the storage it produces,
+  /// stay as they are. Saves the OpBind and retires only the read
+  /// generators that feed the op; no claim is released or re-added. Falls
+  /// back to touch_op when segment windows are disabled, so the
+  /// salsa_audit --segment differential compares the two. Must be the op's
+  /// only touch in its transaction.
+  OpBind& touch_op_swap(NodeId n);
   StorageBinding& touch_sto(int sid);
   /// Segment-windowed touch: the proposer promises to mutate only cells of
   /// segments [mlo, mhi] (and read_cell, which every touch covers). The
@@ -324,12 +339,11 @@ class SearchEngine {
   /// at that index. O(log^2) binary search over f's sorted position list.
   NodeId class_op_excluding_fu(FuClass c, FuId f, int idx) const;
 
-  /// Total slot-array reallocations across the engine's index tables and
-  /// transaction scratch maps — the no-rehash-in-steady-state pin (the
-  /// constructor pre-reserves from problem dimensions).
+  /// Total slot-array reallocations across the engine's two index tables —
+  /// the no-rehash-in-steady-state pin (the constructor pre-reserves from
+  /// problem dimensions).
   size_t index_rehashes() const {
-    return pair_refs_.rehashes() + sink_sources_.rehashes() +
-           txn_delta_.rehashes() + sink_delta_.rehashes();
+    return pair_refs_.rehashes() + sink_sources_.rehashes();
   }
 
   // --- observability ----------------------------------------------------
@@ -389,6 +403,9 @@ class SearchEngine {
   struct TouchedOp {
     NodeId n;
     OpBind saved;
+    // False for an operand-swap touch: the op's FU claim was never
+    // released, so neither commit nor rollback re-claims it.
+    bool claims;
   };
   /// Immutable problem-side rows, derived once per problem and shared
   /// between engines of that problem (see the second constructor): which
@@ -453,12 +470,12 @@ class SearchEngine {
     int* p;
     int old;
   };
-  /// One netted connection-index delta awaiting commit: the packed
-  /// (sink, source) pair key and its net use-count change this transaction.
-  /// finish_mutation computes the cost delta from these read-only (probing
-  /// the shared tables without mutating them); commit applies them for
-  /// real, and rollback simply discards them — a rejected move never
-  /// touches pair_refs_/sink_sources_ at all.
+  /// One connection-index delta: the packed (sink, source) pair key and its
+  /// use-count change. finish_mutation collects -1/+1 entries, sorts and
+  /// nets them into one entry per changed key, and computes the cost delta
+  /// from those read-only (probing the shared tables without mutating
+  /// them); commit applies them for real, and rollback simply discards
+  /// them — a rejected move never touches pair_refs_/sink_sources_ at all.
   struct PendingUse {
     uint64_t key;
     int net;
@@ -599,18 +616,6 @@ class SearchEngine {
   // contract that keeps rebuild comparisons content-based.
   FlatMap<uint64_t> pair_refs_;
   FlatMap<uint32_t> sink_sources_;
-  // Net per-pair index delta accumulated over the open transaction.
-  // Touching a unit retires *all* its uses and finish_mutation re-charges
-  // the mostly-unchanged set, so use mutations are first netted here (a
-  // small, cache-hot scratch table) and only nonzero nets survive the
-  // drain — the final counts, and hence the delta, are identical because
-  // per-key refcount arithmetic commutes. Cleared on drain.
-  FlatMap<uint64_t> txn_delta_;
-  // Per-sink source-count delta scratch for the read-only cost evaluation:
-  // the drain above accumulates, per sink, how many of its distinct pairs
-  // go live or dead this transaction, and the mux delta falls out of
-  // max(0, sources - 1) before/after. Cleared on drain.
-  FlatMap<uint32_t> sink_delta_;
 
   std::vector<int> fu_refs_;
   std::vector<int> reg_refs_;
@@ -660,8 +665,10 @@ class SearchEngine {
   // Per-generator cache of the charged packed pair keys the generator's
   // enumeration last produced. The transaction protocol guarantees a
   // generator is removed (remove_gen_once) before any binding state its
-  // enumeration reads can change — touch_op/touch_sto retire all
-  // dependent generators up front — so a live cache is always current and
+  // enumeration reads can change — each touch retires up front every
+  // generator that reads what it lets the proposer change (an operand swap
+  // leaves the produced storage's write generator live: it reads the FU,
+  // not the swap) — so a live cache is always current and
   // retiring a generator replays the cached keys instead of re-walking
   // the binding. Mid-transaction the cache keeps the pre-move list
   // (netting's "old" side and rollback's ground truth); the fresh
@@ -711,13 +718,10 @@ class SearchEngine {
   std::vector<int> removed_gens_;
   // Undo journal: replayed in reverse by rollback.
   std::vector<IntUndo> undo_ints_;
-  // Netted index deltas awaiting commit (see PendingUse): applied by
-  // commit, discarded by rollback.
+  // Index deltas of the open transaction (see PendingUse): the -1/+1 key
+  // list inside finish_mutation, its netted, key-sorted form afterwards;
+  // applied by commit, discarded by rollback.
   std::vector<PendingUse> pending_uses_;
-  // Per-transaction sink-delta staging for the prefetch-then-probe pass in
-  // finish_mutation (collected from sink_delta_'s drain, probed against
-  // sink_sources_ after the prefetches land).
-  std::vector<std::pair<uint32_t, int>> sink_scratch_;
   bool in_txn_ = false;
   CostBreakdown cost_before_;  ///< breakdown at propose() entry
   MoveKind pending_kind_{};

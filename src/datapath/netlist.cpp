@@ -4,7 +4,7 @@
 
 namespace salsa {
 
-Netlist::Netlist(const Binding& b) : b_(b), routes_(check_legal(b)) {
+Netlist::Netlist(const Binding& b) : b_(&b), routes_(check_legal(b)) {
   const AllocProblem& prob = b.prob();
   const Cdfg& g = prob.cdfg();
   const Schedule& sched = prob.sched();

@@ -37,11 +37,12 @@ struct OutSample {
 class Netlist {
  public:
   /// Builds the netlist of a legal binding (throws on illegal bindings).
-  /// The binding is copied: a Netlist stays valid independently of the
-  /// binding it was built from (the underlying AllocProblem must outlive it).
+  /// The binding is borrowed, not copied: it (and its AllocProblem) must
+  /// outlive the Netlist, so a temporary binding does not compile.
   explicit Netlist(const Binding& b);
+  Netlist(Binding&&) = delete;
 
-  const Binding& binding() const { return b_; }
+  const Binding& binding() const { return *b_; }
 
   /// Source driving a pin at a step, if any.
   std::optional<Endpoint> source_of(const Pin& pin, int step) const {
@@ -54,7 +55,7 @@ class Netlist {
   const std::vector<OutSample>& out_samples() const { return out_samples_; }
 
  private:
-  Binding b_;
+  const Binding* b_;
   RouteTable routes_;
   std::vector<FuAction> fu_actions_;
   std::vector<RegLoad> reg_loads_;

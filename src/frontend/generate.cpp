@@ -192,9 +192,12 @@ Cdfg make_layered_dag(const GenParams& p, Rng& rng) {
   // Rewire each state to a distinct final-layer value (a value may feed only
   // one state: merged-state storages cannot carry two initial contents).
   const std::vector<ValueId>& last = layer_vals[static_cast<size_t>(layers - 1)];
-  for (int i = 0; i < num_states; ++i)
-    g.set_state_next(states[static_cast<size_t>(i)],
-                     last[static_cast<size_t>(i) % last.size()]);
+  std::vector<char> is_state_next(static_cast<size_t>(g.num_values()), 0);
+  for (int i = 0; i < num_states; ++i) {
+    const ValueId next = last[static_cast<size_t>(i) % last.size()];
+    g.set_state_next(states[static_cast<size_t>(i)], next);
+    is_state_next[static_cast<size_t>(next)] = 1;
+  }
 
   // Every unconsumed computed value becomes an output (state rewrites count
   // as consumption, mirroring random_cdfg).
@@ -202,10 +205,8 @@ Cdfg make_layered_dag(const GenParams& p, Rng& rng) {
   for (const auto& layer : layer_vals)
     for (ValueId v : layer) {
       if (!g.value(v).consumers.empty()) continue;
-      bool is_state_next = false;
-      for (NodeId sn : g.state_nodes())
-        if (g.node(sn).state_next == v) is_state_next = true;
-      if (!is_state_next) g.add_output(v, numbered("out", outs++));
+      if (!is_state_next[static_cast<size_t>(v)])
+        g.add_output(v, numbered("out", outs++));
     }
   if (outs == 0) g.add_output(last.back(), "out0");
   g.validate();

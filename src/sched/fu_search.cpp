@@ -9,14 +9,24 @@
 namespace salsa {
 
 FuBudget peak_fu_demand(const Schedule& sched) {
+  // Per-step FU occupancy by class, counted in one pass over the
+  // operations: each occupies [start, start + occupancy), clipped to the
+  // schedule (no wrap-around).
+  const Cdfg& g = sched.cdfg();
+  const int length = sched.length();
+  std::vector<int> alu(static_cast<size_t>(length), 0);
+  std::vector<int> mul(static_cast<size_t>(length), 0);
+  for (NodeId id = 0; id < g.num_nodes(); ++id) {
+    const OpKind k = g.node(id).kind;
+    if (!is_operation(k)) continue;
+    std::vector<int>& row = fu_class_of(k) == FuClass::kMul ? mul : alu;
+    const int end = std::min(sched.start(id) + sched.hw().occupancy(k), length);
+    for (int t = sched.start(id); t < end; ++t) ++row[static_cast<size_t>(t)];
+  }
   FuBudget peak;
-  for (int t = 0; t < sched.length(); ++t) {
-    int alu = sched.ops_active(OpKind::kAdd, t) +
-              sched.ops_active(OpKind::kSub, t) +
-              sched.ops_active(OpKind::kNop, t);
-    int mul = sched.ops_active(OpKind::kMul, t);
-    peak.alu = std::max(peak.alu, alu);
-    peak.mul = std::max(peak.mul, mul);
+  for (int t = 0; t < length; ++t) {
+    peak.alu = std::max(peak.alu, alu[static_cast<size_t>(t)]);
+    peak.mul = std::max(peak.mul, mul[static_cast<size_t>(t)]);
   }
   return peak;
 }

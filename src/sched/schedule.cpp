@@ -79,15 +79,4 @@ void Schedule::validate() const {
   if (const auto v = first_violation()) fail(v->message);
 }
 
-int Schedule::ops_active(OpKind k, int step) const {
-  int n = 0;
-  for (NodeId id = 0; id < cdfg_->num_nodes(); ++id) {
-    const Node& nd = cdfg_->node(id);
-    if (nd.kind != k || !is_operation(nd.kind)) continue;
-    const int occ = hw_.occupancy(nd.kind);
-    if (step >= start(id) && step < start(id) + occ) ++n;
-  }
-  return n;
-}
-
 }  // namespace salsa

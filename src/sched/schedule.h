@@ -81,10 +81,6 @@ class Schedule {
   /// Throws salsa::Error with first_violation()'s message.
   void validate() const;
 
-  /// Number of operations whose FU occupancy includes `step`, per kind
-  /// bucket. Used by tests and the FU search.
-  int ops_active(OpKind k, int step) const;
-
  private:
   const Cdfg* cdfg_;
   HwSpec hw_;

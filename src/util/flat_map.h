@@ -1,6 +1,6 @@
 // FlatMap: the cache-friendly open-addressing table behind the search
-// engine's connection index and transaction netting tables
-// (core/search_engine.h).
+// engine's connection index (core/search_engine.h) and the constructive
+// start's wire tracker (core/initial.cpp).
 //
 // It is deliberately NOT a general-purpose hash map. The two shapes it
 // serves — packed (sink, source) pair keys `uint64_t -> int` and packed
@@ -52,10 +52,10 @@ namespace salsa {
 /// the drift; the mutation tests in tests/test_flat_map.cpp and the
 /// salsa_audit --break-flat-erase drill prove it does. One-shot: the hook disarms
 /// after firing. Only tables opted in via mark_mutation_target() are
-/// eligible — the engine marks its audited index tables, keeping the
-/// sabotage away from transient accumulators (the transaction-delta
-/// netting table) whose orphaned entries would still drain correctly and
-/// prove nothing. Never set outside single-threaded tests.
+/// eligible — the engine marks its two audited index tables, keeping the
+/// sabotage away from tables no audit compares (the constructive start's
+/// wire tracker), where it would prove nothing. Never set outside
+/// single-threaded tests.
 namespace flat_map_hooks {
 inline long break_backward_shift_after = 0;
 inline long erase_count = 0;
@@ -106,9 +106,9 @@ class FlatMap {
   }
 
   /// Hints the cache that `key`'s probe chain is about to be walked. The
-  /// transaction netting knows every key it will probe before the first
-  /// probe, so issuing the loads up front overlaps the misses — on large
-  /// designs the slot array spans megabytes and each cold probe is
+  /// engine's transaction netting knows every key it will probe before the
+  /// first probe, so issuing the loads up front overlaps the misses — on
+  /// large designs the slot array spans megabytes and each cold probe is
   /// otherwise a serialized memory stall.
   void prefetch(Key key) const {
     if (!slots_.empty())
@@ -153,9 +153,8 @@ class FlatMap {
 
   /// Adds a signed delta to `key`'s count: creates the entry when absent,
   /// erases it when the sum returns to zero. The general form behind
-  /// increment()/decrement(), and the accumulator the engine's transaction
-  /// netting uses (deltas there run negative transiently). Returns the new
-  /// count.
+  /// increment()/decrement(), and how the engine applies a transaction's
+  /// netted use deltas at commit. Returns the new count.
   int add(Key key, int delta) {
     if (delta == 0) return value_or_zero(key);
     grow_if_needed();
@@ -183,24 +182,6 @@ class FlatMap {
   void for_each(Fn&& fn) const {
     for (const Slot& s : slots_)
       if (s.count != 0) fn(s.key, s.count);
-  }
-
-  /// for_each + clear in one pass over the slot array: applies fn(key,
-  /// count) to every entry and empties the table, keeping capacity. The
-  /// transaction-delta accumulator drains itself this way once per
-  /// proposal, so the single walk matters.
-  template <typename Fn>
-  void drain(Fn&& fn) {
-    if (size_ != 0) {
-      size_t remaining = size_;
-      for (Slot& s : slots_) {
-        if (s.count == 0) continue;
-        fn(s.key, s.count);
-        s.count = 0;
-        if (--remaining == 0) break;  // tail already empty, skip the scan
-      }
-      size_ = 0;
-    }
   }
 
   /// Content equality: equal entry sets, independent of slot layout.

@@ -11,7 +11,7 @@
 namespace salsa_fixture {
 
 template <typename K, typename V>
-struct FlatMap {  // stand-in mirroring util/flat_map.h's visitors
+struct FlatMap {  // stand-in for a hash table's slot-order visitors
   template <typename Fn>
   void drain(Fn&&) {}
   template <typename Fn>
@@ -33,8 +33,7 @@ inline int first_element(const std::unordered_set<int>& pool) {
   return it != pool.end() ? *it : -1;
 }
 
-// FlatMap::drain outside the two sanctioned (commutative-fold) sites and
-// with no order-independence rationale.
+// A slot-order drain with no order-independence rationale.
 inline int drain_everything(FlatMap<unsigned long long, int>& delta) {
   int last = 0;
   delta.drain([&](unsigned long long, int net) { last = net; });

@@ -116,15 +116,11 @@ TEST(AuditScaling, SampledAuditorStillCatchesSeededIndexCorruption) {
       << "sanity: the run must have been the sampled flavor";
 }
 
-// Steady-state no-rehash pin (the reserve-sizing satellite): the engine
-// pre-reserves the probed index tables from problem dimensions, and the
-// demand-grown transaction-delta accumulators converge to the largest
-// transaction footprint within the warmup moves (they are not pre-reserved
-// on purpose — drain() cost is proportional to capacity, see
-// SearchEngine::init_from_statics). After warmup, a long move loop on a
-// mid-size generated design must never grow a table again: a rehash here
-// is a mis-sized reserve (or an unconverged accumulator) silently
-// reintroducing allocation stalls into the hot path.
+// Steady-state no-rehash pin: the engine pre-reserves its two index tables
+// from problem dimensions. After warmup, a long move loop on a mid-size
+// generated design must never grow a table again: a rehash here is a
+// mis-sized reserve silently reintroducing allocation stalls into the hot
+// path.
 TEST(AuditScaling, NoRehashInSteadyStateMoveLoop) {
   const GeneratedDesign d = cascade(2500);
   const Binding start =
@@ -145,7 +141,7 @@ TEST(AuditScaling, NoRehashInSteadyStateMoveLoop) {
       }
     }
   };
-  drive(3000);  // warmup: scratch accumulators reach their working size
+  drive(3000);  // warmup
   const size_t steady = eng.index_rehashes();
   drive(9000);
   EXPECT_GT(done, 10000) << "move loop starved; the pin saw too few moves";

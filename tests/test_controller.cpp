@@ -72,10 +72,10 @@ TEST(Controller, AluOpSelectBitsOnMixedKinds) {
 TEST(Controller, MoreMuxesMeansMoreSelectBits) {
   Ctx tight(make_ewf(), 17, 0);
   Ctx loose(make_ewf(), 21, 2);
-  const ControllerStats a =
-      analyze_controller(Netlist(initial_allocation(*tight.prob)));
-  const ControllerStats b =
-      analyze_controller(Netlist(initial_allocation(*loose.prob)));
+  const Binding tight_b = initial_allocation(*tight.prob);
+  const Binding loose_b = initial_allocation(*loose.prob);
+  const ControllerStats a = analyze_controller(Netlist(tight_b));
+  const ControllerStats b = analyze_controller(Netlist(loose_b));
   EXPECT_GT(a.total_bits(), 0);
   EXPECT_GT(b.total_bits(), 0);
 }

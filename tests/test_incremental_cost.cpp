@@ -10,6 +10,8 @@
 // must follow the same trajectory as one that rebuilds its engine from the
 // best binding at every reset, and allocate()'s warm-to-extended phase
 // switch on one engine must match the extended phase on a fresh engine.
+// The operand-swap tests drive F3's lighter touch, alone and mixed with
+// F1/F2, against a rebuild after every decision.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -381,6 +383,67 @@ INSTANTIATE_TEST_SUITE_P(
     Problems, CheckpointRestore,
     ::testing::Values("ewf", "dct", "random", "cascade1k"),
     [](const auto& info) { return info.param; });
+
+// --- operand-swap transactions ----------------------------------------------
+
+// F3 takes the engine's operand-swap touch: it retires only the read
+// generators feeding the op and leaves the op's FU claim and the produced
+// storage's write generator live. Random commit/rollback sequences of F3
+// alone, then of F3 mixed with F1/F2 moves that re-touch the same ops
+// through the full touch, must keep every derived structure equal to a
+// rebuild and the breakdown equal to a full evaluation after every
+// decision, and a rollback must restore the binding byte-identically.
+class OperandSwapTxn : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OperandSwapTxn, CommitsAndRollbacksMatchRebuild) {
+  const RestoreTarget t(GetParam());
+  const Binding start =
+      initial_allocation(t.prob(), InitialOptions{.seed = 7});
+  SearchEngine eng(start);
+  MoveConfig swaps_only;
+  swaps_only.weight[static_cast<size_t>(MoveKind::kOperandReverse)] = 1;
+  MoveConfig mixed = swaps_only;
+  mixed.weight[static_cast<size_t>(MoveKind::kOperandReverse)] = 2;
+  mixed.weight[static_cast<size_t>(MoveKind::kFuExchange)] = 1;
+  mixed.weight[static_cast<size_t>(MoveKind::kFuMove)] = 1;
+  Rng rng(29);
+  const long per_phase = t.gen ? 100 : 1500;
+  long swap_commits = 0, swap_rollbacks = 0, fu_commits = 0;
+  for (const MoveConfig* moves : {&swaps_only, &mixed}) {
+    long decided = 0;
+    for (long proposals = 0; decided < per_phase && proposals < 50 * per_phase;
+         ++proposals) {
+      const MoveKind kind = moves->pick(rng);
+      const Binding before = eng.binding();
+      if (!eng.propose(kind, rng)) continue;
+      ++decided;
+      const bool keep = rng.chance(0.5);
+      const bool swap = kind == MoveKind::kOperandReverse;
+      if (keep) {
+        eng.commit();
+        ++(swap ? swap_commits : fu_commits);
+      } else {
+        eng.rollback();
+        swap_rollbacks += swap;
+        ASSERT_EQ(eng.binding(), before) << "rollback at decision " << decided;
+      }
+      std::string why;
+      ASSERT_TRUE(eng.index_matches_rebuild(&why))
+          << move_name(kind) << " at decision " << decided << ": " << why;
+      ASSERT_TRUE(eng.matches_full_eval())
+          << move_name(kind) << " at decision " << decided;
+    }
+    ASSERT_EQ(decided, per_phase) << "too few feasible moves";
+  }
+  EXPECT_GT(swap_commits, 0);
+  EXPECT_GT(swap_rollbacks, 0);
+  EXPECT_GT(fu_commits, 0);
+  ASSERT_TRUE(verify(eng.binding()).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Problems, OperandSwapTxn,
+                         ::testing::Values("ewf", "dct", "cascade1k"),
+                         [](const auto& info) { return info.param; });
 
 TEST(IncrementalCost, TraceStreamsJsonlRecords) {
   Ctx ctx(make_ewf(), 17, 1);

@@ -99,7 +99,8 @@ TEST_F(Fig3, PassThroughSavesOneMuxAndOneConnection) {
 
 TEST_F(Fig3, BothVariantsSimulateCorrectly) {
   for (bool use_pass : {false, true}) {
-    Netlist nl(build(use_pass));
+    const Binding b = build(use_pass);
+    Netlist nl(b);
     EXPECT_EQ(random_equivalence_check(nl, 4, 11), "")
         << (use_pass ? "pass" : "direct");
   }
@@ -220,7 +221,8 @@ TEST_F(Fig4, CopyRemovesConnectionAndMux) {
 
 TEST_F(Fig4, BothVariantsSimulateCorrectly) {
   for (bool with_copy : {false, true}) {
-    Netlist nl(build(with_copy));
+    const Binding b = build(with_copy);
+    Netlist nl(b);
     EXPECT_EQ(random_equivalence_check(nl, 4, 22), "")
         << (with_copy ? "copy" : "plain");
   }

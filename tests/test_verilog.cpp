@@ -168,7 +168,8 @@ TEST(Verilog, StepCounterHoldsLongSchedules) {
   s.validate();
   AllocProblem prob(s, FuPool::standard(peak_fu_demand(s)),
                     Lifetimes(s).min_registers());
-  const Netlist nl(initial_allocation(prob));
+  const Binding b = initial_allocation(prob);
+  const Netlist nl(b);
 
   const std::string v = to_verilog(nl, "long");
   EXPECT_NE(v.find("  reg [16:0] step;\n"), std::string::npos);
