@@ -60,15 +60,18 @@ int main() {
   TextTable t;
   t.header({"workload", "move set", "start muxes", "muxes", "conns", "cost"});
   {
-    ProblemBundle b = make_problem(make_ewf(), 17, false, 0);
+    ProblemBundle b =
+        make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{0});
     ablate("ewf@17 (min regs)", *b.problem, t);
   }
   {
-    ProblemBundle b = make_problem(make_ewf(), 17, false, 2);
+    ProblemBundle b =
+        make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{2});
     ablate("ewf@17 (+2 regs)", *b.problem, t);
   }
   {
-    ProblemBundle b = make_problem(make_dct(), 9, false, 2);
+    ProblemBundle b =
+        make_problem(make_dct(), HwSpec{}, 9, SpareRegisters{2});
     ablate("dct@9 (+2 regs)", *b.problem, t);
   }
   std::printf("%s\n", t.render().c_str());

@@ -21,7 +21,8 @@ using namespace salsa::benchharness;
 
 int main() {
   std::printf("Search ablation on EWF @ 17 steps, min+1 registers\n\n");
-  ProblemBundle b = make_problem(make_ewf(), 17, false, 1);
+  ProblemBundle b =
+      make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
   Binding start = initial_allocation(*b.problem);
   const CostBreakdown base = evaluate_cost(start);
   std::printf("initial allocation: %d muxes, %d connections, cost %.0f\n\n",

@@ -36,7 +36,8 @@ int main() {
   t.header({"workload", "model", "pt-muxes", "buses", "sink-muxes",
             "extra-drivers", "status"});
   for (const Case& c : cases) {
-    ProblemBundle b = make_problem(c.make(), c.len, false, c.extra_regs);
+    ProblemBundle b = make_problem(c.make(), HwSpec{}, c.len,
+                                   SpareRegisters{c.extra_regs});
     const Comparison cmp = run_comparison(*b.problem, 11);
     auto add_row = [&](const char* model, const AllocationResult& res) {
       const BusAllocation buses = bus_allocate(res.binding);

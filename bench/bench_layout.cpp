@@ -32,7 +32,8 @@ int main() {
   TextTable t;
   t.header({"workload", "model", "muxes", "connections", "wirelength"});
   for (const Case& c : cases) {
-    ProblemBundle b = make_problem(c.make(), c.len, false, c.extra_regs);
+    ProblemBundle b = make_problem(c.make(), HwSpec{}, c.len,
+                                   SpareRegisters{c.extra_regs});
     const Comparison cmp = run_comparison(*b.problem, 13);
     auto add_row = [&](const char* model, const AllocationResult& res) {
       const LinearPlacement p = place_linear(res.binding, 17);

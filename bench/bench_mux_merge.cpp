@@ -32,7 +32,8 @@ int main() {
   for (const Case& c : cases) {
     HwSpec hw;
     const int len = min_schedule_length(c.make(), hw) + c.extra_len;
-    ProblemBundle b = make_problem(c.make(), len, false, c.extra_regs);
+    ProblemBundle b =
+        make_problem(c.make(), HwSpec{}, len, SpareRegisters{c.extra_regs});
     const Comparison cmp = run_comparison(*b.problem, 7);
     if (cmp.traditional_feasible)
       t.row({c.name, "traditional",

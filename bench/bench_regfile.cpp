@@ -34,7 +34,8 @@ int main() {
   t.header({"workload", "model", "regs used", "files", "lower bound",
             "status"});
   for (const Case& c : cases) {
-    ProblemBundle b = make_problem(c.make(), c.len, false, c.extra_regs);
+    ProblemBundle b = make_problem(c.make(), HwSpec{}, c.len,
+                                   SpareRegisters{c.extra_regs});
     const Comparison cmp = run_comparison(*b.problem, 17);
     auto add_row = [&](const char* model, const AllocationResult& res) {
       const RegFileAssignment asg = bind_register_files(res.binding, spec);

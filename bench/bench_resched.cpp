@@ -34,7 +34,8 @@ int main() {
 
     // Strategy A: one schedule, 4 allocation restarts.
     {
-      ProblemBundle b = make_problem(c.make(), c.len, false, 1);
+      ProblemBundle b =
+          make_problem(c.make(), HwSpec{}, c.len, SpareRegisters{1});
       AllocatorOptions opts;
       opts.improve = standard_improve(21);
       opts.improve.max_trials = 8;

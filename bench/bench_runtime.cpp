@@ -30,12 +30,14 @@ using namespace salsa::benchharness;
 namespace {
 
 ProblemBundle& ewf17() {
-  static ProblemBundle b = make_problem(make_ewf(), 17, false, 1);
+  static ProblemBundle b =
+      make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
   return b;
 }
 
 ProblemBundle& dct9() {
-  static ProblemBundle b = make_problem(make_dct(), 9, false, 2);
+  static ProblemBundle b =
+      make_problem(make_dct(), HwSpec{}, 9, SpareRegisters{2});
   return b;
 }
 

@@ -34,7 +34,9 @@ int main() {
   TextTable t;
   t.header({"workload", "min", "median", "max", "seeds at min"});
   for (const Case& c : cases) {
-    ProblemBundle b = make_problem(c.make(), c.len, c.pipelined, c.extra_regs);
+    ProblemBundle b =
+        make_problem(c.make(), HwSpec{.pipelined_mul = c.pipelined}, c.len,
+                     SpareRegisters{c.extra_regs});
     // Independent seeds fan out over the thread pool; the per-seed results
     // come back in seed order, so the table is identical at any thread
     // count.

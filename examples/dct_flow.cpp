@@ -4,7 +4,6 @@
 //
 // Usage: dct_flow [extra_regs=0]
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "baseline/traditional.h"
@@ -12,14 +11,15 @@
 #include "cdfg/dot.h"
 #include "core/allocator.h"
 #include "datapath/simulator.h"
-#include "sched/fu_search.h"
+#include "util/args.h"
 #include "util/table.h"
 
 using namespace salsa;
 
-int main(int argc, char** argv) {
-  const int extra_regs = argc > 1 ? std::atoi(argv[1]) : 0;
-  Cdfg g = make_dct();
+namespace {
+
+int run(int extra_regs) {
+  const Cdfg g = make_dct();
   std::printf("DCT: %d adds, %d subs, %d const-multiplies (Figure 5)\n\n",
               g.count(OpKind::kAdd), g.count(OpKind::kSub),
               g.count(OpKind::kMul));
@@ -29,16 +29,14 @@ int main(int argc, char** argv) {
     df << to_dot(g);
   }
 
-  HwSpec hw;
   TextTable table;
   table.header({"steps", "ALUs", "MULs", "min regs", "trad muxes",
                 "SALSA muxes", "SALSA merged"});
   bool all_ok = true;
   for (int L : {7, 9, 11, 13}) {
-    const FuSearchResult sr = schedule_min_fu(g, hw, L);
-    const Lifetimes lt(sr.schedule);
-    AllocProblem prob(sr.schedule, FuPool::standard(sr.fus),
-                      lt.min_registers() + extra_regs);
+    const ProblemBundle bundle =
+        make_problem(g, HwSpec{}, L, SpareRegisters{extra_regs});
+    const AllocProblem& prob = *bundle.problem;
     TraditionalOptions topt;
     topt.improve.max_trials = 10;
     topt.improve.moves_per_trial = 4000;
@@ -57,8 +55,9 @@ int main(int argc, char** argv) {
     }
     Netlist nl(ext.binding);
     all_ok &= random_equivalence_check(nl, 4, 3).empty();
-    table.row({std::to_string(L), std::to_string(sr.fus.alu),
-               std::to_string(sr.fus.mul), std::to_string(lt.min_registers()),
+    table.row({std::to_string(L), std::to_string(bundle.fus.alu),
+               std::to_string(bundle.fus.mul),
+               std::to_string(prob.lifetimes().min_registers()),
                std::to_string(trad.merging.muxes_after),
                std::to_string(ext.cost.muxes),
                std::to_string(ext.merging.muxes_after)});
@@ -66,4 +65,26 @@ int main(int argc, char** argv) {
   std::printf("%s\nwrote dct_cdfg.dot\nsimulation checks: %s\n",
               table.render().c_str(), all_ok ? "MATCH" : "MISMATCH");
   return all_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  int extra_regs = 0;
+  // Argument errors are usage errors: a diagnostic and exit status 2.
+  try {
+    if (argc > 2) fail("usage: dct_flow [extra_regs=0]");
+    if (argc > 1)
+      extra_regs =
+          static_cast<int>(parse_int("extra_regs", argv[1], 0, 100000));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  try {
+    return run(extra_regs);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

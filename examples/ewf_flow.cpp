@@ -6,7 +6,6 @@
 //
 // Usage: ewf_flow [csteps=17] [pipelined=0] [extra_regs=0]
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "baseline/traditional.h"
@@ -16,37 +15,34 @@
 #include "datapath/simulator.h"
 #include "datapath/verilog.h"
 #include "sched/asap_alap.h"
-#include "sched/fu_search.h"
+#include "util/args.h"
 #include "util/table.h"
 
 using namespace salsa;
 
-int main(int argc, char** argv) {
-  const int csteps = argc > 1 ? std::atoi(argv[1]) : 17;
-  const bool pipelined = argc > 2 && std::atoi(argv[2]) != 0;
-  const int extra_regs = argc > 3 ? std::atoi(argv[3]) : 0;
+namespace {
 
-  Cdfg g = make_ewf();
+int run(int csteps, bool pipelined, int extra_regs) {
+  Cdfg ewf = make_ewf();
   std::printf("EWF: %d adds, %d const-multiplies, %zu states\n",
-              g.count(OpKind::kAdd), g.count(OpKind::kMul),
-              g.state_nodes().size());
+              ewf.count(OpKind::kAdd), ewf.count(OpKind::kMul),
+              ewf.state_nodes().size());
 
   HwSpec hw;
   hw.pipelined_mul = pipelined;
-  const int cp = min_schedule_length(g, hw);
-  if (csteps < cp) {
-    std::printf("requested %d steps but the critical path is %d\n", csteps, cp);
-    return 1;
-  }
-  const FuSearchResult sr = schedule_min_fu(g, hw, csteps);
-  const Lifetimes lt(sr.schedule);
+  const int cp = min_schedule_length(ewf, hw);
+  if (csteps < cp)
+    fail("requested " + std::to_string(csteps) +
+         " steps but the critical path is " + std::to_string(cp));
+  const ProblemBundle bundle =
+      make_problem(std::move(ewf), hw, csteps, SpareRegisters{extra_regs});
+  const Cdfg& g = *bundle.graph;
+  const AllocProblem& prob = *bundle.problem;
+  const Lifetimes& lt = prob.lifetimes();
   std::printf("schedule: %d steps, %d ALUs, %d %smultipliers, "
               "min registers %d (+%d spare)\n\n",
-              csteps, sr.fus.alu, sr.fus.mul, pipelined ? "pipelined " : "",
-              lt.min_registers(), extra_regs);
-
-  AllocProblem prob(sr.schedule, FuPool::standard(sr.fus),
-                    lt.min_registers() + extra_regs);
+              csteps, bundle.fus.alu, bundle.fus.mul,
+              pipelined ? "pipelined " : "", lt.min_registers(), extra_regs);
 
   TraditionalOptions topt;
   topt.improve.max_trials = 12;
@@ -109,10 +105,37 @@ int main(int argc, char** argv) {
     vf << to_verilog(nl, "ewf_datapath");
     std::vector<int> starts(static_cast<size_t>(g.num_nodes()));
     for (NodeId n = 0; n < g.num_nodes(); ++n) starts[static_cast<size_t>(n)] =
-        sr.schedule.start(n);
+        bundle.schedule->start(n);
     std::ofstream df("ewf_schedule.dot");
     df << to_dot(g, starts, csteps);
   }
   std::printf("wrote ewf_datapath.v and ewf_schedule.dot\n");
   return mismatch.empty() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  int csteps = 17, extra_regs = 0;
+  bool pipelined = false;
+  // Argument errors are usage errors: a diagnostic and exit status 2.
+  try {
+    if (argc > 4)
+      fail("usage: ewf_flow [csteps=17] [pipelined=0] [extra_regs=0]");
+    if (argc > 1)
+      csteps = static_cast<int>(parse_int("csteps", argv[1], 1, 100000));
+    if (argc > 2) pipelined = parse_int("pipelined", argv[2], 0, 1) != 0;
+    if (argc > 3)
+      extra_regs =
+          static_cast<int>(parse_int("extra_regs", argv[3], 0, 100000));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  try {
+    return run(csteps, pipelined, extra_regs);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

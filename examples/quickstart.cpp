@@ -15,12 +15,13 @@
 #include "core/allocator.h"
 #include "datapath/simulator.h"
 #include "sched/asap_alap.h"
-#include "sched/fu_search.h"
 #include "util/table.h"
 
 using namespace salsa;
 
-int main() {
+namespace {
+
+int run() {
   // A second-order IIR-ish loop: two states, three adds, two constant
   // multiplies — small enough to read, rich enough to show the model.
   Cdfg g("quickstart");
@@ -39,19 +40,19 @@ int main() {
   g.add_output(y, "y");
   g.validate();
 
-  // Schedule: minimum length, then minimum FUs for it.
+  // Allocation problem, the paper's way: schedule at the minimum length
+  // with the fewest FUs, then allow one register over the schedule's
+  // minimum register demand.
   HwSpec hw;  // adders 1 step, multipliers 2 (the paper's assumptions)
   const int length = min_schedule_length(g, hw);
-  const FuSearchResult sr = schedule_min_fu(g, hw, length);
+  const ProblemBundle bundle =
+      make_problem(std::move(g), hw, length, SpareRegisters{1});
+  const AllocProblem& prob = *bundle.problem;
   std::printf("scheduled '%s' into %d control steps: %d ALU(s), %d MUL(s)\n",
-              g.name().c_str(), length, sr.fus.alu, sr.fus.mul);
-
-  // Allocation problem: the schedule, an FU pool, a register budget.
-  const Lifetimes lt(sr.schedule);
-  AllocProblem prob(sr.schedule, FuPool::standard(sr.fus),
-                    lt.min_registers() + 1);
+              bundle.graph->name().c_str(), length, bundle.fus.alu,
+              bundle.fus.mul);
   std::printf("minimum registers for this schedule: %d\n\n",
-              lt.min_registers());
+              prob.lifetimes().min_registers());
 
   // Traditional binding model (Figure 1) vs the extended model (Figure 2).
   TraditionalOptions topt;
@@ -82,4 +83,15 @@ int main() {
   std::printf("datapath vs. behavioural reference over 8 iterations: %s\n",
               mismatch.empty() ? "MATCH" : mismatch.c_str());
   return mismatch.empty() ? 0 : 1;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

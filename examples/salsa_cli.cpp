@@ -118,11 +118,11 @@ int main(int argc, char** argv) {
     }
     const Schedule& sched = *design.schedule;
     const FuBudget fus = peak_fu_demand(sched);
-    const Lifetimes lt(sched);
     AllocProblem prob(sched, FuPool::standard(fus),
-                      lt.min_registers() + extra_regs);
+                      SpareRegisters{extra_regs});
     std::printf("resources: %d ALUs, %d MULs, %d registers (min %d)\n",
-                fus.alu, fus.mul, prob.num_regs(), lt.min_registers());
+                fus.alu, fus.mul, prob.num_regs(),
+                prob.lifetimes().min_registers());
 
     AllocationResult res =
         traditional ? allocate_traditional(prob) : allocate(prob);

@@ -5,20 +5,33 @@
 //
 // Usage: stress [iterations=100] [base_seed=1]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "bench_suite/random_cdfg.h"
 #include "core/allocator.h"
 #include "core/verify.h"
 #include "datapath/simulator.h"
 #include "sched/asap_alap.h"
-#include "sched/fu_search.h"
+#include "util/args.h"
 
 using namespace salsa;
 
 int main(int argc, char** argv) {
-  const int iterations = argc > 1 ? std::atoi(argv[1]) : 100;
-  const uint64_t base = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1;
+  int iterations = 100;
+  uint64_t base = 1;
+  // Argument errors are usage errors: a diagnostic and exit status 2.
+  try {
+    if (argc > 3) fail("usage: stress [iterations=100] [base_seed=1]");
+    if (argc > 1)
+      iterations =
+          static_cast<int>(parse_int("iterations", argv[1], 1, 1000000));
+    if (argc > 2)
+      base = static_cast<uint64_t>(parse_int(
+          "base_seed", argv[2], 0, std::numeric_limits<long long>::max()));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   int passed = 0;
   for (int i = 0; i < iterations; ++i) {
@@ -37,15 +50,14 @@ int main(int argc, char** argv) {
       hw.pipelined_mul = seed % 2 == 0;
       const int len =
           min_schedule_length(g, hw) + static_cast<int>(seed % 5);
-      const FuSearchResult sr = schedule_min_fu(g, hw, len);
-      AllocProblem prob(sr.schedule, FuPool::standard(sr.fus),
-                        Lifetimes(sr.schedule).min_registers() +
-                            static_cast<int>(seed % 3));
+      const ProblemBundle bundle =
+          make_problem(std::move(g), hw, len,
+                       SpareRegisters{static_cast<int>(seed % 3)});
       AllocatorOptions opts;
       opts.improve.max_trials = 3;
       opts.improve.moves_per_trial = 400;
       opts.improve.seed = seed;
-      const AllocationResult res = allocate(prob, opts);
+      const AllocationResult res = allocate(*bundle.problem, opts);
       check_legal(res.binding);
       Netlist nl(res.binding);
       const std::string err = random_equivalence_check(nl, 4, seed);

@@ -12,7 +12,6 @@
 #include "core/initial.h"
 #include "core/moves.h"
 #include "core/search_engine.h"
-#include "sched/fu_search.h"
 #include "util/rng.h"
 
 namespace salsa {
@@ -229,38 +228,21 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
 
 // --- standard targets -------------------------------------------------------
 
-struct FuzzTarget::Impl {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Impl(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    sched =
-        std::make_unique<Schedule>(schedule_min_fu(*g, HwSpec{}, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
-
-FuzzTarget::FuzzTarget(const std::string& name, int extra_regs) : name_(name) {
+FuzzTarget::FuzzTarget(const std::string& name) : name_(name) {
+  constexpr SpareRegisters kSpare{2};  // loosens the budget for the moves
   if (name == "ewf") {
-    impl_ = std::make_unique<Impl>(make_ewf(), 17, extra_regs);
+    bundle_ = make_problem(make_ewf(), HwSpec{}, 17, kSpare);
   } else if (name == "dct") {
-    impl_ = std::make_unique<Impl>(make_dct(), 9, extra_regs);
+    bundle_ = make_problem(make_dct(), HwSpec{}, 9, kSpare);
   } else if (name == "random") {
     RandomCdfgParams p;
     p.num_ops = 24;
     p.seed = 5;
-    impl_ = std::make_unique<Impl>(make_random_cdfg(p), 12, extra_regs);
+    bundle_ = make_problem(make_random_cdfg(p), HwSpec{}, 12, kSpare);
   } else {
     fail("unknown fuzz target '" + name + "' (expected ewf, dct or random)");
   }
-  prob_ = impl_->prob.get();
 }
-
-FuzzTarget::~FuzzTarget() = default;
 
 const std::vector<std::string>& FuzzTarget::names() {
   static const std::vector<std::string> kNames{"ewf", "dct", "random"};

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,20 +89,15 @@ struct SegmentDiffResult {
 SegmentDiffResult run_segment_diff(const AllocProblem& prob,
                                    const FuzzParams& params);
 
-/// A named standard fuzz target: the benchmark CDFG scheduled and wrapped
-/// into an AllocProblem the way the reproduction experiments do. Valid
-/// names: "ewf" (17 steps), "dct" (9 steps), "random" (24 ops, 12 steps).
-/// The object owns the CDFG/schedule/problem chain.
+/// A named standard fuzz target: the benchmark CDFG built by the paper's
+/// problem recipe (make_problem, two spare registers). Valid names: "ewf"
+/// (17 steps), "dct" (9 steps), "random" (24 ops, 12 steps).
 class FuzzTarget {
  public:
-  /// Throws salsa::Error for an unknown name. `extra_regs` loosens the
-  /// register budget above the lifetime minimum.
-  FuzzTarget(const std::string& name, int extra_regs = 2);
-  ~FuzzTarget();
-  FuzzTarget(const FuzzTarget&) = delete;
-  FuzzTarget& operator=(const FuzzTarget&) = delete;
+  /// Throws salsa::Error for an unknown name.
+  explicit FuzzTarget(const std::string& name);
 
-  const AllocProblem& prob() const { return *prob_; }
+  const AllocProblem& prob() const { return *bundle_.problem; }
   const std::string& name() const { return name_; }
 
   /// All valid target names, in reporting order.
@@ -111,9 +105,7 @@ class FuzzTarget {
 
  private:
   std::string name_;
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  AllocProblem* prob_ = nullptr;  // owned by impl_
+  ProblemBundle bundle_;
 };
 
 }  // namespace salsa

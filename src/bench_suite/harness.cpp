@@ -10,21 +10,6 @@
 
 namespace salsa::benchharness {
 
-ProblemBundle make_problem(Cdfg graph, int length, bool pipelined,
-                           int extra_regs) {
-  ProblemBundle b;
-  b.graph = std::make_unique<Cdfg>(std::move(graph));
-  HwSpec hw;
-  hw.pipelined_mul = pipelined;
-  const FuSearchResult sr = schedule_min_fu(*b.graph, hw, length);
-  b.schedule = std::make_unique<Schedule>(sr.schedule);
-  b.fus = sr.fus;
-  b.min_regs = Lifetimes(*b.schedule).min_registers();
-  b.problem = std::make_unique<AllocProblem>(
-      *b.schedule, FuPool::standard(b.fus), b.min_regs + extra_regs);
-  return b;
-}
-
 ImproveParams standard_improve(uint64_t seed) {
   ImproveParams p;
   p.max_trials = 12;
@@ -87,16 +72,19 @@ struct GridPoint {
   uint64_t seed = 0;
 };
 
-TableRow make_row(const GridPoint& g, Cdfg graph, const TableBudget& budget) {
-  ProblemBundle b = make_problem(std::move(graph), g.steps, g.pipelined,
-                                 g.extra);
-  const Comparison cmp = run_budget_comparison(*b.problem, g.seed, budget);
+TableRow make_row(const GridPoint& g, const Cdfg& graph,
+                  const TableBudget& budget) {
+  const FuSearchResult sr =
+      schedule_min_fu(graph, HwSpec{.pipelined_mul = g.pipelined}, g.steps);
+  const AllocProblem prob(sr.schedule, FuPool::standard(sr.fus),
+                          SpareRegisters{g.extra});
+  const Comparison cmp = run_budget_comparison(prob, g.seed, budget);
   TableRow row;
   row.steps = g.steps;
   row.pipelined = g.pipelined;
-  row.alus = b.fus.alu;
-  row.muls = b.fus.mul;
-  row.regs = b.min_regs + g.extra;
+  row.alus = sr.fus.alu;
+  row.muls = sr.fus.mul;
+  row.regs = prob.num_regs();
   row.traditional_feasible = cmp.traditional_feasible;
   row.salsa_muxes = cmp.salsa.cost.muxes;
   row.salsa_merged = cmp.salsa.merging.muxes_after;

@@ -1,5 +1,4 @@
-// Shared plumbing for the benchmark harnesses: problem construction from a
-// (benchmark, length, pipelining, spare registers) tuple, the standard
+// Shared plumbing for the benchmark harnesses: the standard
 // traditional-vs-SALSA allocation pair used by the table generators, and
 // the pool-aware row generators behind bench_table2_ewf / bench_table3_dct.
 //
@@ -15,7 +14,6 @@
 // tests/test_benchmarks.cpp pins this.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,17 +24,6 @@
 #include "util/thread_pool.h"
 
 namespace salsa::benchharness {
-
-struct ProblemBundle {
-  std::unique_ptr<Cdfg> graph;
-  std::unique_ptr<Schedule> schedule;
-  std::unique_ptr<AllocProblem> problem;
-  FuBudget fus;
-  int min_regs = 0;
-};
-
-ProblemBundle make_problem(Cdfg graph, int length, bool pipelined,
-                           int extra_regs);
 
 struct Comparison {
   AllocationResult traditional;

@@ -110,39 +110,8 @@ AllocationResult allocate(const AllocProblem& prob,
   // corrupt the stream, so tracing pins the run to the calling thread.
   if (opts.improve.trace != nullptr) par = Parallelism::sequential_only();
 
-  const int patience = opts.restart_patience;
-  std::vector<ImproveResult> outcomes;
-  if (patience <= 0 || opts.restarts <= patience) {
-    outcomes = parallel_map(par, opts.restarts,
-                            [&](int r) { return run_restart(prob, opts, r); });
-  } else {
-    // Early stopping, deterministically: restarts are computed in
-    // thread-sized waves, but the stop rule — cut after the first index r
-    // whose distance from the earliest best index reaches `patience` — is
-    // evaluated over outcomes in restart-index order and every outcome past
-    // the cut is dropped. The retained prefix (hence the winner and the
-    // stats) is therefore a function of the restart outcomes alone, never
-    // of the wave width or which thread ran what; only the amount of
-    // discarded surplus work varies with the thread count.
-    const int wave = par.resolve();
-    size_t best = 0;
-    bool stop = false;
-    while (!stop && static_cast<int>(outcomes.size()) < opts.restarts) {
-      const int base = static_cast<int>(outcomes.size());
-      const int count = std::min(wave, opts.restarts - base);
-      std::vector<ImproveResult> batch = parallel_map(
-          par, count, [&](int i) { return run_restart(prob, opts, base + i); });
-      for (ImproveResult& o : batch) {
-        outcomes.push_back(std::move(o));
-        const size_t r = outcomes.size() - 1;
-        if (outcomes[r].cost.total < outcomes[best].cost.total) best = r;
-        if (r - best >= static_cast<size_t>(patience)) {
-          stop = true;
-          break;
-        }
-      }
-    }
-  }
+  std::vector<ImproveResult> outcomes = parallel_map(
+      par, opts.restarts, [&](int r) { return run_restart(prob, opts, r); });
 
   // Deterministic reduction in restart order: stats sum index by index; the
   // winner is the lowest cost, ties broken by the lowest restart index

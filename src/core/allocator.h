@@ -56,13 +56,9 @@ struct AllocatorOptions {
   /// (util/rng.h:derive_seed), so restart r's trajectory is a function of
   /// (user seeds, r) only — never of which thread ran it.
   int restarts = 1;
-  /// Early restart stopping: stop launching restarts once `patience`
-  /// consecutive restarts (in restart-index order) failed to improve the
-  /// best cost; at least patience + 1 restarts always run. 0 or negative =
-  /// no early stop. The stop index is a function of the restart outcomes
-  /// in restart order alone — restarts are computed in thread-sized waves,
-  /// and every outcome past the stop index is discarded before the best-of
-  /// reduction — so results stay byte-identical for any thread count.
+  /// Inert: nothing in src/ reads it; every restart runs. The end-to-end
+  /// benchmark (perfbench/e2e.cpp) still sets it, so it stays until the
+  /// next change to the benchmark deletes it with that line.
   int restart_patience = 0;
   /// Restart-level parallelism. Results are byte-identical for every thread
   /// count: each restart owns its seed streams and SearchEngine, and the

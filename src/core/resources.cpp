@@ -39,10 +39,26 @@ AllocProblem::AllocProblem(const Schedule& sched, FuPool fus, int num_regs)
       fus_(std::move(fus)),
       num_regs_(num_regs),
       lifetimes_(std::make_unique<Lifetimes>(sched)) {
+  check_resources();
+}
+
+AllocProblem::AllocProblem(const Schedule& sched, FuPool fus,
+                           SpareRegisters spare)
+    : sched_(&sched),
+      fus_(std::move(fus)),
+      lifetimes_(std::make_unique<Lifetimes>(sched)) {
+  if (spare.count < 0)
+    fail("spare register budget must not be negative, got " +
+         std::to_string(spare.count));
+  num_regs_ = lifetimes_->min_registers() + spare.count;
+  check_resources();
+}
+
+void AllocProblem::check_resources() const {
   SALSA_CHECK_MSG(num_regs_ >= lifetimes_->min_registers(),
                   "register budget below the schedule's minimum demand (" +
                       std::to_string(lifetimes_->min_registers()) + ")");
-  const FuBudget need = peak_fu_demand(sched);
+  const FuBudget need = peak_fu_demand(*sched_);
   SALSA_CHECK_MSG(static_cast<int>(fus_.of_class(FuClass::kAlu).size()) >=
                       need.alu,
                   "FU pool has fewer ALUs than the schedule's peak demand");
@@ -52,5 +68,17 @@ AllocProblem::AllocProblem(const Schedule& sched, FuPool fus, int num_regs)
 }
 
 AllocProblem::~AllocProblem() = default;
+
+ProblemBundle make_problem(Cdfg graph, const HwSpec& hw, int length,
+                           SpareRegisters spare) {
+  ProblemBundle b;
+  b.graph = std::make_unique<Cdfg>(std::move(graph));
+  FuSearchResult sr = schedule_min_fu(*b.graph, hw, length);
+  b.schedule = std::make_unique<Schedule>(std::move(sr.schedule));
+  b.fus = sr.fus;
+  b.problem = std::make_unique<AllocProblem>(
+      *b.schedule, FuPool::standard(b.fus), spare);
+  return b;
+}
 
 }  // namespace salsa

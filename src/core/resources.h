@@ -50,11 +50,22 @@ class FuPool {
 
 class Lifetimes;  // core/lifetime.h
 
+/// A register budget given as registers over the schedule's minimum demand
+/// (Lifetimes::min_registers()), the way the paper's tables state it. A type
+/// of its own, so that a spare count is never read as an absolute one.
+struct SpareRegisters {
+  int count = 0;
+};
+
 /// A complete allocation problem: a validated schedule plus the resources
 /// the datapath may use. Owns the lifetime (segment) analysis.
 class AllocProblem {
  public:
+  /// `num_regs` registers in all; at least the schedule's minimum demand.
   AllocProblem(const Schedule& sched, FuPool fus, int num_regs);
+  /// The schedule's minimum register demand plus `spare` (>= 0) registers,
+  /// from the one lifetime analysis the problem keeps.
+  AllocProblem(const Schedule& sched, FuPool fus, SpareRegisters spare);
   ~AllocProblem();
   AllocProblem(const AllocProblem&) = delete;
   AllocProblem& operator=(const AllocProblem&) = delete;
@@ -66,10 +77,29 @@ class AllocProblem {
   const Lifetimes& lifetimes() const { return *lifetimes_; }
 
  private:
+  void check_resources() const;
+
   const Schedule* sched_;
   FuPool fus_;
-  int num_regs_;
+  int num_regs_ = 0;
   std::unique_ptr<Lifetimes> lifetimes_;
 };
+
+/// The problem recipe of the paper's Table 2 and 3 rows, with everything the
+/// problem refers into: `graph` scheduled at a latency with the fewest FUs
+/// (schedule_min_fu), the standard pool of that schedule's FU demand, and
+/// the schedule's minimum register count plus a spare budget.
+struct ProblemBundle {
+  std::unique_ptr<Cdfg> graph;
+  std::unique_ptr<Schedule> schedule;
+  std::unique_ptr<AllocProblem> problem;
+  FuBudget fus;  ///< the pool's ALU and multiplier counts
+};
+
+/// Builds the recipe's problem for `graph` at `length` control steps. Throws
+/// salsa::Error when `length` is below the critical path or `spare` is
+/// negative.
+ProblemBundle make_problem(Cdfg graph, const HwSpec& hw, int length,
+                           SpareRegisters spare);
 
 }  // namespace salsa

@@ -41,10 +41,8 @@ ScheduleExploreResult explore_schedules(const Cdfg& cdfg, const HwSpec& hw,
       if (!sched) return std::nullopt;
     }
     auto schedule = std::make_unique<Schedule>(std::move(*sched));
-    const Lifetimes lt(*schedule);
-    constexpr int kExtraRegs = 1;  // register budget above the minimum
     auto problem = std::make_unique<AllocProblem>(
-        *schedule, FuPool::standard(budget), lt.min_registers() + kExtraRegs);
+        *schedule, FuPool::standard(budget), SpareRegisters{1});
     AllocatorOptions opts = params.alloc;
     opts.improve.seed = derive_seed(params.seed, 2 * vv + 1);
     AllocationResult res = allocate(*problem, opts);

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "analysis/digest.h"
-#include "core/lifetime.h"
 #include "sched/asap_alap.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -323,9 +322,8 @@ GeneratedDesign generate_design(const GenParams& p) {
   }
 
   d.fus = budget;
-  d.min_regs = Lifetimes(*d.schedule).min_registers();
   d.problem = std::make_unique<AllocProblem>(
-      *d.schedule, FuPool::standard(budget), d.min_regs + p.extra_regs);
+      *d.schedule, FuPool::standard(budget), p.spare);
   return d;
 }
 

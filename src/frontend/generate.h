@@ -29,7 +29,6 @@
 // target_ops, seed).
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "cdfg/cdfg.h"
@@ -55,18 +54,13 @@ struct GenParams {
   /// granularity (section, tile element, layer) rounds it up.
   int target_ops = 1000;
   uint64_t seed = 1;
-  int extra_regs = 2;  ///< registers beyond the lifetime minimum
+  SpareRegisters spare{2};
 };
 
-/// A generated allocation problem. Owns the graph and schedule the
-/// AllocProblem refers into (same shape as benchharness::ProblemBundle,
-/// which cannot be reused here: bench_suite depends on higher layers).
-struct GeneratedDesign {
-  std::unique_ptr<Cdfg> graph;
-  std::unique_ptr<Schedule> schedule;
-  std::unique_ptr<AllocProblem> problem;
-  FuBudget fus;
-  int min_regs = 0;
+/// A generated allocation problem: the bundle owns the graph and schedule
+/// the AllocProblem refers into. Its schedule comes from the list-scheduler
+/// path below, not from schedule_min_fu.
+struct GeneratedDesign : ProblemBundle {
   int num_ops = 0;  ///< actual operator count (>= target_ops, rounded up)
 };
 
@@ -76,9 +70,9 @@ Cdfg generate_cdfg(const GenParams& p);
 /// generate_cdfg + deterministic list-scheduler path: derives the schedule
 /// length from the critical path plus slack and the FU budget from per-class
 /// occupancy, growing both on list-scheduler infeasibility (bounded retries,
-/// no randomness), then wraps everything in an AllocProblem with
-/// min_registers + extra_regs registers. Throws if no legal schedule is
-/// found within the retry budget.
+/// no randomness), then wraps everything in an AllocProblem with `spare`
+/// registers over the minimum. Throws if no legal schedule is found within
+/// the retry budget.
 GeneratedDesign generate_design(const GenParams& p);
 
 /// FNV-1a digest over the complete generated design — every node (kind,

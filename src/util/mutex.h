@@ -34,10 +34,6 @@ class SALSA_CAPABILITY("mutex") Mutex {
 
   void lock() SALSA_ACQUIRE() { mu_.lock(); }
   void unlock() SALSA_RELEASE() { mu_.unlock(); }
-  bool try_lock() SALSA_THREAD_ANNOTATION_ATTRIBUTE__(
-      try_acquire_capability(true)) {
-    return mu_.try_lock();
-  }
 
  private:
   friend class CondVar;
@@ -69,7 +65,6 @@ class CondVar {
     cv_.wait(lk);
     lk.release();  // still locked: ownership goes back to the caller
   }
-  void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
  private:

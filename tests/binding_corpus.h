@@ -17,7 +17,6 @@
 // minute in a Debug one.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,7 @@ struct CorpusBinding {
 };
 
 struct BindingCorpus {
-  std::vector<benchharness::ProblemBundle> bundles;  // own the problems
+  std::vector<ProblemBundle> bundles;  // own the problems
   std::vector<GeneratedDesign> designs;
   std::vector<CorpusBinding> bindings;
 
@@ -66,8 +65,9 @@ inline BindingCorpus build_binding_corpus() {
   for (const bool pipelined : {false, true})
     for (int extra = 0; extra <= 2; ++extra) {
       for (int steps = 17; steps <= 21; ++steps) {
-        c.bundles.push_back(
-            benchharness::make_problem(make_ewf(), steps, pipelined, extra));
+        c.bundles.push_back(make_problem(make_ewf(),
+                                         HwSpec{.pipelined_mul = pipelined},
+                                         steps, SpareRegisters{extra}));
         add_start_and_result(c, *c.bundles.back().problem,
                              "ewf" + std::to_string(steps) +
                                  (pipelined ? "p" : "") + "+" +
@@ -75,8 +75,9 @@ inline BindingCorpus build_binding_corpus() {
                              1000 + static_cast<uint64_t>(steps * 10 + extra));
       }
       for (int steps = 7; steps <= 13; ++steps) {
-        c.bundles.push_back(
-            benchharness::make_problem(make_dct(), steps, pipelined, extra));
+        c.bundles.push_back(make_problem(make_dct(),
+                                         HwSpec{.pipelined_mul = pipelined},
+                                         steps, SpareRegisters{extra}));
         add_start_and_result(c, *c.bundles.back().problem,
                              "dct" + std::to_string(steps) +
                                  (pipelined ? "p" : "") + "+" +
@@ -96,8 +97,8 @@ inline BindingCorpus build_binding_corpus() {
     HwSpec hw;
     hw.pipelined_mul = i % 2 == 0;
     const int len = min_schedule_length(g, hw) + i % 4;
-    c.bundles.push_back(benchharness::make_problem(std::move(g), len,
-                                                   hw.pipelined_mul, i % 3));
+    c.bundles.push_back(
+        make_problem(std::move(g), hw, len, SpareRegisters{i % 3}));
     add_start_and_result(c, *c.bundles.back().problem,
                          "random" + std::to_string(i), params.seed);
   }
@@ -129,9 +130,11 @@ inline BindingCorpus build_binding_corpus() {
             improve(start, ip).best);
     }
   };
-  c.bundles.push_back(benchharness::make_problem(make_ewf(), 17, false, 1));
+  c.bundles.push_back(
+      make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1}));
   add_improve_run(*c.bundles.back().problem, "ewf17+1");
-  c.bundles.push_back(benchharness::make_problem(make_dct(), 9, false, 1));
+  c.bundles.push_back(
+      make_problem(make_dct(), HwSpec{}, 9, SpareRegisters{1}));
   add_improve_run(*c.bundles.back().problem, "dct9+1");
   add_improve_run(*dag1k, "dag1k");
 

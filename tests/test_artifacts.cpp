@@ -4,33 +4,15 @@
 // proves cycle-accurately).
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/diffeq.h"
 #include "bench_suite/ewf.h"
 #include "cdfg/eval.h"
 #include "core/initial.h"
 #include "datapath/testbench.h"
 #include "datapath/vcd.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    sched = std::make_unique<Schedule>(
-        schedule_min_fu(*g, HwSpec{}, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 std::vector<std::vector<int64_t>> stimuli(const Cdfg& g, int iterations,
                                           uint64_t seed) {
@@ -44,15 +26,15 @@ std::vector<std::vector<int64_t>> stimuli(const Cdfg& g, int iterations,
 }
 
 TEST(Vcd, HeaderAndVariablesWellFormed) {
-  Ctx ctx(make_diffeq(), 10, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
-  const auto in = stimuli(*ctx.g, 3, 1);
+  const auto in = stimuli(*ctx.graph, 3, 1);
   const std::string vcd = dump_vcd(nl, in, {}, 3, "diffeq");
   EXPECT_NE(vcd.find("$timescale 1ns $end"), std::string::npos);
   EXPECT_NE(vcd.find("$scope module diffeq $end"), std::string::npos);
   EXPECT_NE(vcd.find("$enddefinitions $end"), std::string::npos);
-  for (RegId r = 0; r < ctx.prob->num_regs(); ++r)
+  for (RegId r = 0; r < ctx.problem->num_regs(); ++r)
     EXPECT_NE(vcd.find(" r" + std::to_string(r) + " $end"),
               std::string::npos);
   // One timestamp marker per simulated step.
@@ -61,7 +43,7 @@ TEST(Vcd, HeaderAndVariablesWellFormed) {
     ++marks;
     pos += 2;
   }
-  EXPECT_EQ(marks, static_cast<size_t>(3 * ctx.sched->length() + 1));
+  EXPECT_EQ(marks, static_cast<size_t>(3 * ctx.schedule->length() + 1));
 }
 
 TEST(Vcd, OnlyChangesAreDumpedAfterTimeZero) {
@@ -94,10 +76,10 @@ TEST(Vcd, OnlyChangesAreDumpedAfterTimeZero) {
 }
 
 TEST(Testbench, InstantiatesDutAndChecksOutputs) {
-  Ctx ctx(make_diffeq(), 10, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
-  const auto in = stimuli(*ctx.g, 4, 3);
+  const auto in = stimuli(*ctx.graph, 4, 3);
   const std::string tb = to_testbench(nl, in, {}, 4, "diffeq");
   EXPECT_NE(tb.find("module diffeq_tb;"), std::string::npos);
   EXPECT_NE(tb.find("diffeq #(.W(W)) dut(.clk(clk), .rst(rst)"),
@@ -105,16 +87,16 @@ TEST(Testbench, InstantiatesDutAndChecksOutputs) {
   EXPECT_NE(tb.find("TB PASS"), std::string::npos);
   EXPECT_NE(tb.find("$finish"), std::string::npos);
   // Every output is checked.
-  for (NodeId n : ctx.g->output_nodes())
-    EXPECT_NE(tb.find("out_" + ctx.g->node(n).name), std::string::npos);
+  for (NodeId n : ctx.graph->output_nodes())
+    EXPECT_NE(tb.find("out_" + ctx.graph->node(n).name), std::string::npos);
 }
 
 TEST(Testbench, ExpectedValuesComeFromEvaluator) {
-  Ctx ctx(make_diffeq(), 10, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
-  const auto in = stimuli(*ctx.g, 3, 4);
-  Evaluator ref(*ctx.g);
+  const auto in = stimuli(*ctx.graph, 3, 4);
+  Evaluator ref(*ctx.graph);
   const auto want = ref.step(in[0]);
   const std::string tb = to_testbench(nl, in, {}, 3, "diffeq");
   // The iteration-0 expected value of the first output appears literally.
@@ -124,21 +106,21 @@ TEST(Testbench, ExpectedValuesComeFromEvaluator) {
 }
 
 TEST(Testbench, PreloadsStateRegisters) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
-  const auto in = stimuli(*ctx.g, 3, 5);
-  std::vector<int64_t> states(ctx.g->state_nodes().size(), 9);
+  const auto in = stimuli(*ctx.graph, 3, 5);
+  std::vector<int64_t> states(ctx.graph->state_nodes().size(), 9);
   const std::string tb = to_testbench(nl, in, states, 3, "ewf");
   EXPECT_NE(tb.find("dut.r"), std::string::npos);
   EXPECT_NE(tb.find(" = 64'd9;"), std::string::npos);
 }
 
 TEST(Testbench, RequiresBoundaryInputVector) {
-  Ctx ctx(make_diffeq(), 10, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
-  const auto in = stimuli(*ctx.g, 2, 6);  // 3 vectors
+  const auto in = stimuli(*ctx.graph, 2, 6);  // 3 vectors
   EXPECT_THROW(to_testbench(nl, in, {}, 3, "diffeq"), Error);
 }
 

@@ -1,164 +1,26 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
-
-#include "util/rng.h"
-
-#include "baseline/bipartite.h"
-#include "baseline/left_edge.h"
 #include "baseline/traditional.h"
-#include "bench_suite/dct.h"
 #include "bench_suite/diffeq.h"
 #include "bench_suite/ewf.h"
 #include "core/verify.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
 
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    sched = std::make_unique<Schedule>(
-        schedule_min_fu(*g, HwSpec{}, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
-
-// ---- Hungarian algorithm ---------------------------------------------------
-
-TEST(Hungarian, SolvesKnownMatrix) {
-  // Optimal assignment: (0->1, 1->0, 2->2) with cost 1+2+2 = 5.
-  const std::vector<std::vector<double>> cost{
-      {4, 1, 3}, {2, 0, 5}, {3, 2, 2}};
-  const auto m = min_cost_assignment(cost);
-  ASSERT_EQ(m.size(), 3u);
-  double total = 0;
-  std::vector<bool> used(3, false);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(used[static_cast<size_t>(m[static_cast<size_t>(i)])]);
-    used[static_cast<size_t>(m[static_cast<size_t>(i)])] = true;
-    total += cost[static_cast<size_t>(i)][static_cast<size_t>(m[static_cast<size_t>(i)])];
-  }
-  EXPECT_DOUBLE_EQ(total, 5.0);
-}
-
-TEST(Hungarian, RectangularLeavesColumnsFree) {
-  const std::vector<std::vector<double>> cost{{10, 1, 10, 10},
-                                              {1, 10, 10, 10}};
-  const auto m = min_cost_assignment(cost);
-  ASSERT_EQ(m.size(), 2u);
-  EXPECT_EQ(m[0], 1);
-  EXPECT_EQ(m[1], 0);
-}
-
-TEST(Hungarian, ForbiddenEdgesMakeItFail) {
-  const std::vector<std::vector<double>> cost{
-      {kUnassignable, 1}, {kUnassignable, 1}};
-  EXPECT_TRUE(min_cost_assignment(cost).empty());
-}
-
-TEST(Hungarian, EmptyInput) {
-  EXPECT_TRUE(min_cost_assignment({}).empty());
-}
-
-TEST(Hungarian, RandomMatricesMatchBruteForce) {
-  Rng rng(77);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int n = rng.range(2, 5);
-    std::vector<std::vector<double>> cost(
-        static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(n)));
-    for (auto& row : cost)
-      for (auto& c : row) c = rng.range(0, 20);
-    const auto m = min_cost_assignment(cost);
-    ASSERT_EQ(static_cast<int>(m.size()), n);
-    double got = 0;
-    for (int i = 0; i < n; ++i)
-      got += cost[static_cast<size_t>(i)][static_cast<size_t>(m[static_cast<size_t>(i)])];
-    // Brute force over permutations.
-    std::vector<int> perm(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) perm[static_cast<size_t>(i)] = i;
-    double best = 1e18;
-    do {
-      double t = 0;
-      for (int i = 0; i < n; ++i)
-        t += cost[static_cast<size_t>(i)][static_cast<size_t>(perm[static_cast<size_t>(i)])];
-      best = std::min(best, t);
-    } while (std::next_permutation(perm.begin(), perm.end()));
-    EXPECT_DOUBLE_EQ(got, best) << "trial " << trial;
-  }
-}
-
-// ---- left edge -------------------------------------------------------------
-
-TEST(LeftEdge, ProducesLegalTraditionalBinding) {
-  Ctx ctx(make_ewf(), 17, 2);
-  Binding b = left_edge_allocation(*ctx.prob);
-  EXPECT_TRUE(verify(b).empty());
-  EXPECT_TRUE(b.is_traditional());
-}
-
-TEST(LeftEdge, AcyclicUsesMinimumRegisters) {
-  // DCT is acyclic: left edge is exact for interval lifetimes.
-  Ctx ctx(make_dct(), 10, 3);
-  Binding b = left_edge_allocation(*ctx.prob);
-  EXPECT_TRUE(verify(b).empty());
-  EXPECT_EQ(b.regs_used(), ctx.prob->lifetimes().min_registers());
-}
-
-TEST(LeftEdge, AssignmentsAvoidOverlaps) {
-  Ctx ctx(make_ewf(), 19, 1);
-  const auto assign = left_edge_assign(*ctx.prob);
-  const Lifetimes& lt = ctx.prob->lifetimes();
-  const int L = ctx.sched->length();
-  for (int a = 0; a < lt.num_storages(); ++a)
-    for (int b = a + 1; b < lt.num_storages(); ++b) {
-      if (assign[static_cast<size_t>(a)] != assign[static_cast<size_t>(b)])
-        continue;
-      for (int seg = 0; seg < lt.storage(a).len; ++seg)
-        EXPECT_EQ(lt.seg_at_step(b, lt.storage(a).step_at(seg, L)), -1)
-            << "storages " << a << " and " << b << " overlap in a register";
-    }
-}
-
-// ---- bipartite matching ----------------------------------------------------
-
-TEST(Bipartite, ProducesLegalTraditionalBinding) {
-  Ctx ctx(make_dct(), 12, 2);
-  Binding b = bipartite_allocation(*ctx.prob);
-  EXPECT_TRUE(verify(b).empty());
-  EXPECT_TRUE(b.is_traditional());
-}
-
-TEST(Bipartite, NoWorseThanLeftEdgeOnInterconnect) {
-  Ctx ctx(make_dct(), 10, 3);
-  const int le = evaluate_cost(left_edge_allocation(*ctx.prob)).muxes;
-  const int bp = evaluate_cost(bipartite_allocation(*ctx.prob)).muxes;
-  EXPECT_LE(bp, le + 2) << "interconnect-aware matching should be comparable";
-}
-
-// ---- traditional allocator -------------------------------------------------
-
 TEST(Traditional, InitialIsContiguous) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = traditional_initial(*ctx.prob, 1);
+  const ProblemBundle ctx = make_problem(make_ewf(), {}, 17, SpareRegisters{1});
+  Binding b = traditional_initial(*ctx.problem, 1);
   EXPECT_TRUE(verify(b).empty());
   EXPECT_TRUE(b.is_traditional());
 }
 
 TEST(Traditional, AllocatorKeepsModelRestriction) {
-  Ctx ctx(make_ewf(), 17, 1);
+  const ProblemBundle ctx = make_problem(make_ewf(), {}, 17, SpareRegisters{1});
   TraditionalOptions opts;
   opts.improve.max_trials = 4;
   opts.improve.moves_per_trial = 800;
-  const AllocationResult res = allocate_traditional(*ctx.prob, opts);
+  const AllocationResult res = allocate_traditional(*ctx.problem, opts);
   EXPECT_TRUE(verify(res.binding).empty());
   EXPECT_TRUE(res.binding.is_traditional());
   EXPECT_EQ(res.cost.muxes, evaluate_cost(res.binding).muxes);
@@ -167,9 +29,9 @@ TEST(Traditional, AllocatorKeepsModelRestriction) {
 TEST(Traditional, BacktrackingHandlesTightBudgets) {
   // At the minimum register count a contiguous placement may need the exact
   // search; it must either succeed or throw a clear error — never crash.
-  Ctx ctx(make_ewf(), 17, 0);
+  const ProblemBundle ctx = make_problem(make_ewf(), {}, 17, SpareRegisters{0});
   try {
-    Binding b = traditional_initial(*ctx.prob, 1, /*retries=*/2);
+    Binding b = traditional_initial(*ctx.problem, 1, /*retries=*/2);
     EXPECT_TRUE(b.is_traditional());
     EXPECT_TRUE(verify(b).empty());
   } catch (const Error& e) {
@@ -178,11 +40,12 @@ TEST(Traditional, BacktrackingHandlesTightBudgets) {
 }
 
 TEST(Traditional, DiffeqSmallCase) {
-  Ctx ctx(make_diffeq(), 10, 1);
+  const ProblemBundle ctx =
+      make_problem(make_diffeq(), {}, 10, SpareRegisters{1});
   TraditionalOptions opts;
   opts.improve.max_trials = 3;
   opts.improve.moves_per_trial = 400;
-  const AllocationResult res = allocate_traditional(*ctx.prob, opts);
+  const AllocationResult res = allocate_traditional(*ctx.problem, opts);
   EXPECT_TRUE(res.binding.is_traditional());
 }
 

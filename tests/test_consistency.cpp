@@ -18,8 +18,7 @@
 #include "core/mux_merge.h"
 #include "core/verify.h"
 #include "datapath/controller.h"
-#include "sched/asap_alap.h"
-#include "sched/fu_search.h"
+#include "problem_at_slack.h"
 
 namespace salsa {
 namespace {
@@ -36,15 +35,9 @@ class Consistency : public ::testing::TestWithParam<Case> {
  protected:
   void SetUp() override {
     const Case& c = GetParam();
-    g_ = std::make_unique<Cdfg>(c.make());
-    HwSpec hw;
-    const int len = min_schedule_length(*g_, hw) + c.extra_len;
-    sched_ = std::make_unique<Schedule>(
-        schedule_min_fu(*g_, hw, len).schedule);
-    prob_ = std::make_unique<AllocProblem>(
-        *sched_, FuPool::standard(peak_fu_demand(*sched_)),
-        Lifetimes(*sched_).min_registers() + c.extra_regs);
-    binding_ = std::make_unique<Binding>(initial_allocation(*prob_));
+    bundle_ = make_problem_at_slack(c.make(), HwSpec{}, c.extra_len,
+                                    SpareRegisters{c.extra_regs});
+    binding_ = std::make_unique<Binding>(initial_allocation(*bundle_.problem));
     Rng rng(static_cast<uint64_t>(c.scramble) * 7 + 1);
     const MoveConfig moves = MoveConfig::salsa_default();
     for (int i = 0; i < c.scramble; ++i)
@@ -52,16 +45,14 @@ class Consistency : public ::testing::TestWithParam<Case> {
     ASSERT_TRUE(verify(*binding_).empty());
   }
 
-  std::unique_ptr<Cdfg> g_;
-  std::unique_ptr<Schedule> sched_;
-  std::unique_ptr<AllocProblem> prob_;
+  ProblemBundle bundle_;
   std::unique_ptr<Binding> binding_;
 };
 
 TEST_P(Consistency, UsesStayInsideTheSchedule) {
   for (const ConnUse& u : connection_uses(*binding_)) {
     EXPECT_GE(u.step, 0);
-    EXPECT_LT(u.step, sched_->length());
+    EXPECT_LT(u.step, bundle_.schedule->length());
   }
 }
 
@@ -101,7 +92,7 @@ TEST_P(Consistency, MergedMuxesNeverNeedTwoSourcesAtOnce) {
     demand[{key_of(u.sink), u.step}] = key_of(u.src);
   }
   for (const MergedMux& m : merged.muxes) {
-    for (int t = 0; t < sched_->length(); ++t) {
+    for (int t = 0; t < bundle_.schedule->length(); ++t) {
       std::set<uint64_t> wanted;
       for (const Pin& sink : m.sinks) {
         const auto it = demand.find({key_of(sink), t});
@@ -135,7 +126,7 @@ TEST_P(Consistency, ControllerEnablesMatchRegisterWrites) {
   for (const RegLoad& ld : nl.reg_loads()) loading.insert(ld.reg);
   EXPECT_EQ(cs.reg_enable_bits, static_cast<int>(loading.size()));
   EXPECT_GE(cs.distinct_words, 1);
-  EXPECT_LE(cs.distinct_words, sched_->length());
+  EXPECT_LE(cs.distinct_words, bundle_.schedule->length());
 }
 
 TEST_P(Consistency, RegsUsedMatchesOccupancy) {

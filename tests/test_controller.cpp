@@ -1,35 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/dct.h"
 #include "bench_suite/diffeq.h"
 #include "bench_suite/ewf.h"
 #include "core/initial.h"
 #include "datapath/controller.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
 
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    sched = std::make_unique<Schedule>(
-        schedule_min_fu(*g, HwSpec{}, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
-
 TEST(Controller, StatsArePlausibleOnEwf) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
   const ControllerStats cs = analyze_controller(nl);
   // Every used register needs an enable; EWF touches all of them.
@@ -38,7 +20,7 @@ TEST(Controller, StatsArePlausibleOnEwf) {
   // EWF ALUs execute only additions, so they need no op-select bits.
   EXPECT_EQ(cs.fu_select_bits, 0);
   EXPECT_GT(cs.distinct_words, 1);
-  EXPECT_LE(cs.distinct_words, ctx.sched->length());
+  EXPECT_LE(cs.distinct_words, ctx.schedule->length());
 }
 
 TEST(Controller, SingleSourcePinsNeedNoSelectBits) {
@@ -49,13 +31,13 @@ TEST(Controller, SingleSourcePinsNeedNoSelectBits) {
   const ValueId v = g.add_op(OpKind::kAdd, a, c, "v");
   g.add_output(v, "o");
   g.validate();
-  Schedule s = schedule_min_fu(g, HwSpec{}, 3).schedule;
-  AllocProblem prob(s, FuPool::standard(peak_fu_demand(s)),
-                    Lifetimes(s).min_registers() + 1);
-  Binding b = initial_allocation(prob);
+  const ProblemBundle p =
+      make_problem(std::move(g), HwSpec{}, 3, SpareRegisters{1});
+  const Lifetimes& lt = p.problem->lifetimes();
+  Binding b = initial_allocation(*p.problem);
   // Keep the two storages in distinct registers so every pin has one source.
-  b.sto(prob.lifetimes().storage_of(a)).cells[0][0].reg = 0;
-  b.sto(prob.lifetimes().storage_of(v)).cells[0][0].reg = 1;
+  b.sto(lt.storage_of(a)).cells[0][0].reg = 0;
+  b.sto(lt.storage_of(v)).cells[0][0].reg = 1;
   Netlist nl(b);
   const ControllerStats cs = analyze_controller(nl);
   EXPECT_EQ(cs.mux_select_bits, 0);
@@ -63,17 +45,17 @@ TEST(Controller, SingleSourcePinsNeedNoSelectBits) {
 
 TEST(Controller, AluOpSelectBitsOnMixedKinds) {
   // The DCT runs adds and subs on its ALUs: one select bit per mixed ALU.
-  Ctx ctx(make_dct(), 9, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_dct(), HwSpec{}, 9, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
   EXPECT_GT(analyze_controller(nl).fu_select_bits, 0);
 }
 
 TEST(Controller, MoreMuxesMeansMoreSelectBits) {
-  Ctx tight(make_ewf(), 17, 0);
-  Ctx loose(make_ewf(), 21, 2);
-  const Binding tight_b = initial_allocation(*tight.prob);
-  const Binding loose_b = initial_allocation(*loose.prob);
+  const auto tight = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{0});
+  const auto loose = make_problem(make_ewf(), HwSpec{}, 21, SpareRegisters{2});
+  const Binding tight_b = initial_allocation(*tight.problem);
+  const Binding loose_b = initial_allocation(*loose.problem);
   const ControllerStats a = analyze_controller(Netlist(tight_b));
   const ControllerStats b = analyze_controller(Netlist(loose_b));
   EXPECT_GT(a.total_bits(), 0);
@@ -81,11 +63,11 @@ TEST(Controller, MoreMuxesMeansMoreSelectBits) {
 }
 
 TEST(Controller, TableListsEveryStep) {
-  Ctx ctx(make_diffeq(), 10, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
   const std::string table = controller_table(nl);
-  for (int t = 0; t < ctx.sched->length(); ++t)
+  for (int t = 0; t < ctx.schedule->length(); ++t)
     EXPECT_NE(table.find("step " + std::to_string(t) + ":"),
               std::string::npos);
   EXPECT_NE(table.find("load:"), std::string::npos);

@@ -2,32 +2,17 @@
 // that exercise boundaries the benchmarks never hit.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/random_cdfg.h"
 #include "cdfg/eval.h"
 #include "core/allocator.h"
 #include "core/verify.h"
 #include "datapath/simulator.h"
+#include "problem_at_slack.h"
 #include "sched/asap_alap.h"
-#include "sched/fu_search.h"
 #include "util/strings.h"
 
 namespace salsa {
 namespace {
-
-std::unique_ptr<AllocProblem> problem_for(std::unique_ptr<Cdfg>& keep_g,
-                                          std::unique_ptr<Schedule>& keep_s,
-                                          Cdfg g, HwSpec hw, int extra_len,
-                                          int extra_regs) {
-  keep_g = std::make_unique<Cdfg>(std::move(g));
-  const int len = min_schedule_length(*keep_g, hw) + extra_len;
-  keep_s = std::make_unique<Schedule>(
-      schedule_min_fu(*keep_g, hw, len).schedule);
-  return std::make_unique<AllocProblem>(
-      *keep_s, FuPool::standard(peak_fu_demand(*keep_s)),
-      Lifetimes(*keep_s).min_registers() + extra_regs);
-}
 
 TEST(EdgeCases, SingleOperationDesign) {
   Cdfg g("one");
@@ -37,10 +22,9 @@ TEST(EdgeCases, SingleOperationDesign) {
   g.validate();
   HwSpec hw;
   EXPECT_EQ(min_schedule_length(g, hw), 2);  // compute at 0, sample at 1
-  std::unique_ptr<Cdfg> kg;
-  std::unique_ptr<Schedule> ks;
-  auto prob = problem_for(kg, ks, std::move(g), hw, 0, 0);
-  Binding bind = initial_allocation(*prob);
+  const ProblemBundle pb =
+      make_problem_at_slack(std::move(g), hw, 0, SpareRegisters{0});
+  Binding bind = initial_allocation(*pb.problem);
   check_legal(bind);
   Netlist nl(bind);
   EXPECT_EQ(random_equivalence_check(nl, 3, 1), "");
@@ -58,8 +42,7 @@ TEST(EdgeCases, PureStateRotationLengthOne) {
   EXPECT_EQ(min_schedule_length(g, hw), 1);
   Schedule s(g, hw, 1);
   s.validate();
-  AllocProblem prob(s, FuPool::standard(FuBudget{1, 0}),
-                    Lifetimes(s).min_registers());
+  AllocProblem prob(s, FuPool::standard(FuBudget{1, 0}), SpareRegisters{0});
   Binding b = initial_allocation(prob);
   check_legal(b);
   // The storage occupies its register every step (len == L == 1).
@@ -84,10 +67,9 @@ TEST(EdgeCases, AllConstOperands) {
   g.add_output(g.add_op(OpKind::kMul, c1, c2, "p"), "o");
   g.validate();
   HwSpec hw;
-  std::unique_ptr<Cdfg> kg;
-  std::unique_ptr<Schedule> ks;
-  auto prob = problem_for(kg, ks, std::move(g), hw, 0, 0);
-  Binding b = initial_allocation(*prob);
+  const ProblemBundle pb =
+      make_problem_at_slack(std::move(g), hw, 0, SpareRegisters{0});
+  Binding b = initial_allocation(*pb.problem);
   const CostBreakdown cost = evaluate_cost(b);
   EXPECT_EQ(cost.muxes, 0);
   Netlist nl(b);
@@ -106,10 +88,9 @@ TEST(EdgeCases, DeadValueStillLandsSomewhere) {
   g.add_output(g.add_op(OpKind::kMul, a, c, "used"), "o");
   g.validate();
   HwSpec hw;
-  std::unique_ptr<Cdfg> kg;
-  std::unique_ptr<Schedule> ks;
-  auto prob = problem_for(kg, ks, std::move(g), hw, 1, 1);
-  Binding b = initial_allocation(*prob);
+  const ProblemBundle pb =
+      make_problem_at_slack(std::move(g), hw, 1, SpareRegisters{1});
+  Binding b = initial_allocation(*pb.problem);
   check_legal(b);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 3, 2), "");
@@ -123,10 +104,9 @@ TEST(EdgeCases, ValueReadTwiceBySameOp) {
   g.validate();
   EXPECT_EQ(g.value(x).consumers.size(), 2u);
   HwSpec hw;
-  std::unique_ptr<Cdfg> kg;
-  std::unique_ptr<Schedule> ks;
-  auto prob = problem_for(kg, ks, std::move(g), hw, 0, 0);
-  Binding b = initial_allocation(*prob);
+  const ProblemBundle pb =
+      make_problem_at_slack(std::move(g), hw, 0, SpareRegisters{0});
+  Binding b = initial_allocation(*pb.problem);
   check_legal(b);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 3, 3), "");
@@ -173,12 +153,11 @@ TEST(EdgeCases, EveryOpOnOneFuSerialSchedule) {
   g.add_output(v, "o");
   g.validate();
   HwSpec hw;
-  std::unique_ptr<Cdfg> kg;
-  std::unique_ptr<Schedule> ks;
-  auto prob = problem_for(kg, ks, std::move(g), hw, 2, 1);
-  EXPECT_EQ(prob->fus().of_class(FuClass::kAlu).size(), 1u);
-  EXPECT_EQ(prob->fus().of_class(FuClass::kMul).size(), 1u);
-  Binding b = initial_allocation(*prob);
+  const ProblemBundle pb =
+      make_problem_at_slack(std::move(g), hw, 2, SpareRegisters{1});
+  EXPECT_EQ(pb.problem->fus().of_class(FuClass::kAlu).size(), 1u);
+  EXPECT_EQ(pb.problem->fus().of_class(FuClass::kMul).size(), 1u);
+  Binding b = initial_allocation(*pb.problem);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 3, 5), "");
 }
@@ -191,10 +170,9 @@ TEST(EdgeCases, ManyOutputsShareOneValue) {
   for (int i = 0; i < 4; ++i) g.add_output(v, numbered("o", i));
   g.validate();
   HwSpec hw;
-  std::unique_ptr<Cdfg> kg;
-  std::unique_ptr<Schedule> ks;
-  auto prob = problem_for(kg, ks, std::move(g), hw, 1, 1);
-  Binding b = initial_allocation(*prob);
+  const ProblemBundle pb =
+      make_problem_at_slack(std::move(g), hw, 1, SpareRegisters{1});
+  Binding b = initial_allocation(*pb.problem);
   check_legal(b);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 3, 6), "");
@@ -208,13 +186,12 @@ TEST(EdgeCases, AllocatorHandlesLargeRandomGraphs) {
   p.seed = 99;
   Cdfg g = make_random_cdfg(p);
   HwSpec hw;
-  std::unique_ptr<Cdfg> kg;
-  std::unique_ptr<Schedule> ks;
-  auto prob = problem_for(kg, ks, std::move(g), hw, 3, 2);
+  const ProblemBundle pb =
+      make_problem_at_slack(std::move(g), hw, 3, SpareRegisters{2});
   AllocatorOptions opts;
   opts.improve.max_trials = 3;
   opts.improve.moves_per_trial = 500;
-  const AllocationResult res = allocate(*prob, opts);
+  const AllocationResult res = allocate(*pb.problem, opts);
   EXPECT_TRUE(verify(res.binding).empty());
   Netlist nl(res.binding);
   EXPECT_EQ(random_equivalence_check(nl, 3, 7), "");
@@ -227,13 +204,13 @@ TEST(EdgeCases, BindingCopyIsIndependent) {
   g.add_output(g.add_op(OpKind::kAdd, a, c, "v"), "o");
   g.validate();
   HwSpec hw;
-  std::unique_ptr<Cdfg> kg;
-  std::unique_ptr<Schedule> ks;
-  auto prob = problem_for(kg, ks, std::move(g), hw, 1, 1);
-  Binding b1 = initial_allocation(*prob);
+  const ProblemBundle pb =
+      make_problem_at_slack(std::move(g), hw, 1, SpareRegisters{1});
+  Binding b1 = initial_allocation(*pb.problem);
   Binding b2 = b1;
-  b2.op(kg->operations()[0]).swap = !b1.op(kg->operations()[0]).swap;
-  EXPECT_NE(b1.op(kg->operations()[0]).swap, b2.op(kg->operations()[0]).swap);
+  const NodeId op = pb.graph->operations()[0];
+  b2.op(op).swap = !b1.op(op).swap;
+  EXPECT_NE(b1.op(op).swap, b2.op(op).swap);
 }
 
 }  // namespace

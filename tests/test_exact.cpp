@@ -3,35 +3,17 @@
 // same binding subspace) the proven optimum.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "baseline/exact.h"
 #include "baseline/traditional.h"
 #include "bench_suite/diffeq.h"
 #include "bench_suite/random_cdfg.h"
 #include "core/allocator.h"
 #include "core/verify.h"
+#include "problem_at_slack.h"
 #include "sched/asap_alap.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int extra_len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    HwSpec hw;
-    const int len = min_schedule_length(*g, hw) + extra_len;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 Cdfg tiny_graph() {
   Cdfg g("tiny");
@@ -47,8 +29,9 @@ Cdfg tiny_graph() {
 }
 
 TEST(Exact, FindsLegalOptimum) {
-  Ctx ctx(tiny_graph(), 1, 1);
-  const auto res = exact_traditional(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(tiny_graph(), HwSpec{}, 1, SpareRegisters{1});
+  const auto res = exact_traditional(*ctx.problem);
   ASSERT_TRUE(res.has_value());
   EXPECT_TRUE(verify(res->best).empty());
   EXPECT_TRUE(res->best.is_traditional());
@@ -56,10 +39,11 @@ TEST(Exact, FindsLegalOptimum) {
 }
 
 TEST(Exact, NodeLimitAborts) {
-  Ctx ctx(make_diffeq(), 2, 2);
+  const auto ctx =
+      make_problem_at_slack(make_diffeq(), HwSpec{}, 2, SpareRegisters{2});
   ExactOptions opts;
   opts.node_limit = 10;
-  EXPECT_FALSE(exact_traditional(*ctx.prob, opts).has_value());
+  EXPECT_FALSE(exact_traditional(*ctx.problem, opts).has_value());
 }
 
 TEST(Exact, HeuristicNeverBeatsOptimumOnTraditionalSpace) {
@@ -72,15 +56,16 @@ TEST(Exact, HeuristicNeverBeatsOptimumOnTraditionalSpace) {
     p.num_states = 1;
     p.num_inputs = 2;
     p.num_consts = 1;
-    Ctx ctx(make_random_cdfg(p), 2, 1);
+    const auto ctx = make_problem_at_slack(make_random_cdfg(p), HwSpec{}, 2,
+                                           SpareRegisters{1});
     ExactOptions opts;
     opts.enumerate_swaps = true;
-    const auto exact = exact_traditional(*ctx.prob, opts);
+    const auto exact = exact_traditional(*ctx.problem, opts);
     if (!exact) continue;  // enumeration too large for this seed
     TraditionalOptions topt;
     topt.improve.max_trials = 10;
     topt.improve.moves_per_trial = 2000;
-    const AllocationResult heur = allocate_traditional(*ctx.prob, topt);
+    const AllocationResult heur = allocate_traditional(*ctx.problem, topt);
     EXPECT_GE(heur.cost.total, exact->cost.total - 1e-9) << "seed " << seed;
   }
 }
@@ -94,17 +79,18 @@ TEST(Exact, HeuristicUsuallyReachesOptimum) {
     p.num_states = 0;
     p.num_inputs = 2;
     p.num_consts = 1;
-    Ctx ctx(make_random_cdfg(p), 2, 1);
+    const auto ctx = make_problem_at_slack(make_random_cdfg(p), HwSpec{}, 2,
+                                           SpareRegisters{1});
     ExactOptions opts;
     opts.enumerate_swaps = true;
-    const auto exact = exact_traditional(*ctx.prob, opts);
+    const auto exact = exact_traditional(*ctx.problem, opts);
     if (!exact) continue;
     ++total;
     TraditionalOptions topt;
     topt.improve.max_trials = 12;
     topt.improve.moves_per_trial = 3000;
     topt.restarts = 2;
-    const AllocationResult heur = allocate_traditional(*ctx.prob, topt);
+    const AllocationResult heur = allocate_traditional(*ctx.problem, topt);
     if (heur.cost.total <= exact->cost.total + 1e-9) ++reached;
   }
   ASSERT_GT(total, 0);
@@ -115,25 +101,27 @@ TEST(Exact, HeuristicUsuallyReachesOptimum) {
 TEST(Exact, ExtendedModelOptimumNoWorse) {
   // The extended binding model subsumes the traditional one, so a decent
   // extended search should match or beat the exact traditional optimum.
-  Ctx ctx(tiny_graph(), 2, 1);
+  const auto ctx =
+      make_problem_at_slack(tiny_graph(), HwSpec{}, 2, SpareRegisters{1});
   ExactOptions opts;
   opts.enumerate_swaps = true;
-  const auto exact = exact_traditional(*ctx.prob, opts);
+  const auto exact = exact_traditional(*ctx.problem, opts);
   ASSERT_TRUE(exact.has_value());
   AllocatorOptions sopt;
   sopt.improve.max_trials = 10;
   sopt.improve.moves_per_trial = 2000;
   sopt.restarts = 2;
-  const AllocationResult ext = allocate(*ctx.prob, sopt);
+  const AllocationResult ext = allocate(*ctx.problem, sopt);
   EXPECT_LE(ext.cost.total, exact->cost.total + 1e-9);
 }
 
 TEST(Exact, SwapEnumerationHelpsOrEquals) {
-  Ctx ctx(tiny_graph(), 1, 1);
-  const auto without = exact_traditional(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(tiny_graph(), HwSpec{}, 1, SpareRegisters{1});
+  const auto without = exact_traditional(*ctx.problem);
   ExactOptions with_swaps;
   with_swaps.enumerate_swaps = true;
-  const auto with = exact_traditional(*ctx.prob, with_swaps);
+  const auto with = exact_traditional(*ctx.problem, with_swaps);
   ASSERT_TRUE(without && with);
   EXPECT_LE(with->cost.total, without->cost.total);
 }

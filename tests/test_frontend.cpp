@@ -4,8 +4,7 @@
 #include "core/initial.h"
 #include "datapath/simulator.h"
 #include "frontend/expr.h"
-#include "sched/asap_alap.h"
-#include "sched/fu_search.h"
+#include "problem_at_slack.h"
 
 namespace salsa {
 namespace {
@@ -209,12 +208,9 @@ r1 := t1
 r2 := t2
 out y
 )");
-  HwSpec hw;
-  const int len = min_schedule_length(g, hw) + 1;
-  Schedule s = schedule_min_fu(g, hw, len).schedule;
-  AllocProblem prob(s, FuPool::standard(peak_fu_demand(s)),
-                    Lifetimes(s).min_registers() + 1);
-  Binding b = initial_allocation(prob);
+  const ProblemBundle p =
+      make_problem_at_slack(std::move(g), HwSpec{}, 1, SpareRegisters{1});
+  Binding b = initial_allocation(*p.problem);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 5, 3), "");
 }

@@ -4,8 +4,6 @@
 // algorithm change (update the constants) or an accidental regression.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "analysis/digest.h"
 #include "baseline/traditional.h"
 #include "bench_suite/ar_filter.h"
@@ -27,22 +25,6 @@
 namespace salsa {
 namespace {
 
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, bool pipelined, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    HwSpec hw;
-    hw.pipelined_mul = pipelined;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
-
 AllocatorOptions golden_opts(uint64_t seed) {
   AllocatorOptions opts;
   opts.improve.max_trials = 6;
@@ -53,8 +35,8 @@ AllocatorOptions golden_opts(uint64_t seed) {
 }
 
 TEST(Golden, InitialAllocationCostsArePinned) {
-  Ctx ewf(make_ewf(), 17, false, 1);
-  Binding b = initial_allocation(*ewf.prob, InitialOptions{.seed = 1});
+  const auto ewf = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ewf.problem, InitialOptions{.seed = 1});
   const CostBreakdown cost = evaluate_cost(b);
   // Frozen on 2026-07-07; see file header before "fixing" these.
   EXPECT_EQ(cost.muxes, 36);
@@ -63,9 +45,9 @@ TEST(Golden, InitialAllocationCostsArePinned) {
 }
 
 TEST(Golden, EwfAllocationIsDeterministic) {
-  Ctx ewf(make_ewf(), 17, false, 1);
-  const AllocationResult a = allocate(*ewf.prob, golden_opts(3));
-  const AllocationResult b = allocate(*ewf.prob, golden_opts(3));
+  const auto ewf = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  const AllocationResult a = allocate(*ewf.problem, golden_opts(3));
+  const AllocationResult b = allocate(*ewf.problem, golden_opts(3));
   EXPECT_EQ(a.cost.muxes, b.cost.muxes);
   EXPECT_EQ(a.cost.connections, b.cost.connections);
   EXPECT_DOUBLE_EQ(a.cost.total, b.cost.total);
@@ -76,20 +58,20 @@ TEST(Golden, EwfAllocationQualityBand) {
   // Not an exact pin (the band survives parameter tuning): a modest-budget
   // run on ewf@17/min+1 must land in the quality band the full harness
   // reaches, well below the constructive start's 36 muxes.
-  Ctx ewf(make_ewf(), 17, false, 1);
-  const AllocationResult res = allocate(*ewf.prob, golden_opts(1));
+  const auto ewf = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  const AllocationResult res = allocate(*ewf.problem, golden_opts(1));
   EXPECT_LE(res.cost.muxes, 24);
   EXPECT_GE(res.cost.muxes, 14);
 }
 
 TEST(Golden, TraditionalDeterministicToo) {
-  Ctx dct(make_dct(), 9, false, 1);
+  const auto dct = make_problem(make_dct(), HwSpec{}, 9, SpareRegisters{1});
   TraditionalOptions opts;
   opts.improve.max_trials = 6;
   opts.improve.moves_per_trial = 2000;
   opts.improve.seed = 5;
-  const AllocationResult a = allocate_traditional(*dct.prob, opts);
-  const AllocationResult b = allocate_traditional(*dct.prob, opts);
+  const AllocationResult a = allocate_traditional(*dct.problem, opts);
+  const AllocationResult b = allocate_traditional(*dct.problem, opts);
   EXPECT_EQ(a.cost.muxes, b.cost.muxes);
   EXPECT_DOUBLE_EQ(a.cost.total, b.cost.total);
 }
@@ -147,9 +129,10 @@ TEST(Golden, SearchResultsArePinned) {
         << stats_digest(stats);
   };
   for (const Row& row : rows) {
-    Ctx ctx(row.make(), row.len, false, 1);
+    const auto ctx =
+        make_problem(row.make(), HwSpec{}, row.len, SpareRegisters{1});
     const Binding start =
-        initial_allocation(*ctx.prob, InitialOptions{.seed = 1});
+        initial_allocation(*ctx.problem, InitialOptions{.seed = 1});
 
     // Short enough to stall: a trial that finds no improvement resets the
     // engine to the best binding, and the run stops before max_trials
@@ -179,7 +162,7 @@ TEST(Golden, SearchResultsArePinned) {
     const ImproveResult lr = iterated_local_search(start, lp);
     expect_pin("ils", row.name, row.ils, lr.best, lr.stats);
 
-    const AllocationResult res = allocate(*ctx.prob, golden_opts(3));
+    const AllocationResult res = allocate(*ctx.problem, golden_opts(3));
     expect_pin("allocate", row.name, row.alloc, res.binding, res.stats);
     EXPECT_EQ(res.merging.muxes_after, row.muxes_after) << row.name;
   }
@@ -191,7 +174,8 @@ TEST(Golden, SearchResultsArePinned) {
 // warm phase needs. Without the retries these runs end at 38 and 41 merged
 // muxes.
 TEST(Golden, StrictRetryRescuesTheWarmStart) {
-  Ctx dct(make_dct(), 14, true, 0);
+  const auto dct = make_problem(make_dct(), HwSpec{.pipelined_mul = true}, 14,
+                                SpareRegisters{0});
   struct Pin {
     uint64_t seed, binding;
     int muxes_after;
@@ -201,9 +185,9 @@ TEST(Golden, StrictRetryRescuesTheWarmStart) {
                       {5, 0xccf540a08d596c4eull, 35}};
   for (const Pin& pin : pins) {
     const Binding first = initial_allocation(
-        *dct.prob, InitialOptions{.seed = derive_seed(pin.seed, 0)});
+        *dct.problem, InitialOptions{.seed = derive_seed(pin.seed, 0)});
     EXPECT_FALSE(first.is_traditional()) << "seed " << pin.seed;
-    const AllocationResult res = allocate(*dct.prob, golden_opts(pin.seed));
+    const AllocationResult res = allocate(*dct.problem, golden_opts(pin.seed));
     EXPECT_EQ(digest_binding(res.binding), pin.binding)
         << "seed " << pin.seed << " binding 0x" << std::hex
         << digest_binding(res.binding);
@@ -296,15 +280,15 @@ TEST(Golden, VcdDigestsArePinned) {
   for (const Row& row : rows) {
     const int len =
         min_schedule_length(row.make(), HwSpec{}) + row.extra_len;
-    Ctx ctx(row.make(), len, false, 1);
-    Binding b = initial_allocation(*ctx.prob, InitialOptions{.seed = 1});
+    const auto ctx = make_problem(row.make(), HwSpec{}, len, SpareRegisters{1});
+    Binding b = initial_allocation(*ctx.problem, InitialOptions{.seed = 1});
     Netlist nl(b);
     Rng rng(2024);
     std::vector<std::vector<int64_t>> inputs(
-        6, std::vector<int64_t>(ctx.g->input_nodes().size(), 0));
+        6, std::vector<int64_t>(ctx.graph->input_nodes().size(), 0));
     for (auto& vec : inputs)
       for (auto& v : vec) v = static_cast<int64_t>(rng.next() % 2001) - 1000;
-    const std::vector<int64_t> states(ctx.g->state_nodes().size(), 2);
+    const std::vector<int64_t> states(ctx.graph->state_nodes().size(), 2);
     const std::string vcd =
         dump_vcd(nl, inputs, states, 5, row.name);
     Fnv1a h;
@@ -332,8 +316,9 @@ TEST(Golden, VerilogDigestsArePinned) {
       {"dct", make_dct, 9, 0x5925a0f5baa18880ull},
   };
   for (const Row& row : rows) {
-    Ctx ctx(row.make(), row.len, false, 1);
-    const AllocationResult res = allocate(*ctx.prob, golden_opts(3));
+    const auto ctx =
+        make_problem(row.make(), HwSpec{}, row.len, SpareRegisters{1});
+    const AllocationResult res = allocate(*ctx.problem, golden_opts(3));
     const std::string v = to_verilog(Netlist(res.binding), row.name);
     Fnv1a h;
     for (char c : v) h.byte(static_cast<uint8_t>(c));
@@ -381,8 +366,8 @@ TEST(Golden, LayoutOfBenchCasesIsPinned) {
        0x5a4231c898fb87c5ull},
   };
   for (const Row& row : rows) {
-    const benchharness::ProblemBundle b =
-        benchharness::make_problem(row.make(), row.len, false, row.extra_regs);
+    const ProblemBundle b = make_problem(row.make(), HwSpec{}, row.len,
+                                         SpareRegisters{row.extra_regs});
     const benchharness::Comparison cmp =
         benchharness::run_comparison(*b.problem, 13);
     Fnv1a affinity, placement;

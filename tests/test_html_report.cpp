@@ -1,34 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/ewf.h"
 #include "core/initial.h"
 #include "core/moves.h"
 #include "io/html_report.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
 
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    sched = std::make_unique<Schedule>(
-        schedule_min_fu(*g, HwSpec{}, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
-
 TEST(HtmlReport, ContainsAllSections) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const std::string html = html_report(b, "EWF allocation");
   EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);
   EXPECT_NE(html.find("<h1>EWF allocation</h1>"), std::string::npos);
@@ -39,20 +21,20 @@ TEST(HtmlReport, ContainsAllSections) {
 }
 
 TEST(HtmlReport, ShowsEveryFuAndRegister) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const std::string html = html_report(b, "x");
-  for (FuId f = 0; f < ctx.prob->fus().size(); ++f)
-    EXPECT_NE(html.find("<th>" + ctx.prob->fus().fu(f).name + "</th>"),
+  for (FuId f = 0; f < ctx.problem->fus().size(); ++f)
+    EXPECT_NE(html.find("<th>" + ctx.problem->fus().fu(f).name + "</th>"),
               std::string::npos);
-  for (RegId r = 0; r < ctx.prob->num_regs(); ++r)
+  for (RegId r = 0; r < ctx.problem->num_regs(); ++r)
     EXPECT_NE(html.find("<th>R" + std::to_string(r) + "</th>"),
               std::string::npos);
 }
 
 TEST(HtmlReport, MarksPassThroughs) {
-  Ctx ctx(make_ewf(), 17, 2);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{2});
+  Binding b = initial_allocation(*ctx.problem);
   Rng rng(3);
   // Create transfers and bind at least one pass-through.
   for (int i = 0; i < 100; ++i) apply_random_move(b, MoveKind::kSegMove, rng);
@@ -70,18 +52,17 @@ TEST(HtmlReport, EscapesMarkup) {
   const ValueId c = g.add_const(1);
   g.add_output(g.add_op(OpKind::kAdd, a, c, "v<1>"), "o");
   g.validate();
-  Schedule s = schedule_min_fu(g, HwSpec{}, 3).schedule;
-  AllocProblem prob(s, FuPool::standard(peak_fu_demand(s)),
-                    Lifetimes(s).min_registers());
-  Binding b = initial_allocation(prob);
-  const std::string html = html_report(b, g.name());
+  const ProblemBundle p =
+      make_problem(std::move(g), HwSpec{}, 3, SpareRegisters{0});
+  Binding b = initial_allocation(*p.problem);
+  const std::string html = html_report(b, p.graph->name());
   EXPECT_NE(html.find("x&lt;y&gt;&amp;z"), std::string::npos);
   EXPECT_EQ(html.find("v<1>"), std::string::npos);
 }
 
 TEST(HtmlReport, StepColumnsMatchScheduleLength) {
-  Ctx ctx(make_ewf(), 19, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 19, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const std::string html = html_report(b, "x");
   EXPECT_NE(html.find("<th>18</th>"), std::string::npos);
   EXPECT_EQ(html.find("<th>19</th>"), std::string::npos);

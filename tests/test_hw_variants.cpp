@@ -3,42 +3,26 @@
 // allocation, simulation — must stay consistent under every timing variant.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/diffeq.h"
 #include "bench_suite/ewf.h"
 #include "cdfg/eval.h"
 #include "core/allocator.h"
 #include "core/verify.h"
 #include "datapath/simulator.h"
+#include "problem_at_slack.h"
 #include "sched/asap_alap.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, HwSpec hw, int extra_len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    const int len = min_schedule_length(*g, hw) + extra_len;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 TEST(HwVariants, SlowAdders) {
   HwSpec hw;
   hw.add_delay = 2;
   Cdfg g = make_diffeq();
   EXPECT_GT(min_schedule_length(g, hw), min_schedule_length(g, HwSpec{}));
-  Ctx ctx(make_diffeq(), hw, 1, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(make_diffeq(), hw, 1, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   check_legal(b);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 4, 3), "");
@@ -49,22 +33,22 @@ TEST(HwVariants, SlowAddersForbidPassThroughs) {
   // F4 must find no candidates and verify must reject a forced one.
   HwSpec hw;
   hw.add_delay = 2;
-  Ctx ctx(make_ewf(), hw, 2, 2);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem_at_slack(make_ewf(), hw, 2, SpareRegisters{2});
+  Binding b = initial_allocation(*ctx.problem);
   Rng rng(1);
   // Manufacture transfers, then check the move never binds a pass-through.
   for (int i = 0; i < 50; ++i) apply_random_move(b, MoveKind::kSegMove, rng);
   for (int i = 0; i < 50; ++i)
     EXPECT_FALSE(apply_random_move(b, MoveKind::kBindPass, rng));
   // And a hand-forced pass-through is illegal.
-  const Lifetimes& lt = ctx.prob->lifetimes();
+  const Lifetimes& lt = ctx.problem->lifetimes();
   for (int sid = 0; sid < lt.num_storages() ; ++sid) {
     StorageBinding& sb = b.sto(sid);
     for (size_t seg = 1; seg < sb.cells.size(); ++seg) {
       Cell& c = sb.cells[seg][0];
       const Cell& parent = sb.cells[seg - 1][static_cast<size_t>(c.parent)];
       if (parent.reg == c.reg) continue;
-      c.via = ctx.prob->fus().pass_capable()[0];
+      c.via = ctx.problem->fus().pass_capable()[0];
       EXPECT_FALSE(verify(b).empty());
       return;
     }
@@ -75,8 +59,9 @@ TEST(HwVariants, SlowAddersForbidPassThroughs) {
 TEST(HwVariants, ThreeCycleMultipliers) {
   HwSpec hw;
   hw.mul_delay = 3;
-  Ctx ctx(make_diffeq(), hw, 2, 2);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(make_diffeq(), hw, 2, SpareRegisters{2});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 4, 5), "");
 }
@@ -85,8 +70,8 @@ TEST(HwVariants, ThreeCyclePipelinedMultipliers) {
   HwSpec hw;
   hw.mul_delay = 3;
   hw.pipelined_mul = true;
-  Ctx ctx(make_ewf(), hw, 3, 2);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem_at_slack(make_ewf(), hw, 3, SpareRegisters{2});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 4, 7), "");
 }
@@ -120,12 +105,13 @@ TEST(HwVariants, UnrolledEwfAllocatesAndSimulates) {
   HwSpec hw;
   Cdfg g = make_ewf_unrolled(2);
   const int cp = min_schedule_length(g, hw);
-  Ctx ctx(make_ewf_unrolled(2), hw, 2, 1);
+  const auto ctx =
+      make_problem_at_slack(make_ewf_unrolled(2), hw, 2, SpareRegisters{1});
   EXPECT_GE(cp, 17);
   AllocatorOptions opts;
   opts.improve.max_trials = 3;
   opts.improve.moves_per_trial = 600;
-  const AllocationResult res = allocate(*ctx.prob, opts);
+  const AllocationResult res = allocate(*ctx.problem, opts);
   EXPECT_TRUE(verify(res.binding).empty());
   Netlist nl(res.binding);
   EXPECT_EQ(random_equivalence_check(nl, 4, 11), "");

@@ -1,31 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
 #include "core/ils.h"
 #include "core/initial.h"
 #include "core/verify.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    sched = std::make_unique<Schedule>(
-        schedule_min_fu(*g, HwSpec{}, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 IlsParams quick(uint64_t seed) {
   IlsParams p;
@@ -37,8 +19,8 @@ IlsParams quick(uint64_t seed) {
 }
 
 TEST(Ils, ImprovesFromInitial) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   const double before = evaluate_cost(start).total;
   const ImproveResult res = iterated_local_search(start, quick(1));
   EXPECT_LT(res.cost.total, before);
@@ -46,16 +28,16 @@ TEST(Ils, ImprovesFromInitial) {
 }
 
 TEST(Ils, DeterministicPerSeed) {
-  Ctx ctx(make_dct(), 9, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_dct(), HwSpec{}, 9, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   const ImproveResult a = iterated_local_search(start, quick(7));
   const ImproveResult b = iterated_local_search(start, quick(7));
   EXPECT_DOUBLE_EQ(a.cost.total, b.cost.total);
 }
 
 TEST(Ils, KicksReportedSeparately) {
-  Ctx ctx(make_ewf(), 19, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 19, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   const ImproveResult res = iterated_local_search(start, quick(2));
   // Kicks are cost-blind perturbations, not uphill acceptances of the
   // descent policy: they land in their own counter, and the pure-descent
@@ -68,8 +50,8 @@ TEST(Ils, KicksReportedSeparately) {
 }
 
 TEST(Ils, NeverWorseThanStart) {
-  Ctx ctx(make_ewf(), 17, 0);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{0});
+  Binding start = initial_allocation(*ctx.problem);
   for (uint64_t seed : {3u, 4u, 5u}) {
     const ImproveResult res = iterated_local_search(start, quick(seed));
     EXPECT_LE(res.cost.total, evaluate_cost(start).total);
@@ -79,8 +61,8 @@ TEST(Ils, NeverWorseThanStart) {
 TEST(Ils, CompetitiveWithTrialScheme) {
   // Same move budget: ILS should land within a couple of muxes of the
   // trial-based improver (often better — that is why it exists).
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   ImproveParams trial;
   trial.max_trials = 10;
   trial.moves_per_trial = 3000;

@@ -1,31 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
 #include "core/allocator.h"
 #include "core/annealer.h"
 #include "core/verify.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    HwSpec hw;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 ImproveParams quick_params(uint64_t seed) {
   ImproveParams p;
@@ -37,8 +19,8 @@ ImproveParams quick_params(uint64_t seed) {
 }
 
 TEST(Improver, ReducesCostFromInitial) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   const double before = evaluate_cost(start).total;
   ImproveParams p = quick_params(1);
   p.max_trials = 12;
@@ -49,8 +31,8 @@ TEST(Improver, ReducesCostFromInitial) {
 }
 
 TEST(Improver, DeterministicForFixedSeed) {
-  Ctx ctx(make_dct(), 10, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_dct(), HwSpec{}, 10, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   const ImproveResult a = improve(start, quick_params(42));
   const ImproveResult b = improve(start, quick_params(42));
   EXPECT_DOUBLE_EQ(a.cost.total, b.cost.total);
@@ -59,8 +41,8 @@ TEST(Improver, DeterministicForFixedSeed) {
 }
 
 TEST(Improver, StatsAreConsistent) {
-  Ctx ctx(make_ewf(), 19, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 19, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   const ImproveResult res = improve(start, quick_params(3));
   EXPECT_GT(res.stats.attempted, 0);
   EXPECT_LE(res.stats.accepted, res.stats.attempted);
@@ -70,8 +52,8 @@ TEST(Improver, StatsAreConsistent) {
 }
 
 TEST(Improver, UphillBudgetZeroIsGreedyDescent) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   ImproveParams p = quick_params(5);
   p.uphill_per_trial = 0;
   const ImproveResult res = improve(p.max_trials ? start : start, p);
@@ -80,8 +62,8 @@ TEST(Improver, UphillBudgetZeroIsGreedyDescent) {
 }
 
 TEST(Improver, BestNeverWorseThanStart) {
-  Ctx ctx(make_dct(), 12, 0);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_dct(), HwSpec{}, 12, SpareRegisters{0});
+  Binding start = initial_allocation(*ctx.problem);
   for (uint64_t seed : {7u, 8u, 9u}) {
     const ImproveResult res = improve(start, quick_params(seed));
     EXPECT_LE(res.cost.total, evaluate_cost(start).total);
@@ -89,8 +71,8 @@ TEST(Improver, BestNeverWorseThanStart) {
 }
 
 TEST(Annealer, ProducesLegalResult) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   AnnealParams p;
   p.num_temps = 8;
   p.moves_per_temp = 400;
@@ -101,11 +83,11 @@ TEST(Annealer, ProducesLegalResult) {
 }
 
 TEST(Allocator, EndToEndWithRestarts) {
-  Ctx ctx(make_ewf(), 17, 1);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
   AllocatorOptions opts;
   opts.improve = quick_params(1);
   opts.restarts = 2;
-  const AllocationResult res = allocate(*ctx.prob, opts);
+  const AllocationResult res = allocate(*ctx.problem, opts);
   EXPECT_TRUE(verify(res.binding).empty());
   EXPECT_EQ(res.merging.muxes_before, res.cost.muxes);
   EXPECT_LE(res.merging.muxes_after, res.merging.muxes_before);
@@ -115,14 +97,14 @@ TEST(Allocator, EndToEndWithRestarts) {
 }
 
 TEST(Allocator, RestartsNeverHurt) {
-  Ctx ctx(make_dct(), 10, 1);
+  const auto ctx = make_problem(make_dct(), HwSpec{}, 10, SpareRegisters{1});
   AllocatorOptions one;
   one.improve = quick_params(1);
   one.restarts = 1;
   AllocatorOptions three = one;
   three.restarts = 3;
-  const double c1 = allocate(*ctx.prob, one).cost.total;
-  const double c3 = allocate(*ctx.prob, three).cost.total;
+  const double c1 = allocate(*ctx.problem, one).cost.total;
+  const double c3 = allocate(*ctx.problem, three).cost.total;
   EXPECT_LE(c3, c1);
 }
 

@@ -30,25 +30,9 @@
 #include "core/verify.h"
 #include "frontend/generate.h"
 #include "io/report.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    sched = std::make_unique<Schedule>(
-        schedule_min_fu(*g, HwSpec{}, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 void expect_same_breakdown(const CostBreakdown& inc, const CostBreakdown& full,
                            long step) {
@@ -111,49 +95,36 @@ void run_equivalence(const AllocProblem& prob, uint64_t seed, long target) {
   ASSERT_TRUE(verify(eng.binding()).empty());
 }
 
+// The equivalence and checkpoint tests' problems: EWF, DCT and a random
+// CDFG with two spare registers, and a generated 1k-op filter cascade.
+ProblemBundle target_problem(const std::string& name) {
+  constexpr SpareRegisters kSpare{2};
+  if (name == "ewf") return make_problem(make_ewf(), HwSpec{}, 17, kSpare);
+  if (name == "dct") return make_problem(make_dct(), HwSpec{}, 9, kSpare);
+  if (name == "random") {
+    RandomCdfgParams p;
+    p.num_ops = 24;
+    p.seed = 5;
+    return make_problem(make_random_cdfg(p), HwSpec{}, 12, kSpare);
+  }
+  EXPECT_EQ(name, "cascade1k");
+  return generate_design(GenParams{
+      .family = GenFamily::kFilterCascade, .target_ops = 1000, .seed = 1});
+}
+
 TEST(IncrementalCost, MatchesFullEvalOnEwf) {
-  Ctx ctx(make_ewf(), 17, 2);
-  run_equivalence(*ctx.prob, 11, 5000);
+  run_equivalence(*target_problem("ewf").problem, 11, 5000);
 }
 
 TEST(IncrementalCost, MatchesFullEvalOnDct) {
-  Ctx ctx(make_dct(), 9, 2);
-  run_equivalence(*ctx.prob, 23, 5000);
+  run_equivalence(*target_problem("dct").problem, 23, 5000);
 }
 
 TEST(IncrementalCost, MatchesFullEvalOnRandomCdfg) {
-  RandomCdfgParams p;
-  p.num_ops = 24;
-  p.seed = 5;
-  Ctx ctx(make_random_cdfg(p), 12, 2);
-  run_equivalence(*ctx.prob, 37, 5000);
+  run_equivalence(*target_problem("random").problem, 37, 5000);
 }
 
 // --- best-so-far checkpoint -------------------------------------------------
-
-// The checkpoint tests' problems: the three equivalence problems above plus
-// a generated 1k-op filter cascade.
-struct RestoreTarget {
-  std::unique_ptr<Ctx> ctx;
-  std::unique_ptr<GeneratedDesign> gen;
-
-  explicit RestoreTarget(const std::string& name) {
-    if (name == "ewf") {
-      ctx = std::make_unique<Ctx>(make_ewf(), 17, 2);
-    } else if (name == "dct") {
-      ctx = std::make_unique<Ctx>(make_dct(), 9, 2);
-    } else if (name == "random") {
-      RandomCdfgParams p;
-      p.num_ops = 24;
-      p.seed = 5;
-      ctx = std::make_unique<Ctx>(make_random_cdfg(p), 12, 2);
-    } else {
-      gen = std::make_unique<GeneratedDesign>(generate_design(GenParams{
-          .family = GenFamily::kFilterCascade, .target_ops = 1000, .seed = 1}));
-    }
-  }
-  const AllocProblem& prob() const { return ctx ? *ctx->prob : *gen->problem; }
-};
 
 class CheckpointRestore : public ::testing::TestWithParam<std::string> {};
 
@@ -171,8 +142,8 @@ void expect_restore_exact(const SearchEngine& eng, const Binding& shadow,
 // Random commit / rollback / checkpoint / restore sequences, checked
 // against a shadow copy of what the checkpoint must hold.
 TEST_P(CheckpointRestore, RandomSequencesRestoreExactly) {
-  const RestoreTarget t(GetParam());
-  const AllocProblem& prob = t.prob();
+  const ProblemBundle t = target_problem(GetParam());
+  const AllocProblem& prob = *t.problem;
   const Binding start = initial_allocation(prob, InitialOptions{.seed = 3});
   SearchEngine eng(start);
   Binding shadow = start;
@@ -180,8 +151,9 @@ TEST_P(CheckpointRestore, RandomSequencesRestoreExactly) {
   Rng rng(91);
   // Percent of steps that checkpoint, and again that restore. The cascade
   // restores rarely, so its dirty sets grow large.
-  const int pct = t.gen ? 1 : 4;
-  const long steps = t.gen ? 1500 : 4000;
+  const bool cascade = GetParam() == "cascade1k";
+  const int pct = cascade ? 1 : 4;
+  const long steps = cascade ? 1500 : 4000;
   long restores = 0, empty_restores = 0, fu_moved_back = 0;
   for (long step = 0; step < steps; ++step) {
     const int roll = rng.uniform(100);
@@ -234,9 +206,9 @@ TEST_P(CheckpointRestore, RandomSequencesRestoreExactly) {
 // search did before the checkpoint existed. Every decision and the final
 // bindings must agree.
 TEST_P(CheckpointRestore, TrajectoryMatchesEngineRebuiltAtEveryReset) {
-  const RestoreTarget t(GetParam());
+  const ProblemBundle t = target_problem(GetParam());
   const Binding start =
-      initial_allocation(t.prob(), InitialOptions{.seed = 5});
+      initial_allocation(*t.problem, InitialOptions{.seed = 5});
   const MoveConfig moves = MoveConfig::salsa_default();
   struct Step {
     MoveKind kind;
@@ -315,9 +287,9 @@ TEST_P(CheckpointRestore, TrajectoryMatchesEngineRebuiltAtEveryReset) {
 // must decide the same proposals, reach the same best and working
 // bindings, and count the same stats.
 TEST_P(CheckpointRestore, PhaseSwitchMatchesFreshEngine) {
-  const RestoreTarget t(GetParam());
+  const ProblemBundle t = target_problem(GetParam());
   const Binding start =
-      initial_allocation(t.prob(), InitialOptions{.seed = 5});
+      initial_allocation(*t.problem, InitialOptions{.seed = 5});
   // Two long warm trials end on an improving one, so the switch's restore
   // has units to move back. (The cascade's start splits values, which
   // allocate() would not warm-start; the engine's switch is the same.)
@@ -396,9 +368,9 @@ INSTANTIATE_TEST_SUITE_P(
 class OperandSwapTxn : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(OperandSwapTxn, CommitsAndRollbacksMatchRebuild) {
-  const RestoreTarget t(GetParam());
+  const ProblemBundle t = target_problem(GetParam());
   const Binding start =
-      initial_allocation(t.prob(), InitialOptions{.seed = 7});
+      initial_allocation(*t.problem, InitialOptions{.seed = 7});
   SearchEngine eng(start);
   MoveConfig swaps_only;
   swaps_only.weight[static_cast<size_t>(MoveKind::kOperandReverse)] = 1;
@@ -407,7 +379,7 @@ TEST_P(OperandSwapTxn, CommitsAndRollbacksMatchRebuild) {
   mixed.weight[static_cast<size_t>(MoveKind::kFuExchange)] = 1;
   mixed.weight[static_cast<size_t>(MoveKind::kFuMove)] = 1;
   Rng rng(29);
-  const long per_phase = t.gen ? 100 : 1500;
+  const long per_phase = GetParam() == "cascade1k" ? 100 : 1500;
   long swap_commits = 0, swap_rollbacks = 0, fu_commits = 0;
   for (const MoveConfig* moves : {&swaps_only, &mixed}) {
     long decided = 0;
@@ -446,8 +418,8 @@ INSTANTIATE_TEST_SUITE_P(Problems, OperandSwapTxn,
                          [](const auto& info) { return info.param; });
 
 TEST(IncrementalCost, TraceStreamsJsonlRecords) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   std::ostringstream trace;
   ImproveParams p;
   p.max_trials = 2;
@@ -474,8 +446,8 @@ TEST(IncrementalCost, TraceStreamsJsonlRecords) {
 }
 
 TEST(IncrementalCost, PerKindStatsAndReport) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   ImproveParams p;
   p.max_trials = 3;
   p.moves_per_trial = 500;

@@ -286,8 +286,9 @@ TEST(InitialReference, PaperGrids) {
   for (const bool pipelined : {false, true})
     for (int steps = 17; steps <= 21; ++steps)
       for (int extra = 0; extra <= 2; ++extra) {
-        const benchharness::ProblemBundle pb =
-            benchharness::make_problem(make_ewf(), steps, pipelined, extra);
+        const ProblemBundle pb =
+            make_problem(make_ewf(), HwSpec{.pipelined_mul = pipelined},
+                         steps, SpareRegisters{extra});
         expect_same(*pb.problem, 1000 + steps * 10 + extra, 8,
                     "ewf/" + std::to_string(steps) + (pipelined ? "p" : "") +
                         "+" + std::to_string(extra),
@@ -296,8 +297,9 @@ TEST(InitialReference, PaperGrids) {
   for (const bool pipelined : {false, true})
     for (int steps = 7; steps <= 13; ++steps)
       for (int extra = 0; extra <= 2; ++extra) {
-        const benchharness::ProblemBundle pb =
-            benchharness::make_problem(make_dct(), steps, pipelined, extra);
+        const ProblemBundle pb =
+            make_problem(make_dct(), HwSpec{.pipelined_mul = pipelined},
+                         steps, SpareRegisters{extra});
         expect_same(*pb.problem, 3000 + steps * 10 + extra, 8,
                     "dct/" + std::to_string(steps) + (pipelined ? "p" : "") +
                         "+" + std::to_string(extra),
@@ -319,8 +321,8 @@ TEST(InitialReference, RandomCdfgs) {
     HwSpec hw;
     hw.pipelined_mul = i % 2 == 0;
     const int len = min_schedule_length(g, hw) + i % 4;
-    const benchharness::ProblemBundle pb =
-        benchharness::make_problem(std::move(g), len, hw.pipelined_mul, i % 3);
+    const ProblemBundle pb =
+        make_problem(std::move(g), hw, len, SpareRegisters{i % 3});
     expect_same(*pb.problem, params.seed, 2, "random/" + std::to_string(i),
                 tally);
   }
@@ -336,7 +338,7 @@ TEST(InitialReference, GeneratedFamilies1k) {
     for (const int extra : {0, 2}) {
       const GeneratedDesign d = generate_design(
           GenParams{.family = f, .target_ops = 1000, .seed = 1,
-                    .extra_regs = extra});
+                    .spare = SpareRegisters{extra}});
       expect_same(*d.problem, 1, 1,
                   std::string(gen_family_name(f)) + "1k+" +
                       std::to_string(extra),

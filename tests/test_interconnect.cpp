@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 
 #include "bench_suite/ar_filter.h"
@@ -11,27 +10,11 @@
 #include "core/moves.h"
 #include "core/verify.h"
 #include "interconnect/bus_model.h"
+#include "problem_at_slack.h"
 #include "sched/asap_alap.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int extra_len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    HwSpec hw;
-    const int len = min_schedule_length(*g, hw) + extra_len;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 struct BusCase {
   const char* name;
@@ -44,8 +27,9 @@ class BusAllocationValid : public ::testing::TestWithParam<BusCase> {};
 
 TEST_P(BusAllocationValid, CarriesEveryConnection) {
   const BusCase& c = GetParam();
-  Ctx ctx(c.make(), c.extra_len, c.extra_regs);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem_at_slack(c.make(), HwSpec{}, c.extra_len,
+                                         SpareRegisters{c.extra_regs});
+  Binding b = initial_allocation(*ctx.problem);
   const BusAllocation alloc = bus_allocate(b);
   const auto bad = verify_bus_allocation(b, alloc);
   EXPECT_TRUE(bad.empty()) << (bad.empty() ? "" : bad[0]);
@@ -54,8 +38,9 @@ TEST_P(BusAllocationValid, CarriesEveryConnection) {
 
 TEST_P(BusAllocationValid, StaysValidAfterMoveScramble) {
   const BusCase& c = GetParam();
-  Ctx ctx(c.make(), c.extra_len, c.extra_regs);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem_at_slack(c.make(), HwSpec{}, c.extra_len,
+                                         SpareRegisters{c.extra_regs});
+  Binding b = initial_allocation(*ctx.problem);
   Rng rng(99);
   const MoveConfig moves = MoveConfig::salsa_default();
   for (int i = 0; i < 300; ++i) apply_random_move(b, moves.pick(rng), rng);
@@ -74,12 +59,13 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(BusModel, BusCountBoundedByPeakTraffic) {
-  Ctx ctx(make_ewf(), 0, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(make_ewf(), HwSpec{}, 0, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const BusAllocation alloc = bus_allocate(b);
   // Lower bound: max #distinct sources transmitting in any step.
   std::vector<std::set<uint64_t>> per_step(
-      static_cast<size_t>(ctx.sched->length()));
+      static_cast<size_t>(ctx.schedule->length()));
   for (const ConnUse& u : connection_uses(b)) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
     per_step[static_cast<size_t>(u.step)].insert(key_of(u.src));
@@ -99,10 +85,9 @@ TEST(BusModel, SingleTransferUsesOneBus) {
   const ValueId v = g.add_op(OpKind::kAdd, a, c, "v");
   g.add_output(v, "o");
   g.validate();
-  Schedule s = schedule_min_fu(g, HwSpec{}, 3).schedule;
-  AllocProblem prob(s, FuPool::standard(peak_fu_demand(s)),
-                    Lifetimes(s).min_registers());
-  Binding b = initial_allocation(prob);
+  const ProblemBundle p =
+      make_problem(std::move(g), HwSpec{}, 3, SpareRegisters{0});
+  Binding b = initial_allocation(*p.problem);
   const BusAllocation alloc = bus_allocate(b);
   EXPECT_TRUE(verify_bus_allocation(b, alloc).empty());
   EXPECT_EQ(alloc.sink_muxes(), 0);
@@ -126,8 +111,7 @@ TEST(BusModel, BroadcastSharesOneBusPerStep) {
   s.set_start(g.output_nodes()[0], 2);
   s.set_start(g.output_nodes()[1], 2);
   s.validate();
-  AllocProblem prob(s, FuPool::standard(FuBudget{2, 0}),
-                    Lifetimes(s).min_registers());
+  AllocProblem prob(s, FuPool::standard(FuBudget{2, 0}), SpareRegisters{0});
   Binding bind = initial_allocation(prob);
   const BusAllocation alloc = bus_allocate(bind);
   EXPECT_TRUE(verify_bus_allocation(bind, alloc).empty());
@@ -140,8 +124,9 @@ TEST(BusModel, BroadcastSharesOneBusPerStep) {
 }
 
 TEST(BusModel, VerifierCatchesMissingTap) {
-  Ctx ctx(make_diffeq(), 1, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(make_diffeq(), HwSpec{}, 1, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   BusAllocation alloc = bus_allocate(b);
   ASSERT_FALSE(alloc.taps.empty());
   alloc.taps.pop_back();
@@ -149,8 +134,9 @@ TEST(BusModel, VerifierCatchesMissingTap) {
 }
 
 TEST(BusModel, VerifierCatchesDoubleDrive) {
-  Ctx ctx(make_diffeq(), 1, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(make_diffeq(), HwSpec{}, 1, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   BusAllocation alloc = bus_allocate(b);
   // Find a bus with a scheduled slot and clone the slot with another driver.
   for (Bus& bus : alloc.buses) {

@@ -78,11 +78,13 @@ void expect_index_shape(const AllocProblem& prob, const std::string& label) {
 
 TEST(PinIndex, DenseBijectiveAndInPackOrder) {
   for (const int steps : {17, 21}) {
-    const auto ewf = benchharness::make_problem(make_ewf(), steps, false, 1);
+    const auto ewf =
+        make_problem(make_ewf(), HwSpec{}, steps, SpareRegisters{1});
     expect_index_shape(*ewf.problem, "ewf" + std::to_string(steps));
   }
   for (const int steps : {7, 10}) {
-    const auto dct = benchharness::make_problem(make_dct(), steps, true, 2);
+    const auto dct = make_problem(make_dct(), HwSpec{.pipelined_mul = true},
+                                  steps, SpareRegisters{2});
     expect_index_shape(*dct.problem, "dct" + std::to_string(steps));
   }
   for (const GenFamily f :
@@ -95,7 +97,7 @@ TEST(PinIndex, DenseBijectiveAndInPackOrder) {
 }
 
 TEST(RouteTable, FirstDriverWinsAndConflictsAreReported) {
-  const auto ewf = benchharness::make_problem(make_ewf(), 17, false, 1);
+  const auto ewf = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
   const Binding b = initial_allocation(*ewf.problem);
   RouteTable routes(*ewf.problem);
   const std::vector<ConnUse> uses = connection_uses(b);

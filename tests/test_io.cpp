@@ -226,12 +226,9 @@ TEST(TextFormat, RoundTripsSchedule) {
 }
 
 TEST(Report, ContainsFuTableAndChains) {
-  Cdfg g = make_ewf();
-  HwSpec hw;
-  Schedule s = schedule_min_fu(g, hw, 17).schedule;
-  AllocProblem prob(s, FuPool::standard(peak_fu_demand(s)),
-                    Lifetimes(s).min_registers() + 1);
-  Binding b = initial_allocation(prob);
+  const ProblemBundle p =
+      make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*p.problem);
   const std::string rep = allocation_report(b);
   EXPECT_NE(rep.find("allocation report: ewf"), std::string::npos);
   EXPECT_NE(rep.find("equivalent 2-1 muxes"), std::string::npos);

@@ -1,38 +1,20 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/diffeq.h"
 #include "bench_suite/ewf.h"
 #include "core/improver.h"
 #include "core/initial.h"
 #include "layout/linear_placement.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
 
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    sched = std::make_unique<Schedule>(
-        schedule_min_fu(*g, HwSpec{}, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
-
 TEST(Layout, AffinityIsSymmetricAndPortFree) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const auto w = module_affinity(b);
   const int n = static_cast<int>(w.size());
-  EXPECT_EQ(n, ctx.prob->fus().size() + ctx.prob->num_regs());
+  EXPECT_EQ(n, ctx.problem->fus().size() + ctx.problem->num_regs());
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(w[static_cast<size_t>(i)][static_cast<size_t>(i)], 0);
     for (int j = 0; j < n; ++j)
@@ -42,8 +24,8 @@ TEST(Layout, AffinityIsSymmetricAndPortFree) {
 }
 
 TEST(Layout, PlacementIsAPermutation) {
-  Ctx ctx(make_diffeq(), 10, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const LinearPlacement p = place_linear(b, 3);
   std::vector<bool> used(p.slot_of.size(), false);
   for (int s : p.slot_of) {
@@ -55,15 +37,15 @@ TEST(Layout, PlacementIsAPermutation) {
 }
 
 TEST(Layout, ReportedWirelengthMatchesEvaluator) {
-  Ctx ctx(make_diffeq(), 10, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const LinearPlacement p = place_linear(b, 5);
   EXPECT_DOUBLE_EQ(p.wirelength, placement_wirelength(b, p));
 }
 
 TEST(Layout, DescentBeatsRandomOrder) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const LinearPlacement placed = place_linear(b, 7);
   // Identity placement as a baseline.
   LinearPlacement identity = placed;
@@ -73,8 +55,8 @@ TEST(Layout, DescentBeatsRandomOrder) {
 }
 
 TEST(Layout, DeterministicPerSeed) {
-  Ctx ctx(make_diffeq(), 10, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const LinearPlacement a = place_linear(b, 13);
   const LinearPlacement c = place_linear(b, 13);
   EXPECT_EQ(a.slot_of, c.slot_of);
@@ -86,8 +68,8 @@ TEST(Layout, FewerConnectionsShorterWiring) {
   // an arbitrary initial allocation; its optimised wirelength should not be
   // longer. (A smoke test of the layout/allocation interaction, not a
   // theorem.)
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding rough = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding rough = initial_allocation(*ctx.problem);
   ImproveParams params;
   params.max_trials = 6;
   params.moves_per_trial = 2000;

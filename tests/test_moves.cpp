@@ -1,33 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
 #include "core/cost.h"
 #include "core/initial.h"
 #include "core/moves.h"
 #include "core/verify.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, bool pipelined, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    HwSpec hw;
-    hw.pipelined_mul = pipelined;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 // Property: every move kind preserves binding legality, from any reachable
 // state, for any seed.
@@ -39,9 +20,9 @@ struct MoveCase {
 class MovePreservesLegality : public ::testing::TestWithParam<MoveCase> {};
 
 TEST_P(MovePreservesLegality, OnEwfWithSpareRegisters) {
-  Ctx ctx(make_ewf(), 17, false, 2);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{2});
   Rng rng(2024);
-  Binding b = initial_allocation(*ctx.prob);
+  Binding b = initial_allocation(*ctx.problem);
   const MoveConfig all = MoveConfig::salsa_default();
   int applied = 0;
   for (int i = 0; i < 400; ++i) {
@@ -75,9 +56,9 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Moves, LongRandomWalkStaysLegalOnDct) {
-  Ctx ctx(make_dct(), 10, false, 3);
+  const auto ctx = make_problem(make_dct(), HwSpec{}, 10, SpareRegisters{3});
   Rng rng(7);
-  Binding b = initial_allocation(*ctx.prob);
+  Binding b = initial_allocation(*ctx.problem);
   const MoveConfig all = MoveConfig::salsa_default();
   for (int i = 0; i < 2000; ++i) {
     apply_random_move(b, all.pick(rng), rng);
@@ -90,9 +71,10 @@ TEST(Moves, LongRandomWalkStaysLegalOnDct) {
 }
 
 TEST(Moves, TraditionalConfigPreservesTraditionalForm) {
-  Ctx ctx(make_ewf(), 19, false, 2);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 19, SpareRegisters{2});
   Rng rng(11);
-  Binding b = initial_allocation(*ctx.prob, InitialOptions{.allow_splits = false});
+  Binding b =
+      initial_allocation(*ctx.problem, InitialOptions{.allow_splits = false});
   ASSERT_TRUE(b.is_traditional());
   const MoveConfig trad = MoveConfig::traditional();
   for (int i = 0; i < 800; ++i) {
@@ -103,9 +85,9 @@ TEST(Moves, TraditionalConfigPreservesTraditionalForm) {
 }
 
 TEST(Moves, SplitThenMergeRoundTrips) {
-  Ctx ctx(make_ewf(), 17, false, 3);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{3});
   Rng rng(3);
-  Binding b = initial_allocation(*ctx.prob);
+  Binding b = initial_allocation(*ctx.problem);
   const double cost0 = evaluate_cost(b).total;
   Binding c = b;
   int splits = 0;
@@ -116,35 +98,35 @@ TEST(Moves, SplitThenMergeRoundTrips) {
   for (int i = 0; i < 5000; ++i)
     if (!apply_random_move(c, MoveKind::kValMerge, rng)) break;
   int copies = 0;
-  for (int sid = 0; sid < ctx.prob->lifetimes().num_storages(); ++sid)
+  for (int sid = 0; sid < ctx.problem->lifetimes().num_storages(); ++sid)
     for (const auto& seg : c.sto(sid).cells) copies += seg.size() > 1;
   EXPECT_EQ(copies, 0);
   EXPECT_TRUE(verify(c).empty());
   // The merged binding is a plain one-cell-per-segment allocation again, so
   // its register usage cannot exceed the starting point's by more than the
   // scratch registers the walk had available.
-  EXPECT_LE(evaluate_cost(c).regs_used, ctx.prob->num_regs());
+  EXPECT_LE(evaluate_cost(c).regs_used, ctx.problem->num_regs());
   (void)cost0;
 }
 
 TEST(Moves, OperandReverseTogglesBack) {
-  Ctx ctx(make_ewf(), 17, false, 2);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{2});
   Rng rng(5);
-  Binding b = initial_allocation(*ctx.prob);
+  Binding b = initial_allocation(*ctx.problem);
   Binding c = b;
   // Two reversals of the same op cancel; with a fixed seed the same op is
   // picked when the state is identical.
   Rng r1(9), r2(9);
   ASSERT_TRUE(apply_random_move(c, MoveKind::kOperandReverse, r1));
   ASSERT_TRUE(apply_random_move(c, MoveKind::kOperandReverse, r2));
-  for (NodeId n : ctx.g->operations())
+  for (NodeId n : ctx.graph->operations())
     EXPECT_EQ(b.op(n).swap, c.op(n).swap);
 }
 
 TEST(Moves, PassThroughBindAndUnbindInverse) {
-  Ctx ctx(make_ewf(), 17, false, 3);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{3});
   Rng rng(13);
-  Binding b = initial_allocation(*ctx.prob);
+  Binding b = initial_allocation(*ctx.problem);
   // Create transfers first (segment moves), then bind/unbind passes.
   for (int i = 0; i < 60; ++i) apply_random_move(b, MoveKind::kSegMove, rng);
   const double before = evaluate_cost(b).total;
@@ -159,9 +141,9 @@ TEST(Moves, PassThroughBindAndUnbindInverse) {
 }
 
 TEST(Moves, ValMoveCollapsesCopies) {
-  Ctx ctx(make_ewf(), 17, false, 3);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{3});
   Rng rng(17);
-  Binding b = initial_allocation(*ctx.prob);
+  Binding b = initial_allocation(*ctx.problem);
   for (int i = 0; i < 40; ++i) apply_random_move(b, MoveKind::kValSplit, rng);
   for (int i = 0; i < 300; ++i) apply_random_move(b, MoveKind::kValMove, rng);
   EXPECT_TRUE(verify(b).empty());

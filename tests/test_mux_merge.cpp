@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 
@@ -12,37 +11,23 @@
 #include "core/allocator.h"
 #include "core/mux_merge.h"
 #include "mux_merge_reference.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
 
-std::unique_ptr<AllocProblem> make_problem(
-    std::unique_ptr<Cdfg>& g, std::unique_ptr<Schedule>& sched, Cdfg graph,
-    int len, int extra) {
-  g = std::make_unique<Cdfg>(std::move(graph));
-  sched = std::make_unique<Schedule>(
-      schedule_min_fu(*g, HwSpec{}, len).schedule);
-  return std::make_unique<AllocProblem>(
-      *sched, FuPool::standard(peak_fu_demand(*sched)),
-      Lifetimes(*sched).min_registers() + extra);
-}
-
 TEST(MuxMerge, NeverIncreasesCount) {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  auto prob = make_problem(g, sched, make_ewf(), 17, 1);
-  Binding b = initial_allocation(*prob);
+  const ProblemBundle p =
+      make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*p.problem);
   const MuxMergeResult r = merge_muxes(b);
   EXPECT_LE(r.muxes_after, r.muxes_before);
   EXPECT_EQ(r.muxes_before, evaluate_cost(b).muxes);
 }
 
 TEST(MuxMerge, GroupWidthsSumToAfterCount) {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  auto prob = make_problem(g, sched, make_dct(), 10, 2);
-  Binding b = initial_allocation(*prob);
+  const ProblemBundle p =
+      make_problem(make_dct(), HwSpec{}, 10, SpareRegisters{2});
+  Binding b = initial_allocation(*p.problem);
   const MuxMergeResult r = merge_muxes(b);
   int sum = 0;
   for (const MergedMux& m : r.muxes) {
@@ -54,10 +39,9 @@ TEST(MuxMerge, GroupWidthsSumToAfterCount) {
 }
 
 TEST(MuxMerge, EverySinkAppearsAtMostOnce) {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  auto prob = make_problem(g, sched, make_ewf(), 19, 1);
-  Binding b = initial_allocation(*prob);
+  const ProblemBundle p =
+      make_problem(make_ewf(), HwSpec{}, 19, SpareRegisters{1});
+  Binding b = initial_allocation(*p.problem);
   const MuxMergeResult r = merge_muxes(b);
   std::vector<uint64_t> sinks;
   for (const MergedMux& m : r.muxes)
@@ -89,21 +73,19 @@ TEST(MuxMerge, MergesDisjointActivityByConstruction) {
   s.set_start(g.output_nodes()[0], 3);
   s.set_start(g.output_nodes()[1], 5);
   s.validate();
-  AllocProblem prob(s, FuPool::standard(FuBudget{2, 0}),
-                    Lifetimes(s).min_registers() + 1);
+  AllocProblem prob(s, FuPool::standard(FuBudget{2, 0}), SpareRegisters{1});
   Binding b = initial_allocation(prob);
   const MuxMergeResult r = merge_muxes(b);
   EXPECT_LE(r.muxes_after, r.muxes_before);
 }
 
 TEST(MuxMerge, AfterImprovementStillConsistent) {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  auto prob = make_problem(g, sched, make_ewf(), 17, 1);
+  const ProblemBundle p =
+      make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
   AllocatorOptions opts;
   opts.improve.max_trials = 4;
   opts.improve.moves_per_trial = 400;
-  const AllocationResult res = allocate(*prob, opts);
+  const AllocationResult res = allocate(*p.problem, opts);
   int sum = 0;
   for (const MergedMux& m : res.merging.muxes) sum += m.width();
   EXPECT_EQ(sum, res.merging.muxes_after);

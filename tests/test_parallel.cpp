@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -114,21 +113,6 @@ TEST(SeedStreams, DerivationIsAPureFunction) {
 
 // ------------------------------------------------------------ allocate ----
 
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    HwSpec hw;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
-
 AllocatorOptions restart_opts(int threads) {
   AllocatorOptions opts;
   opts.improve.max_trials = 4;
@@ -150,11 +134,11 @@ void expect_identical(const AllocationResult& a, const AllocationResult& b) {
 }
 
 TEST(ParallelAllocate, EwfByteIdenticalAcrossThreadCounts) {
-  Ctx ctx(make_ewf(), 17, 1);
-  const AllocationResult ref = allocate(*ctx.prob, restart_opts(1));
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  const AllocationResult ref = allocate(*ctx.problem, restart_opts(1));
   EXPECT_TRUE(verify(ref.binding).empty());
   for (int threads : {2, 8}) {
-    const AllocationResult res = allocate(*ctx.prob, restart_opts(threads));
+    const AllocationResult res = allocate(*ctx.problem, restart_opts(threads));
     expect_identical(ref, res);
   }
 }
@@ -163,66 +147,30 @@ TEST(ParallelAllocate, RandomCdfgByteIdenticalAcrossThreadCounts) {
   RandomCdfgParams p;
   p.num_ops = 16;
   p.seed = 9;
-  Ctx ctx(make_random_cdfg(p), 8, 1);
-  const AllocationResult ref = allocate(*ctx.prob, restart_opts(1));
+  const auto ctx =
+      make_problem(make_random_cdfg(p), HwSpec{}, 8, SpareRegisters{1});
+  const AllocationResult ref = allocate(*ctx.problem, restart_opts(1));
   for (int threads : {2, 8}) {
-    const AllocationResult res = allocate(*ctx.prob, restart_opts(threads));
+    const AllocationResult res = allocate(*ctx.problem, restart_opts(threads));
     expect_identical(ref, res);
   }
 }
 
 TEST(ParallelAllocate, StatsAccumulateAllRestarts) {
-  Ctx ctx(make_ewf(), 17, 1);
-  const AllocationResult res = allocate(*ctx.prob, restart_opts(8));
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  const AllocationResult res = allocate(*ctx.problem, restart_opts(8));
   EXPECT_GE(res.stats.trials, restart_opts(8).restarts);
 }
 
 TEST(ParallelAllocate, SingleRestartMatchesRestartZeroOfMany) {
   // The restart-0 seed stream must not depend on how many restarts run:
   // more restarts can only improve the result, never change its baseline.
-  Ctx ctx(make_ewf(), 17, 1);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
   AllocatorOptions one = restart_opts(4);
   one.restarts = 1;
-  const double c1 = allocate(*ctx.prob, one).cost.total;
-  const double c6 = allocate(*ctx.prob, restart_opts(4)).cost.total;
+  const double c1 = allocate(*ctx.problem, one).cost.total;
+  const double c6 = allocate(*ctx.problem, restart_opts(4)).cost.total;
   EXPECT_LE(c6, c1);
-}
-
-TEST(ParallelAllocate, RestartPatienceMatchesTruncatedRun) {
-  // With patience p the run must behave exactly like a patience-off run
-  // over the retained restart prefix: same winner, same digests, same
-  // stats. restart_digests doubles as the observable stop index.
-  Ctx ctx(make_ewf(), 17, 1);
-  AllocatorOptions early = restart_opts(1);
-  early.restarts = 8;
-  early.restart_patience = 1;
-  std::vector<uint64_t> digests;
-  early.restart_digests = &digests;
-  const AllocationResult res = allocate(*ctx.prob, early);
-  ASSERT_GE(digests.size(), 2u);  // at least patience + 1 restarts run
-  ASSERT_LE(digests.size(), 8u);
-
-  AllocatorOptions exact = early;
-  exact.restart_patience = -1;  // no early stop
-  exact.restarts = static_cast<int>(digests.size());
-  std::vector<uint64_t> exact_digests;
-  exact.restart_digests = &exact_digests;
-  expect_identical(allocate(*ctx.prob, exact), res);
-  EXPECT_EQ(exact_digests, digests);
-}
-
-TEST(ParallelAllocate, RestartPatienceByteIdenticalAcrossThreadCounts) {
-  // The wave width varies with the thread count; the retained prefix (and
-  // so the result) must not.
-  Ctx ctx(make_ewf(), 17, 1);
-  auto run = [&](int threads) {
-    AllocatorOptions o = restart_opts(threads);
-    o.restarts = 8;
-    o.restart_patience = 2;
-    return allocate(*ctx.prob, o);
-  };
-  const AllocationResult ref = run(1);
-  for (int threads : {2, 8}) expect_identical(ref, run(threads));
 }
 
 // ---------------------------------------------------- explore_schedules ----

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/dct.h"
 #include "bench_suite/diffeq.h"
 #include "bench_suite/ewf.h"
@@ -9,36 +7,20 @@
 #include "core/moves.h"
 #include "core/verify.h"
 #include "regfile/regfile.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
 
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    sched = std::make_unique<Schedule>(
-        schedule_min_fu(*g, HwSpec{}, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
-
 TEST(RegFile, ActivityMatchesConnections) {
-  Ctx ctx(make_diffeq(), 10, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const RegActivity act = register_activity(b);
   // Every used register both loads and is read at least once (diffeq has no
   // dead values).
   int active = 0;
-  for (RegId r = 0; r < ctx.prob->num_regs(); ++r) {
+  for (RegId r = 0; r < ctx.problem->num_regs(); ++r) {
     bool any_read = false, any_write = false;
-    for (int t = 0; t < ctx.sched->length(); ++t) {
+    for (int t = 0; t < ctx.schedule->length(); ++t) {
       any_read |= act.reads[static_cast<size_t>(r)][static_cast<size_t>(t)];
       any_write |= act.writes[static_cast<size_t>(r)][static_cast<size_t>(t)];
     }
@@ -58,8 +40,8 @@ struct SpecCase {
 class RegFileBinding : public ::testing::TestWithParam<SpecCase> {};
 
 TEST_P(RegFileBinding, AssignmentVerifiesOnEwf) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const RegFileSpec& spec = GetParam().spec;
   const RegFileAssignment asg = bind_register_files(b, spec);
   const auto bad = verify_register_files(b, spec, asg);
@@ -68,8 +50,8 @@ TEST_P(RegFileBinding, AssignmentVerifiesOnEwf) {
 }
 
 TEST_P(RegFileBinding, AssignmentVerifiesAfterScramble) {
-  Ctx ctx(make_dct(), 10, 2);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_dct(), HwSpec{}, 10, SpareRegisters{2});
+  Binding b = initial_allocation(*ctx.problem);
   Rng rng(5);
   const MoveConfig moves = MoveConfig::salsa_default();
   for (int i = 0; i < 300; ++i) apply_random_move(b, moves.pick(rng), rng);
@@ -88,25 +70,25 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(RegFile, SingleRegisterFilesEqualUsedRegisters) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const RegFileSpec spec{1, 2, 1};
   const RegFileAssignment asg = bind_register_files(b, spec);
   EXPECT_EQ(asg.num_files, b.regs_used());
 }
 
 TEST(RegFile, UnusedRegistersGetNoFile) {
-  Ctx ctx(make_diffeq(), 10, 3);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_diffeq(), HwSpec{}, 10, SpareRegisters{3});
+  Binding b = initial_allocation(*ctx.problem);
   const RegFileAssignment asg = bind_register_files(b, RegFileSpec{});
   int unassigned = 0;
   for (int f : asg.file_of) unassigned += f < 0;
-  EXPECT_EQ(unassigned, ctx.prob->num_regs() - b.regs_used());
+  EXPECT_EQ(unassigned, ctx.problem->num_regs() - b.regs_used());
 }
 
 TEST(RegFile, VerifierCatchesOverfullFile) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   const RegFileSpec spec{2, 2, 1};
   RegFileAssignment asg = bind_register_files(b, spec);
   // Cram every used register into file 0.
@@ -116,8 +98,8 @@ TEST(RegFile, VerifierCatchesOverfullFile) {
 }
 
 TEST(RegFile, LowerBoundRespectsPorts) {
-  Ctx ctx(make_ewf(), 17, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   // With one read port per file, the peak concurrent read count forces at
   // least that many files.
   const RegFileSpec spec{16, 1, 16};

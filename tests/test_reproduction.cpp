@@ -6,34 +6,15 @@
 //   C4 — annealing underperforms the trial scheme at equal move budget.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "baseline/traditional.h"
 #include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
 #include "core/allocator.h"
 #include "core/annealer.h"
 #include "core/verify.h"
-#include "sched/fu_search.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int len, bool pipelined, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    HwSpec hw;
-    hw.pipelined_mul = pipelined;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 struct Pair {
   int trad_merged;
@@ -63,28 +44,29 @@ Pair compare(const AllocProblem& prob, uint64_t seed) {
 }
 
 TEST(Reproduction, C1_ExtendedNeverWorse_Ewf17) {
-  Ctx ctx(make_ewf(), 17, false, 1);
-  const Pair p = compare(*ctx.prob, 5);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  const Pair p = compare(*ctx.problem, 5);
   EXPECT_LE(p.salsa_merged, p.trad_merged);
 }
 
 TEST(Reproduction, C1_ExtendedNeverWorse_Dct9) {
-  Ctx ctx(make_dct(), 9, false, 1);
-  const Pair p = compare(*ctx.prob, 6);
+  const auto ctx = make_problem(make_dct(), HwSpec{}, 9, SpareRegisters{1});
+  const Pair p = compare(*ctx.problem, 6);
   EXPECT_LE(p.salsa_merged, p.trad_merged);
 }
 
 TEST(Reproduction, C2_TightBudgetAdvantage_EwfPipelined) {
   // The paper's dramatic row: 17 steps, pipelined multipliers, minimum
   // registers. The extended model should win outright here.
-  Ctx ctx(make_ewf(), 17, true, 0);
-  const Pair p = compare(*ctx.prob, 7);
+  const auto ctx = make_problem(make_ewf(), HwSpec{.pipelined_mul = true}, 17,
+                                SpareRegisters{0});
+  const Pair p = compare(*ctx.problem, 7);
   EXPECT_LT(p.salsa_merged, p.trad_merged);
 }
 
 TEST(Reproduction, C4_AnnealingUnderperforms) {
-  Ctx ctx(make_ewf(), 17, false, 1);
-  Binding start = initial_allocation(*ctx.prob);
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  Binding start = initial_allocation(*ctx.problem);
   ImproveParams trial;
   trial.max_trials = 8;
   trial.moves_per_trial = 3000;
@@ -104,14 +86,15 @@ TEST(Reproduction, ExtendedFeaturesAppearInWinners) {
   // model: segments in multiple registers, copies, or pass-throughs. (Not
   // every seed's winner does — a traditional-form local optimum can tie —
   // so scan a few seeds for one that exploits the freedom.)
-  Ctx ctx(make_ewf(), 17, true, 0);
+  const auto ctx = make_problem(make_ewf(), HwSpec{.pipelined_mul = true}, 17,
+                                SpareRegisters{0});
   bool found = false;
   for (uint64_t seed = 1; seed <= 10 && !found; ++seed) {
     AllocatorOptions sopt;
     sopt.improve.max_trials = 8;
     sopt.improve.moves_per_trial = 3000;
     sopt.improve.seed = seed;
-    const AllocationResult ext = allocate(*ctx.prob, sopt);
+    const AllocationResult ext = allocate(*ctx.problem, sopt);
     ASSERT_TRUE(verify(ext.binding).empty());
     found = !ext.binding.is_traditional();
   }

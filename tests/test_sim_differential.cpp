@@ -6,8 +6,6 @@
 // end-to-end benchmark runs the flow at.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
 #include "bench_suite/random_cdfg.h"
@@ -15,29 +13,12 @@
 #include "core/moves.h"
 #include "core/verify.h"
 #include "frontend/generate.h"
+#include "problem_at_slack.h"
 #include "sched/asap_alap.h"
-#include "sched/fu_search.h"
 #include "sim_reference.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int extra_len, bool pipelined, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    HwSpec hw;
-    hw.pipelined_mul = pipelined;
-    const int len = min_schedule_length(*g, hw) + extra_len;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Benchmarks: per-cycle equivalence under several schedule/register
@@ -54,16 +35,20 @@ class EnginesAgree : public ::testing::TestWithParam<EngineCase> {};
 
 TEST_P(EnginesAgree, OnInitialAllocation) {
   const EngineCase& c = GetParam();
-  Ctx ctx(c.make(), c.extra_len, c.pipelined, c.extra_regs);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(c.make(), HwSpec{.pipelined_mul = c.pipelined},
+                            c.extra_len, SpareRegisters{c.extra_regs});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
   EXPECT_EQ(random_reference_diff(nl, 6, 99), "");
 }
 
 TEST_P(EnginesAgree, AfterRandomMoveScramble) {
   const EngineCase& c = GetParam();
-  Ctx ctx(c.make(), c.extra_len, c.pipelined, c.extra_regs);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(c.make(), HwSpec{.pipelined_mul = c.pipelined},
+                            c.extra_len, SpareRegisters{c.extra_regs});
+  Binding b = initial_allocation(*ctx.problem);
   Rng rng(c.extra_len * 37 + c.extra_regs + 5);
   const MoveConfig all = MoveConfig::salsa_default();
   for (int i = 0; i < 600; ++i) apply_random_move(b, all.pick(rng), rng);
@@ -93,14 +78,11 @@ TEST_P(RandomCdfgEnginesAgree, HoldsThroughScramble) {
   params.num_ops = 12 + GetParam() % 9;
   params.num_states = GetParam() % 3;
   params.num_inputs = 1 + GetParam() % 3;
-  Cdfg g = make_random_cdfg(params);
-  HwSpec hw;
-  hw.pipelined_mul = GetParam() % 2 == 0;
-  const int len = min_schedule_length(g, hw) + GetParam() % 4;
-  Schedule sched = schedule_min_fu(g, hw, len).schedule;
-  AllocProblem prob(sched, FuPool::standard(peak_fu_demand(sched)),
-                    Lifetimes(sched).min_registers() + 2);
-  Binding b = initial_allocation(prob, InitialOptions{.seed = params.seed});
+  const ProblemBundle p = make_problem_at_slack(
+      make_random_cdfg(params), HwSpec{.pipelined_mul = GetParam() % 2 == 0},
+      GetParam() % 4, SpareRegisters{2});
+  Binding b =
+      initial_allocation(*p.problem, InitialOptions{.seed = params.seed});
   Rng rng(params.seed * 11 + 3);
   const MoveConfig all = MoveConfig::salsa_default();
   for (int i = 0; i < 300; ++i) apply_random_move(b, all.pick(rng), rng);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 
 #include "bench_suite/ar_filter.h"
 #include "bench_suite/dct.h"
@@ -15,29 +14,12 @@
 #include "core/verify.h"
 #include "datapath/controller.h"
 #include "datapath/simulator.h"
+#include "problem_at_slack.h"
 #include "sched/asap_alap.h"
-#include "sched/fu_search.h"
 #include "sim_reference.h"
 
 namespace salsa {
 namespace {
-
-struct Ctx {
-  std::unique_ptr<Cdfg> g;
-  std::unique_ptr<Schedule> sched;
-  std::unique_ptr<AllocProblem> prob;
-
-  Ctx(Cdfg graph, int extra_len, bool pipelined, int extra_regs) {
-    g = std::make_unique<Cdfg>(std::move(graph));
-    HwSpec hw;
-    hw.pipelined_mul = pipelined;
-    const int len = min_schedule_length(*g, hw) + extra_len;
-    sched = std::make_unique<Schedule>(schedule_min_fu(*g, hw, len).schedule);
-    prob = std::make_unique<AllocProblem>(
-        *sched, FuPool::standard(peak_fu_demand(*sched)),
-        Lifetimes(*sched).min_registers() + extra_regs);
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Parameterized equivalence over every benchmark and several configurations.
@@ -53,16 +35,20 @@ class DatapathMatchesReference : public ::testing::TestWithParam<EquivCase> {};
 
 TEST_P(DatapathMatchesReference, OnInitialAllocation) {
   const EquivCase& c = GetParam();
-  Ctx ctx(c.make(), c.extra_len, c.pipelined, c.extra_regs);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(c.make(), HwSpec{.pipelined_mul = c.pipelined},
+                            c.extra_len, SpareRegisters{c.extra_regs});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 6, 99), "");
 }
 
 TEST_P(DatapathMatchesReference, AfterRandomMoveScramble) {
   const EquivCase& c = GetParam();
-  Ctx ctx(c.make(), c.extra_len, c.pipelined, c.extra_regs);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(c.make(), HwSpec{.pipelined_mul = c.pipelined},
+                            c.extra_len, SpareRegisters{c.extra_regs});
+  Binding b = initial_allocation(*ctx.problem);
   Rng rng(c.extra_len * 31 + c.extra_regs + 1);
   const MoveConfig all = MoveConfig::salsa_default();
   for (int i = 0; i < 600; ++i) apply_random_move(b, all.pick(rng), rng);
@@ -73,11 +59,13 @@ TEST_P(DatapathMatchesReference, AfterRandomMoveScramble) {
 
 TEST_P(DatapathMatchesReference, AfterFullAllocation) {
   const EquivCase& c = GetParam();
-  Ctx ctx(c.make(), c.extra_len, c.pipelined, c.extra_regs);
+  const auto ctx =
+      make_problem_at_slack(c.make(), HwSpec{.pipelined_mul = c.pipelined},
+                            c.extra_len, SpareRegisters{c.extra_regs});
   AllocatorOptions opts;
   opts.improve.max_trials = 3;
   opts.improve.moves_per_trial = 300;
-  const AllocationResult res = allocate(*ctx.prob, opts);
+  const AllocationResult res = allocate(*ctx.problem, opts);
   Netlist nl(res.binding);
   EXPECT_EQ(random_equivalence_check(nl, 6, 123), "");
   EXPECT_EQ(random_reference_diff(nl, 6, 123), "");
@@ -110,14 +98,11 @@ TEST_P(RandomCdfgEquivalence, HoldsThroughScramble) {
   params.num_ops = 12 + GetParam() % 9;
   params.num_states = GetParam() % 3;
   params.num_inputs = 1 + GetParam() % 3;
-  Cdfg g = make_random_cdfg(params);
-  HwSpec hw;
-  hw.pipelined_mul = GetParam() % 2 == 0;
-  const int len = min_schedule_length(g, hw) + GetParam() % 4;
-  Schedule sched = schedule_min_fu(g, hw, len).schedule;
-  AllocProblem prob(sched, FuPool::standard(peak_fu_demand(sched)),
-                    Lifetimes(sched).min_registers() + 2);
-  Binding b = initial_allocation(prob, InitialOptions{.seed = params.seed});
+  const ProblemBundle p = make_problem_at_slack(
+      make_random_cdfg(params), HwSpec{.pipelined_mul = GetParam() % 2 == 0},
+      GetParam() % 4, SpareRegisters{2});
+  Binding b =
+      initial_allocation(*p.problem, InitialOptions{.seed = params.seed});
   Rng rng(params.seed * 7 + 1);
   const MoveConfig all = MoveConfig::salsa_default();
   for (int i = 0; i < 300; ++i) apply_random_move(b, all.pick(rng), rng);
@@ -143,7 +128,7 @@ TEST(Simulator, AccumulatorStateSequence) {
   s.set_start(g.output_nodes()[0], 1);
   s.validate();
   AllocProblem prob(s, FuPool::standard(FuBudget{1, 0}),
-                    Lifetimes(s).min_registers());
+                    SpareRegisters{0});
   Binding b = initial_allocation(prob);
   Netlist nl(b);
   std::vector<std::vector<int64_t>> inputs{{5}, {6}, {7}, {8}};
@@ -157,8 +142,9 @@ TEST(Simulator, AccumulatorStateSequence) {
 
 TEST(Simulator, CompareReportsMismatchLocation) {
   // A correct binding must produce an empty report; sanity of the plumbing.
-  Ctx ctx(make_diffeq(), 1, false, 1);
-  Binding b = initial_allocation(*ctx.prob);
+  const auto ctx =
+      make_problem_at_slack(make_diffeq(), HwSpec{}, 1, SpareRegisters{1});
+  Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
   std::vector<std::vector<int64_t>> inputs(4,
                                            std::vector<int64_t>{1, 2, 3, 4});
@@ -179,11 +165,9 @@ TEST(Simulator, FeedthroughChainOfNops) {
   const ValueId n3 = g.add_nop(n2, "n3");
   g.add_output(n3, "o");
   g.validate();
-  HwSpec hw;
-  Schedule sched = schedule_min_fu(g, hw, min_schedule_length(g, hw)).schedule;
-  AllocProblem prob(sched, FuPool::standard(peak_fu_demand(sched)),
-                    Lifetimes(sched).min_registers());
-  Binding b = initial_allocation(prob);
+  const ProblemBundle p =
+      make_problem_at_slack(std::move(g), HwSpec{}, 0, SpareRegisters{0});
+  Binding b = initial_allocation(*p.problem);
   Netlist nl(b);
   std::vector<std::vector<int64_t>> inputs{{10}, {-4}, {77}, {0}};
   const SimResult r = simulate(nl, inputs, {}, 3);
@@ -218,7 +202,7 @@ TEST(Simulator, SameCycleMultiDriverUpdates) {
   sch.set_start(g.output_nodes()[1], 3);
   sch.validate();
   AllocProblem prob(sch, FuPool::standard(FuBudget{2, 1}),
-                    Lifetimes(sch).min_registers());
+                    SpareRegisters{0});
   Binding b = initial_allocation(prob);
   Netlist nl(b);
   // The scenario is real: some step carries two simultaneous register loads.
@@ -254,7 +238,7 @@ TEST(Simulator, ControllerStallStepsCoast) {
   s.set_start(g.output_nodes()[0], 1);
   s.validate();
   AllocProblem prob(s, FuPool::standard(FuBudget{1, 0}),
-                    Lifetimes(s).min_registers());
+                    SpareRegisters{0});
   Binding b = initial_allocation(prob);
   Netlist nl(b);
   EXPECT_GE(analyze_controller(nl).idle_steps, 4);
@@ -285,7 +269,7 @@ TEST(Simulator, FinalIterationFlushIgnoresMissingPrefetch) {
   s.set_start(g.output_nodes()[0], 1);
   s.validate();
   AllocProblem prob(s, FuPool::standard(FuBudget{1, 0}),
-                    Lifetimes(s).min_registers());
+                    SpareRegisters{0});
   Binding b = initial_allocation(prob);
   Netlist nl(b);
   const std::vector<std::vector<int64_t>> exact{{5}, {6}, {7}};
@@ -323,7 +307,7 @@ TEST(Simulator, PipelinedMultiplierBackToBack) {
   sch.set_start(g.output_nodes()[0], 4);
   sch.validate();
   FuPool pool = FuPool::standard(FuBudget{1, 1});
-  AllocProblem prob(sch, pool, Lifetimes(sch).min_registers());
+  AllocProblem prob(sch, pool, SpareRegisters{0});
   Binding bind = initial_allocation(prob);
   // Both muls must share the single multiplier.
   EXPECT_EQ(bind.op(g.producer(m1)).fu, bind.op(g.producer(m2)).fu);

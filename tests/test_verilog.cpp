@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <regex>
 
 #include "bench_suite/diffeq.h"
@@ -15,20 +14,11 @@ namespace salsa {
 namespace {
 
 std::string emit(Cdfg graph, int len) {
-  static std::vector<std::unique_ptr<Cdfg>> graphs;
-  static std::vector<std::unique_ptr<Schedule>> scheds;
-  static std::vector<std::unique_ptr<AllocProblem>> probs;
-  graphs.push_back(std::make_unique<Cdfg>(std::move(graph)));
-  Cdfg& g = *graphs.back();
-  scheds.push_back(std::make_unique<Schedule>(
-      schedule_min_fu(g, HwSpec{}, len).schedule));
-  Schedule& s = *scheds.back();
-  probs.push_back(std::make_unique<AllocProblem>(
-      s, FuPool::standard(peak_fu_demand(s)),
-      Lifetimes(s).min_registers() + 1));
-  Binding b = initial_allocation(*probs.back());
+  const ProblemBundle p =
+      make_problem(std::move(graph), HwSpec{}, len, SpareRegisters{1});
+  Binding b = initial_allocation(*p.problem);
   Netlist nl(b);
-  return to_verilog(nl, g.name(), 16);
+  return to_verilog(nl, p.graph->name(), 16);
 }
 
 TEST(Verilog, ModuleSkeleton) {
@@ -139,12 +129,11 @@ TEST(Verilog, SanitizesIdentifiers) {
   const ValueId c = g.add_const(2);
   g.add_output(g.add_op(OpKind::kAdd, a, c, "x"), "out 0");
   g.validate();
-  Schedule s = schedule_min_fu(g, HwSpec{}, 3).schedule;
-  AllocProblem prob(s, FuPool::standard(peak_fu_demand(s)),
-                    Lifetimes(s).min_registers());
-  Binding b = initial_allocation(prob);
+  const ProblemBundle p =
+      make_problem(std::move(g), HwSpec{}, 3, SpareRegisters{0});
+  Binding b = initial_allocation(*p.problem);
   Netlist nl(b);
-  const std::string v = to_verilog(nl, g.name());
+  const std::string v = to_verilog(nl, p.graph->name());
   EXPECT_NE(v.find("module weird_name_"), std::string::npos);
   EXPECT_NE(v.find("in_in_1"), std::string::npos);
   EXPECT_EQ(v.find("in-1"), std::string::npos);
@@ -167,7 +156,7 @@ TEST(Verilog, StepCounterHoldsLongSchedules) {
   s.set_start(y, 69990);
   s.validate();
   AllocProblem prob(s, FuPool::standard(peak_fu_demand(s)),
-                    Lifetimes(s).min_registers());
+                    SpareRegisters{0});
   const Binding b = initial_allocation(prob);
   const Netlist nl(b);
 
