@@ -34,7 +34,7 @@ int main() {
   t.header({"scheme", "muxes", "conns", "cost", "accepted", "uphill"});
 
   // Every configuration of every scheme family is an independent search
-  // from the same start; fan them out over the thread pool and render the
+  // from the same start; fan them out with parallel_map and render the
   // rows in sweep order afterwards (identical table at any thread count).
   const auto add_rows = [&](const std::vector<std::string>& labels,
                             const std::vector<ImproveResult>& results) {

@@ -1,5 +1,5 @@
 // Forwarder: the benchmark harness plumbing moved into the library proper
-// (src/bench_suite/harness.h) so the pool-aware table generators and their
+// (src/bench_suite/harness.h) so the parallel table generators and their
 // par-invariance regression test can share it. Bench mains keep including
 // "bench_common.h".
 #pragma once

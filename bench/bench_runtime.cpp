@@ -235,7 +235,7 @@ void BM_FullDctAllocation(benchmark::State& state) {
 BENCHMARK(BM_FullDctAllocation)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 // The headline parallel-runtime number: 16 independent restarts of the EWF
-// allocation, fanned out over the thread pool. The result is byte-identical
+// allocation, fanned out with parallel_map. The result is byte-identical
 // for every arg (the "cost" counter must not move); wall clock should fall
 // near-linearly until the core count is exhausted. Run with
 // --benchmark_format=json for a machine-readable threads-vs-wall-clock

@@ -37,7 +37,7 @@ int main() {
     ProblemBundle b =
         make_problem(c.make(), HwSpec{.pipelined_mul = c.pipelined}, c.len,
                      SpareRegisters{c.extra_regs});
-    // Independent seeds fan out over the thread pool; the per-seed results
+    // Independent seeds fan out with parallel_map; the per-seed results
     // come back in seed order, so the table is identical at any thread
     // count.
     std::vector<int> muxes = parallel_map(Parallelism{}, 10, [&](int i) {

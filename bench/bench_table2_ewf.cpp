@@ -6,8 +6,8 @@
 // binding model (the stand-in for the "best reported by other researchers"
 // column — those tools all use the traditional model; see EXPERIMENTS.md).
 //
-// Rows are computed on the shared thread pool (bench_suite/harness.h:
-// table2_rows); ordering and values are identical for any thread count.
+// Rows are computed in parallel (bench_suite/harness.h:table2_rows);
+// ordering and values are identical for any thread count.
 #include <cstdio>
 #include <string>
 #include <vector>

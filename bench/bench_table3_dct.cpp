@@ -1,8 +1,8 @@
 // Regenerates the paper's Table 3: discrete-cosine-transform allocations for
 // four schedules (Section 5 reports four schedules under the same hardware
 // assumptions as the EWF). Columns as in bench_table2_ewf. Rows are computed
-// on the shared thread pool (bench_suite/harness.h:table3_rows); ordering
-// and values are identical for any thread count.
+// in parallel (bench_suite/harness.h:table3_rows); ordering and values are
+// identical for any thread count.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -4,7 +4,6 @@
 //
 // Usage: dct_flow [extra_regs=0]
 #include <cstdio>
-#include <fstream>
 
 #include "baseline/traditional.h"
 #include "bench_suite/dct.h"
@@ -24,10 +23,7 @@ int run(int extra_regs) {
               g.count(OpKind::kAdd), g.count(OpKind::kSub),
               g.count(OpKind::kMul));
 
-  {
-    std::ofstream df("dct_cdfg.dot");
-    df << to_dot(g);
-  }
+  write_file("dct_cdfg.dot", to_dot(g));
 
   TextTable table;
   table.header({"steps", "ALUs", "MULs", "min regs", "trad muxes",

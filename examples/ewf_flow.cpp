@@ -6,7 +6,6 @@
 //
 // Usage: ewf_flow [csteps=17] [pipelined=0] [extra_regs=0]
 #include <cstdio>
-#include <fstream>
 
 #include "baseline/traditional.h"
 #include "bench_suite/ewf.h"
@@ -100,15 +99,11 @@ int run(int csteps, bool pipelined, int extra_regs) {
   std::printf("simulation check (10 iterations): %s\n",
               mismatch.empty() ? "MATCH" : mismatch.c_str());
 
-  {
-    std::ofstream vf("ewf_datapath.v");
-    vf << to_verilog(nl, "ewf_datapath");
-    std::vector<int> starts(static_cast<size_t>(g.num_nodes()));
-    for (NodeId n = 0; n < g.num_nodes(); ++n) starts[static_cast<size_t>(n)] =
-        bundle.schedule->start(n);
-    std::ofstream df("ewf_schedule.dot");
-    df << to_dot(g, starts, csteps);
-  }
+  write_file("ewf_datapath.v", to_verilog(nl, "ewf_datapath"));
+  std::vector<int> starts(static_cast<size_t>(g.num_nodes()));
+  for (NodeId n = 0; n < g.num_nodes(); ++n) starts[static_cast<size_t>(n)] =
+      bundle.schedule->start(n);
+  write_file("ewf_schedule.dot", to_dot(g, starts, csteps));
   std::printf("wrote ewf_datapath.v and ewf_schedule.dot\n");
   return mismatch.empty() ? 0 : 1;
 }

@@ -152,13 +152,11 @@ int main(int argc, char** argv) {
     }
     if (want_report) std::printf("\n%s", allocation_report(res.binding).c_str());
     if (!verilog_path.empty()) {
-      std::ofstream vf(verilog_path);
-      vf << to_verilog(nl, g.name());
+      write_file(verilog_path, to_verilog(nl, g.name()));
       std::printf("wrote %s\n", verilog_path.c_str());
     }
     if (!html_path.empty()) {
-      std::ofstream hf(html_path);
-      hf << html_report(res.binding, g.name());
+      write_file(html_path, html_report(res.binding, g.name()));
       std::printf("wrote %s\n", html_path.c_str());
     }
     if (!vcd_path.empty() || !tb_path.empty()) {
@@ -171,13 +169,13 @@ int main(int argc, char** argv) {
         for (auto& v : vec) v = static_cast<int64_t>(rng.next() % 100);
       std::vector<int64_t> states(g.state_nodes().size(), 0);
       if (!vcd_path.empty()) {
-        std::ofstream wf(vcd_path);
-        wf << dump_vcd(nl, stim, states, iterations, g.name());
+        write_file(vcd_path,
+                   dump_vcd(nl, stim, states, iterations, g.name()));
         std::printf("wrote %s\n", vcd_path.c_str());
       }
       if (!tb_path.empty()) {
-        std::ofstream tf(tb_path);
-        tf << to_testbench(nl, stim, states, iterations, g.name());
+        write_file(tb_path,
+                   to_testbench(nl, stim, states, iterations, g.name()));
         std::printf("wrote %s\n", tb_path.c_str());
       }
     }

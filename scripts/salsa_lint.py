@@ -26,7 +26,7 @@ before any fuzzer runs:
 
   thread-local-scratch-discipline
       A [static] thread_local scratch buffer keeps its contents across
-      calls *and* across users of the pool thread. Its first use in scope
+      calls *and* across the indices a worker thread runs. Its first use
       must therefore be a reset (.clear()/.assign()/.clear_all()/.zero(),
       whole-object assignment, or BitPlane::resize which zeroes by
       contract); buffers with a non-reset first use (tag-guarded or

@@ -28,10 +28,7 @@ ImproveParams budget_improve(const TableBudget& budget, uint64_t seed) {
   return p;
 }
 
-// run_comparison generalised over the row budget. Restart fan-out stays
-// sequential here: when the row grid itself runs on the pool, nesting a
-// second level of parallelism would only oversubscribe (results are
-// thread-count-invariant either way).
+// run_comparison generalised over the row budget.
 Comparison run_budget_comparison(const AllocProblem& prob, uint64_t seed,
                                  const TableBudget& budget) {
   Comparison out{AllocationResult{Binding(prob), {}, {}, {}},
@@ -51,7 +48,6 @@ Comparison run_budget_comparison(const AllocProblem& prob, uint64_t seed,
   AllocatorOptions sopt;
   sopt.improve = budget_improve(budget, seed + 1);
   sopt.restarts = budget.restarts;
-  sopt.parallelism = Parallelism::sequential_only();
   out.salsa = allocate(prob, sopt);
   if (out.traditional_feasible) {
     ImproveParams refine = budget_improve(budget, seed + 2);

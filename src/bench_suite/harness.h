@@ -1,17 +1,18 @@
 // Shared plumbing for the benchmark harnesses: the standard
 // traditional-vs-SALSA allocation pair used by the table generators, and
-// the pool-aware row generators behind bench_table2_ewf / bench_table3_dct.
+// the parallel row generators behind bench_table2_ewf / bench_table3_dct.
 //
 // The SALSA run always additionally refines the traditional winner with the
 // extended move set and keeps the better result — the extended binding model
 // strictly subsumes the traditional one, so reporting anything worse would
 // be a search artifact, not a model property.
 //
-// The table generators fan their config-grid rows out over the shared
-// thread pool (util/thread_pool.h:parallel_map). Each row is seeded by its
-// grid position alone and parallel_map collects in index order, so row
-// ordering and every table value are identical for any thread count —
-// tests/test_benchmarks.cpp pins this.
+// The table generators fan their config-grid rows out with
+// util/thread_pool.h:parallel_map; a row's own restarts then run inline on
+// the row's thread. Each row is seeded by its grid position alone and
+// parallel_map collects in index order, so row ordering and every table
+// value are identical for any thread count — tests/test_benchmarks.cpp
+// pins this.
 #pragma once
 
 #include <string>
@@ -63,7 +64,7 @@ struct TableRow {
 };
 
 /// The paper's Table 2 grid (EWF: schedule lengths x pipelining x spare
-/// registers), one allocation comparison per row, fanned out over the pool.
+/// registers), one allocation comparison per row, rows in parallel.
 std::vector<TableRow> table2_rows(const TableBudget& budget,
                                   Parallelism parallelism = {});
 

@@ -85,8 +85,8 @@ struct CellRef {
 };
 
 // Candidate lists are collected into thread_local scratch buffers:
-// proposals run thousands of times per second on pool threads, and reusing
-// the buffers keeps the hot path allocation-free. Contents are fully
+// proposals run thousands of times per second on each search thread, and
+// reusing the buffers keeps the hot path allocation-free. Contents are fully
 // rewritten on every call, and each proposer holds at most one collected
 // list at a time. Cell scans run in (sid, seg, pos)-lexicographic order —
 // the candidate-order contract the engine's per-storage statistics

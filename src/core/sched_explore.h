@@ -25,8 +25,9 @@ struct ScheduleExploreParams {
   /// and draws schedule jitter and allocation seeds from SplitMix64 streams
   /// of `seed`, so the winner, variant_costs and variant_stats are
   /// byte-identical for every thread count (reduction in variant order,
-  /// ties keep the earliest variant). Composes with alloc.parallelism —
-  /// nested parallel_for calls share one process-wide pool.
+  /// ties keep the earliest variant). A variant's own restarts run inline
+  /// on its thread (see util/thread_pool.h), so alloc.parallelism does not
+  /// apply here.
   Parallelism parallelism;
 };
 

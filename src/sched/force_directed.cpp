@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "sched/asap_alap.h"
 #include "sched/list_scheduler.h"
@@ -15,43 +16,58 @@ struct Frames {
   std::vector<int> hi;  // latest start per node
 };
 
-// Recomputes mobility frames with some nodes pinned to fixed steps.
-// pins[i] >= 0 pins node i. Returns false if the pin set is infeasible.
-bool frames_with_pins(const Cdfg& g, const HwSpec& hw, int length,
-                      const std::vector<int>& pins, Frames& out) {
-  // Start from the unpinned analysis, then clamp and re-relax.
-  const auto asap = asap_starts(g, hw);
-  const auto alap = alap_starts(g, hw, length);
-  if (!alap) return false;
-  out.lo = asap;
-  out.hi = *alap;
-  for (size_t i = 0; i < pins.size(); ++i) {
-    if (pins[i] < 0) continue;
-    if (pins[i] < out.lo[i] || pins[i] > out.hi[i]) return false;
-    out.lo[i] = out.hi[i] = pins[i];
-  }
-  // Re-relax both bounds against all difference constraints.
-  struct Edge {
-    NodeId from, to;
-    int w;
-  };
+// A difference constraint start[to] >= start[from] + w.
+struct Edge {
+  NodeId from, to;
+  int w;
+};
+
+// The pin-independent half of the frame analysis: the unpinned ASAP/ALAP
+// frames and every difference constraint.
+struct FrameBasis {
+  Frames unpinned;
   std::vector<Edge> edges;
+};
+
+// nullopt if `length` is below the critical path.
+std::optional<FrameBasis> frame_basis(const Cdfg& g, const HwSpec& hw,
+                                      int length) {
+  const auto alap = alap_starts(g, hw, length);
+  if (!alap) return std::nullopt;
+  FrameBasis b;
+  b.unpinned = {asap_starts(g, hw), *alap};
   for (NodeId id = 0; id < g.num_nodes(); ++id) {
     for (ValueId in : g.node(id).ins) {
       if (g.is_const_value(in)) continue;
       const NodeId p = g.producer(in);
-      edges.push_back({p, id, hw.delay(g.node(p).kind)});
+      b.edges.push_back({p, id, hw.delay(g.node(p).kind)});
     }
   }
   for (NodeId sn : g.state_nodes()) {
     const Node& s = g.node(sn);
     const NodeId pn = g.producer(s.state_next);
     const int d = hw.delay(g.node(pn).kind);
-    for (NodeId c : g.value(s.out).consumers) edges.push_back({c, pn, 1 - d});
+    for (NodeId c : g.value(s.out).consumers) b.edges.push_back({c, pn, 1 - d});
   }
-  for (int pass = 0; pass <= g.num_nodes(); ++pass) {
+  return b;
+}
+
+// Recomputes mobility frames with some nodes pinned to fixed steps.
+// pins[i] >= 0 pins node i. Returns false if the pin set is infeasible.
+bool frames_with_pins(const FrameBasis& basis, const std::vector<int>& pins,
+                      Frames& out) {
+  // Start from the unpinned analysis, then clamp and re-relax.
+  out = basis.unpinned;
+  for (size_t i = 0; i < pins.size(); ++i) {
+    if (pins[i] < 0) continue;
+    if (pins[i] < out.lo[i] || pins[i] > out.hi[i]) return false;
+    out.lo[i] = out.hi[i] = pins[i];
+  }
+  // Re-relax both bounds against all difference constraints.
+  const int num_nodes = static_cast<int>(pins.size());
+  for (int pass = 0; pass <= num_nodes; ++pass) {
     bool changed = false;
-    for (const auto& e : edges) {
+    for (const auto& e : basis.edges) {
       const size_t f = static_cast<size_t>(e.from), t = static_cast<size_t>(e.to);
       if (out.lo[f] + e.w > out.lo[t]) {
         out.lo[t] = out.lo[f] + e.w;
@@ -63,7 +79,7 @@ bool frames_with_pins(const Cdfg& g, const HwSpec& hw, int length,
       }
     }
     if (!changed) break;
-    if (pass == g.num_nodes()) return false;
+    if (pass == num_nodes) return false;
   }
   for (size_t i = 0; i < out.lo.size(); ++i)
     if (out.lo[i] > out.hi[i]) return false;
@@ -80,8 +96,9 @@ Schedule force_directed_schedule(const Cdfg& g, const HwSpec& hw, int length) {
     if (!is_operation(n.kind) && n.kind != OpKind::kOutput)
       pins[static_cast<size_t>(id)] = 0;
   }
+  const std::optional<FrameBasis> basis = frame_basis(g, hw, length);
   Frames fr;
-  if (!frames_with_pins(g, hw, length, pins, fr))
+  if (!basis || !frames_with_pins(*basis, pins, fr))
     fail("force_directed_schedule: length " + std::to_string(length) +
          " is infeasible for '" + g.name() + "'");
 
@@ -141,7 +158,7 @@ Schedule force_directed_schedule(const Cdfg& g, const HwSpec& hw, int length) {
     // Pin and recompute frames + distributions.
     pins[static_cast<size_t>(best_op)] = best_step;
     Frames nf;
-    const bool ok = frames_with_pins(g, hw, length, pins, nf);
+    const bool ok = frames_with_pins(*basis, pins, nf);
     SALSA_CHECK_MSG(ok, "force-directed pin produced infeasible frames");
     for (NodeId id : ops) add_distribution(id, -1.0);
     fr = nf;

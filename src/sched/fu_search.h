@@ -20,11 +20,12 @@ FuBudget peak_fu_demand(const Schedule& sched);
 
 /// Finds a schedule of `length` steps minimising alu_cost*#ALU +
 /// mul_cost*#MUL. Throws if `length` is infeasible. The candidate FU
-/// lattice is probed with the list scheduler under `par`; the probe set and
-/// the in-order reduction are independent of the thread count, so the
-/// result is identical for any parallelism.
+/// lattice is walked sequentially with the list scheduler. The Parallelism
+/// argument is inert: the end-to-end benchmark (perfbench/e2e.cpp) still
+/// passes one, so it stays until the next change to the benchmark deletes
+/// it with that call.
 FuSearchResult schedule_min_fu(const Cdfg& cdfg, const HwSpec& hw, int length,
                                double alu_cost = 1.0, double mul_cost = 4.0,
-                               const Parallelism& par = {});
+                               const Parallelism& = {});
 
 }  // namespace salsa

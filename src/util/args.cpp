@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "util/diagnostics.h"
 
@@ -64,6 +65,13 @@ std::vector<int> int_list_flag(int argc, char** argv, int* i, int lo, int hi) {
     start = comma + 1;
   }
   return out;
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (!out) fail("cannot write " + path);
 }
 
 }  // namespace salsa

@@ -1,35 +1,28 @@
-// Parallel search runtime: a small shared thread pool plus
-// parallel_for/parallel_map helpers with a deterministic contract.
+// Parallel search runtime: parallel_for/parallel_map over independent
+// indices, with a deterministic contract.
 //
 // The unit of parallel work everywhere in this codebase is an *independent
-// index*: restart r of allocate(), variant v of explore_schedules(), lattice
-// point p of schedule_min_fu(), seed s of a benchmark sweep. Each index owns
-// its state (a private SearchEngine, a SplitMix64-derived seed stream — see
+// index*: restart r of allocate(), variant v of explore_schedules(), row r
+// of a paper table, seed s of a benchmark sweep. Each index owns its state
+// (a private SearchEngine, a SplitMix64-derived seed stream — see
 // util/rng.h:derive_seed) and returns a value; the reduction over results
 // always runs on the calling thread in index order. Consequently results are
-// byte-identical for every thread count, including 1 — the scheduler decides
-// only *when* an index runs, never what it computes or how the results are
+// byte-identical for every thread count, including 1 — the runtime decides
+// only *where* an index runs, never what it computes or how the results are
 // combined.
 //
-// Execution model: a parallel_for posts a batch (an atomic index cursor over
-// [0, n)) to the process-wide pool. The calling thread immediately starts
-// stealing indices from its own batch; sleeping workers wake and steal from
-// the oldest batch that still has unclaimed indices and a free participant
-// slot. Nested parallelism needs no special casing: an index that itself
-// calls parallel_for posts an inner batch and drains it the same way, so
-// forward progress never depends on a worker being available — a pool with
-// zero free workers degrades to sequential execution on the caller.
+// Execution model: spawn and join. A parallel_for starts `participants - 1`
+// threads; they and the calling thread claim indices from one atomic cursor
+// over [0, n) until it passes n, and every thread is joined before the call
+// returns. No thread outlives the call and nothing is shared between calls,
+// so the runtime holds no lock. A parallel_for reached from inside an index
+// of another one runs its indices inline on the calling thread, so one call
+// tree never runs more threads than its outermost call's participants.
 //
-// Exceptions thrown by fn(i) are captured per index; after the batch
-// completes, the exception with the lowest index is rethrown on the calling
+// Exceptions thrown by fn(i) are captured per index; after every index has
+// run, the exception with the lowest index is rethrown on the calling
 // thread (again independent of thread count). Remaining indices still run —
 // an index is never skipped because a sibling failed.
-//
-// Locking discipline (SalsaLint): the pool's shared state lives behind a
-// capability-annotated salsa::Mutex (util/mutex.h) with every guarded
-// member SALSA_GUARDED_BY-declared in thread_pool.cpp, so the Clang
-// -Wthread-safety leg of CI proves lock/member discipline at compile time
-// rather than trusting TSan to hit the interleaving.
 #pragma once
 
 #include <functional>
@@ -49,8 +42,6 @@ struct Parallelism {
 
   /// Resolved participant count (always >= 1).
   int resolve() const;
-  /// Sequential execution (resolve() == 1)?
-  bool sequential() const { return resolve() <= 1; }
 
   static Parallelism sequential_only() { return Parallelism{1}; }
 };
@@ -61,8 +52,9 @@ struct Parallelism {
 int default_thread_count();
 
 /// Runs fn(0), ..., fn(n-1) with at most `par.resolve()` concurrent
-/// participants, blocking until every index has finished. The calling
-/// thread participates. Deterministic contract: see file header.
+/// participants (1 when called from inside another parallel_for), blocking
+/// until every index has finished. The calling thread participates.
+/// Deterministic contract: see file header.
 void parallel_for(const Parallelism& par, int n,
                   const std::function<void(int)>& fn);
 

@@ -1,6 +1,6 @@
 // Census and structural checks of the remaining benchmark suite, generator
 // properties of the random-CDFG factory, and the par-invariance regression
-// for the pool-aware table generators.
+// for the parallel table generators.
 #include <gtest/gtest.h>
 
 #include "bench_suite/ar_filter.h"
@@ -112,16 +112,18 @@ TEST_P(RandomCdfgProperties, AlwaysWellFormedAndSchedulable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCdfgProperties, ::testing::Range(1, 40));
 
-// --- pool-aware table generators -------------------------------------------
+// --- parallel table generators --------------------------------------------
 
 TEST(TableRows, Table3RowOrderAndValuesThreadCountInvariant) {
   // The config-grid fan-out must not affect what the tables print: rows are
   // seeded by grid position and collected in index order, so the full row
-  // set is byte-identical for every thread count.
+  // set is byte-identical for every thread count. Two restarts per row, as
+  // in the real tables, so each row's allocate() fans out inside the row
+  // and runs inline.
   benchharness::TableBudget budget;
   budget.max_trials = 2;
   budget.moves_per_trial = 150;
-  budget.restarts = 1;
+  budget.restarts = 2;
   const auto seq = benchharness::table3_rows(budget, Parallelism{1});
   ASSERT_EQ(seq.size(), 8u);  // 4 schedules x {0, 2} spare registers
   for (int threads : {2, 8}) {

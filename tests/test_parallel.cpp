@@ -1,12 +1,14 @@
 // Parallel search runtime (util/thread_pool.h): the determinism contract —
-// results are byte-identical for every thread count — plus the thread-pool
-// mechanics (index coverage, ordered results, exception propagation, nested
-// submission) and the SplitMix64 seed-stream derivation.
+// results are byte-identical for every thread count — plus the runtime's
+// mechanics (index coverage, ordered results, exception propagation, inline
+// nesting) and the SplitMix64 seed-stream derivation.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "bench_suite/ewf.h"
@@ -61,8 +63,7 @@ TEST(ThreadPool, PropagatesLowestIndexException) {
 }
 
 TEST(ThreadPool, NestedSubmissionCompletes) {
-  // An index that itself fans out: forward progress must not depend on free
-  // workers (the inner caller drains its own batch).
+  // An index that itself fans out: the inner call runs every index inline.
   for (int threads : {1, 2, 8}) {
     std::atomic<long> sum{0};
     parallel_for(Parallelism{threads}, 8, [&](int i) {
@@ -71,6 +72,34 @@ TEST(ThreadPool, NestedSubmissionCompletes) {
     });
     EXPECT_EQ(sum.load(), 64 * 63 / 2);
   }
+}
+
+TEST(ThreadPool, NestedCallsRunOnTheOuterIndexThread) {
+  // Five outer indices on four threads leave three threads idle while the
+  // last one runs, and each inner index sleeps long enough for an idle
+  // thread to pick it up if the runtime let it. None may: a nested call
+  // runs inline, so the whole run uses at most `threads` threads.
+  const int threads = 4, outer = 5, inner = 16;
+  std::vector<std::thread::id> outer_id(outer);
+  std::vector<std::thread::id> inner_id(outer * inner);
+  parallel_for(Parallelism{threads}, outer, [&](int i) {
+    outer_id[static_cast<size_t>(i)] = std::this_thread::get_id();
+    parallel_for(Parallelism{threads}, inner, [&](int j) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      inner_id[static_cast<size_t>(i * inner + j)] =
+          std::this_thread::get_id();
+    });
+  });
+  std::set<std::thread::id> used(outer_id.begin(), outer_id.end());
+  for (int i = 0; i < outer; ++i) {
+    for (int j = 0; j < inner; ++j) {
+      const std::thread::id id = inner_id[static_cast<size_t>(i * inner + j)];
+      EXPECT_EQ(id, outer_id[static_cast<size_t>(i)])
+          << "inner index " << j << " of outer index " << i;
+      used.insert(id);
+    }
+  }
+  EXPECT_LE(used.size(), static_cast<size_t>(threads));
 }
 
 TEST(ThreadPool, ZeroAndOneIndexWork) {
@@ -83,7 +112,7 @@ TEST(ThreadPool, ZeroAndOneIndexWork) {
 TEST(ThreadPool, ParallelismResolvesToAtLeastOne) {
   EXPECT_GE(Parallelism{}.resolve(), 1);
   EXPECT_EQ(Parallelism{3}.resolve(), 3);
-  EXPECT_TRUE(Parallelism::sequential_only().sequential());
+  EXPECT_EQ(Parallelism::sequential_only().resolve(), 1);
   EXPECT_GE(default_thread_count(), 1);
 }
 
@@ -211,8 +240,9 @@ TEST(ParallelExplore, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelExplore, NestedParallelismStaysDeterministic) {
-  // Variants in parallel, each allocating restarts in parallel — the
-  // composed fan-out must still match the fully sequential run.
+  // Variants in parallel, each allocating two restarts, which run inline on
+  // the variant's thread — the composed run must still match the fully
+  // sequential one.
   Cdfg g = make_ewf();
   HwSpec hw;
   const FuBudget budget = schedule_min_fu(g, hw, 17).fus;
@@ -227,23 +257,6 @@ TEST(ParallelExplore, NestedParallelismStaysDeterministic) {
   ASSERT_TRUE(a.allocation && b.allocation);
   EXPECT_EQ(a.allocation->cost.total, b.allocation->cost.total);
   EXPECT_EQ(a.variant_costs, b.variant_costs);
-}
-
-// ---------------------------------------------------------- fu search ----
-
-TEST(ParallelFuSearch, EnvelopeIndependentOfThreadCount) {
-  Cdfg g = make_ewf();
-  HwSpec hw;
-  const FuSearchResult ref = schedule_min_fu(g, hw, 19, 1.0, 4.0,
-                                             Parallelism{1});
-  for (int threads : {2, 8}) {
-    const FuSearchResult res = schedule_min_fu(g, hw, 19, 1.0, 4.0,
-                                               Parallelism{threads});
-    EXPECT_EQ(res.fus.alu, ref.fus.alu);
-    EXPECT_EQ(res.fus.mul, ref.fus.mul);
-    for (NodeId n : g.operations())
-      EXPECT_EQ(res.schedule.start(n), ref.schedule.start(n));
-  }
 }
 
 }  // namespace
