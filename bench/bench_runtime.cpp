@@ -376,19 +376,25 @@ void BM_SimulateIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateIteration);
 
-// Display reporter that additionally captures every run carrying both a
-// moves_per_sec and a design_ops counter (the BM_ScalingMoves sweep) into
-// scaling rows for the machine-readable record written by main(). Counters
-// reach the reporter already finalized
-// (rates divided by elapsed time). Aggregate rows (mean/median/stddev/cv of
+// The display reporter google-benchmark would pick itself (so
+// --benchmark_format and --benchmark_color apply), wrapped to also capture
+// every run carrying both a moves_per_sec and a design_ops counter (the
+// BM_ScalingMoves sweep) into scaling rows for the machine-readable record
+// written by main(). Counters reach the reporter already finalized (rates
+// divided by elapsed time). Aggregate rows (mean/median/stddev/cv of
 // repeated runs) are skipped: their counters are statistics of statistics
 // (a stddev row reports the stddev of the threads counter as "threads: 0"),
-// which polluted the committed baseline until PR 8. Because an explicit
-// display reporter is installed, --benchmark_format is ignored — use
-// --benchmark_out=<file> for a full google-benchmark JSON record.
-class ScalingCapture : public benchmark::ConsoleReporter {
+// which once polluted the committed baseline.
+class ScalingCapture : public benchmark::BenchmarkReporter {
  public:
+  explicit ScalingCapture(benchmark::BenchmarkReporter* display)
+      : display_(display) {}
+
   std::vector<benchharness::ScalingRow> scaling_rows;
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
 
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
@@ -415,8 +421,14 @@ class ScalingCapture : public benchmark::ConsoleReporter {
         scaling_rows.push_back(std::move(row));
       }
     }
-    ConsoleReporter::ReportRuns(reports);
+    display_->ReportRuns(reports);
   }
+
+  void Finalize() override { display_->Finalize(); }
+
+ private:
+  /// The library's process-wide display reporter; never deleted.
+  benchmark::BenchmarkReporter* display_;
 };
 
 }  // namespace
@@ -429,7 +441,7 @@ class ScalingCapture : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ScalingCapture reporter;
+  ScalingCapture reporter(benchmark::CreateDefaultDisplayReporter());
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!reporter.scaling_rows.empty()) {

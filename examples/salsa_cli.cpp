@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--buses") {
         want_buses = true;
       } else {
-        std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-        return 2;
+        fail("unknown flag '" + arg + "'");
       }
     }
   } catch (const Error& e) {

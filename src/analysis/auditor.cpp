@@ -18,8 +18,7 @@ void InvariantAuditor::resolve_every(const SearchEngine& eng) {
   effective_every_ = opts_.every < 1 ? 1 : opts_.every;
   const long ops =
       static_cast<long>(eng.prob().cdfg().operations().size());
-  if (effective_every_ == 1 && opts_.sample_threshold_ops > 0 &&
-      ops > opts_.sample_threshold_ops) {
+  if (opts_.every < 1 && ops > AuditorOptions::kExactUpToOps) {
     // ops/64: each audited transaction's O(design) battery is spread over
     // the ~ops/64 transactions between audits, so the amortized audit cost
     // per transaction stays a constant multiple of the move itself no

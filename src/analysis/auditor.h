@@ -26,9 +26,11 @@
 //       derived structure equal to a rebuild (check (b)).
 //
 // A violation throws salsa::Error with the failing check and transaction
-// number. Checked mode is enabled through AllocatorOptions::checked (or
-// SALSA_CHECK=1 in the environment — see core/allocator.h); the observer
-// hooks themselves are compiled in always and cost one null check when off.
+// number. run_search (core/improver.h) installs one auditor per search
+// under CheckMode::kAudit and kAuditFull: allocate() takes the mode from
+// AllocatorOptions::checked, the other searches from SALSA_CHECK. The
+// observer hooks themselves are compiled in always and cost one null check
+// when no auditor is installed.
 #pragma once
 
 #include <cstdint>
@@ -39,25 +41,23 @@
 namespace salsa {
 
 struct AuditorOptions {
-  /// Audit every Nth transaction in full (1 = every transaction). The
-  /// digest/verify/rebuild checks are O(design) each, so a full audit of
-  /// every transaction turns an O(move footprint) search step into an
-  /// O(design) one; raise this to spot-check long searches.
-  long every = 1;
-  /// Large-design auto-sampling: when `every` is 1 (audit everything) and
-  /// the design has more than this many operations, the auditor instead
-  /// audits every ops/64-th transaction — the O(design) battery amortizes
-  /// to O(64) per transaction, keeping audited searches usable on the
-  /// generated 10k+-op scaling corpus. An explicit `every` > 1 wins over
-  /// the auto rate; 0 disables sampling entirely (exact mode — what
-  /// SALSA_CHECK=full / CheckMode::kAuditFull selects). Sampling is by
-  /// deterministic transaction index, never by RNG, so an audited run's
-  /// trajectory is byte-identical to an unaudited one. Corruption landing
-  /// between audited transactions is still caught: drift in the persistent
+  /// Designs up to this many operations are audited on every transaction
+  /// at the size-based rate.
+  static constexpr long kExactUpToOps = 2048;
+
+  /// Audit rate. 0 (the default, CheckMode::kAudit) is size-based: every
+  /// transaction on designs up to kExactUpToOps operations, every
+  /// ops/64-th above, so the O(design) battery amortizes to O(64) per
+  /// transaction and audited searches stay usable on the generated 10k+-op
+  /// scaling corpus. N >= 1 audits exactly every Nth transaction on any
+  /// design (1 = every transaction, CheckMode::kAuditFull). The rate counts
+  /// transactions, never draws from an RNG, so an audited run's trajectory
+  /// is byte-identical to an unaudited one. Corruption landing between
+  /// audited transactions is still caught: drift in the persistent
   /// structures (index refcounts, occupancy, cost counters) survives until
   /// the next audited commit's rebuild cross-check fires on it (the
   /// mutation test in tests/test_audit_scaling.cpp proves this).
-  long sample_threshold_ops = 2048;
+  long every = 0;
 };
 
 struct AuditorStats {
@@ -86,15 +86,15 @@ class InvariantAuditor final : public SearchObserver {
   [[noreturn]] void violation(const std::string& what) const;
 
   /// Resolves `effective_every_` on first contact with an engine: an
-  /// explicit opts_.every > 1 wins; otherwise designs above
-  /// sample_threshold_ops audit every ops/64-th transaction (see
-  /// AuditorOptions). Idempotent after the first call.
+  /// explicit opts_.every >= 1 wins; otherwise designs above kExactUpToOps
+  /// audit every ops/64-th transaction (see AuditorOptions). Idempotent
+  /// after the first call.
   void resolve_every(const SearchEngine& eng);
 
   AuditorOptions opts_;
   AuditorStats stats_;
   long effective_every_ = 0;     ///< resolved audit period; 0 = not yet
-  bool sampling_ = false;        ///< large-design auto-sampling engaged
+  bool sampling_ = false;        ///< size-based sampling engaged
   bool auditing_ = false;        ///< current transaction is audited
   uint64_t digest_before_ = 0;   ///< binding digest at txn begin
   CostBreakdown cost_before_{};  ///< incremental breakdown at txn begin

@@ -47,14 +47,6 @@ uint64_t digest_binding(const Binding& b) {
   return h.value();
 }
 
-void digest_cost(Fnv1a& h, const CostBreakdown& c) {
-  h.i32(c.fus_used);
-  h.i32(c.regs_used);
-  h.i32(c.connections);
-  h.i32(c.muxes);
-  h.f64(c.total);
-}
-
 std::string binding_json(const Binding& b) {
   const AllocProblem& prob = b.prob();
   const Cdfg& g = prob.cdfg();

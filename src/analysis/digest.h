@@ -5,8 +5,7 @@
 // triples, then the read→cell table). Two bindings of the same problem
 // digest equal iff they are byte-identical (operator== equal), so digests
 // taken before a move transaction and after its undo prove exact
-// restoration, and per-restart digest streams compared across thread
-// counts prove the parallel runtime's determinism claim.
+// restoration.
 //
 // binding_json() renders the same canonical fields as a JSON document; the
 // fuzzer dumps it (together with the seed) as the failure artifact CI
@@ -52,9 +51,6 @@ class Fnv1a {
 void digest_binding(Fnv1a& h, const Binding& b);
 /// FNV-1a digest of the canonical serialization of `b`.
 uint64_t digest_binding(const Binding& b);
-
-/// Feeds a cost breakdown (counts plus the weighted total's bit pattern).
-void digest_cost(Fnv1a& h, const CostBreakdown& c);
 
 /// The canonical binding fields as a self-contained JSON document (ops,
 /// cells, read tables, cost breakdown, digest). Stable field order; used

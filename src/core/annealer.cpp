@@ -17,7 +17,6 @@ ImproveStats anneal(SearchEngine& eng, const AnnealParams& params) {
   double temp = params.initial_temp;
   for (int level = 0; level < params.num_temps; ++level, temp *= params.cooling) {
     ++stats.trials;
-    eng.set_trace_aux("temp", temp);
     for (int m = 0; m < params.moves_per_temp; ++m) {
       Rng r(derive_seed(params.seed, i++));
       const auto delta = eng.propose(params.moves.pick(r), r);
@@ -47,7 +46,7 @@ ImproveStats anneal(SearchEngine& eng, const AnnealParams& params) {
 }  // namespace
 
 ImproveResult anneal(const Binding& start, const AnnealParams& params) {
-  return run_search(start, params.trace, params.observer,
+  return run_search(start, default_check_mode(),
                     [&](SearchEngine& eng) { return anneal(eng, params); });
 }
 

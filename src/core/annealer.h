@@ -16,15 +16,11 @@ struct AnnealParams {
   int moves_per_temp = 3000;
   int num_temps = 40;
   uint64_t seed = 1;
-  /// Optional JSONL search trace (see ImproveParams::trace); records carry
-  /// the current temperature as "temp".
-  std::ostream* trace = nullptr;
-  /// Optional transaction observer (see ImproveParams::observer).
-  SearchObserver* observer = nullptr;
 };
 
-/// Runs simulated annealing from `start` (Metropolis acceptance). Returns
-/// the best binding seen, its cost, and acceptance statistics.
+/// Runs simulated annealing from `start` (Metropolis acceptance), checked
+/// at default_check_mode(). Returns the best binding seen, its cost, and
+/// acceptance statistics.
 ImproveResult anneal(const Binding& start, const AnnealParams& params);
 
 }  // namespace salsa

@@ -17,7 +17,6 @@ std::optional<double> propose_next(SearchEngine& eng, const IlsParams& params,
 // Greedy descent: accept downhill/equal moves only.
 void descend(SearchEngine& eng, const IlsParams& params, uint64_t* i,
              ImproveStats& stats) {
-  eng.set_trace_aux("kick", 0);
   for (int m = 0; m < params.descent_moves; ++m) {
     const auto delta = propose_next(eng, params, i);
     if (!delta) continue;
@@ -46,7 +45,6 @@ ImproveStats iterated_local_search(SearchEngine& eng, const IlsParams& params) {
     // Kick: force a few random feasible moves, cost-blind. These are
     // perturbations of the incumbent, not acceptances of the descent
     // policy — they get their own counter.
-    eng.set_trace_aux("kick", 1);
     int kicked = 0;
     for (int k = 0; k < params.kick_moves * 4 && kicked < params.kick_moves;
          ++k) {
@@ -68,10 +66,9 @@ ImproveStats iterated_local_search(SearchEngine& eng, const IlsParams& params) {
 
 ImproveResult iterated_local_search(const Binding& start,
                                     const IlsParams& params) {
-  return run_search(start, params.trace, params.observer,
-                    [&](SearchEngine& eng) {
-                      return iterated_local_search(eng, params);
-                    });
+  return run_search(start, default_check_mode(), [&](SearchEngine& eng) {
+    return iterated_local_search(eng, params);
+  });
 }
 
 }  // namespace salsa

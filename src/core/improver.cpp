@@ -1,18 +1,46 @@
 #include "core/improver.h"
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
+#include "analysis/auditor.h"
 #include "core/search_engine.h"
 #include "core/verify.h"
+#include "util/diagnostics.h"
 
 namespace salsa {
 
+CheckMode default_check_mode() {
+  static const CheckMode mode = [] {
+    const char* env = std::getenv("SALSA_CHECK");
+    if (env == nullptr) return CheckMode::kFinal;
+    const std::string v(env);
+    if (v == "0" || v == "off") return CheckMode::kOff;
+    if (v == "final") return CheckMode::kFinal;
+    if (v == "1" || v == "on" || v == "audit") return CheckMode::kAudit;
+    if (v == "full") return CheckMode::kAuditFull;
+    fail("SALSA_CHECK must be 0/off, final, or 1/on/audit/full; got '" + v +
+         "'");
+  }();
+  return mode;
+}
+
 ImproveResult run_search(
-    const Binding& start, std::ostream* trace, SearchObserver* observer,
+    const Binding& start, CheckMode check,
     const std::function<ImproveStats(SearchEngine&)>& policy) {
   check_legal(start);
   // The engine's checkpoint holds the best binding (initially `start`).
   SearchEngine eng(start);
-  eng.set_trace(trace);
-  eng.set_observer(observer);
+  // The auditor is engine-local state, so searches running on different
+  // threads each own one. every = 0 is the size-based rate, 1 every
+  // transaction.
+  std::optional<InvariantAuditor> auditor;
+  if (check == CheckMode::kAudit || check == CheckMode::kAuditFull) {
+    auditor.emplace(
+        AuditorOptions{.every = check == CheckMode::kAuditFull ? 1 : 0});
+    eng.set_observer(&*auditor);
+  }
   ImproveStats stats = policy(eng);
   stats.by_kind = eng.kind_stats();
   Binding best = std::move(eng).take_checkpoint();
@@ -22,7 +50,7 @@ ImproveResult run_search(
 }
 
 ImproveResult improve(const Binding& start, const ImproveParams& params) {
-  return run_search(start, params.trace, params.observer,
+  return run_search(start, default_check_mode(),
                     [&](SearchEngine& eng) { return improve(eng, params); });
 }
 
@@ -45,7 +73,6 @@ ImproveStats improve(SearchEngine& eng, const ImproveParams& params) {
     int uphill_left = params.uphill_per_trial;
     bool improved = false;
     for (int m = 0; m < params.moves_per_trial; ++m) {
-      eng.set_trace_aux("uphill_left", uphill_left);
       Rng r(derive_seed(params.seed, i++));
       const auto delta = eng.propose(params.moves.pick(r), r);
       if (!delta) continue;

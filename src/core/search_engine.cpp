@@ -1,7 +1,6 @@
 #include "core/search_engine.h"
 
 #include <algorithm>
-#include <ostream>
 
 namespace salsa {
 
@@ -1134,7 +1133,6 @@ std::optional<double> SearchEngine::propose(MoveKind kind, Rng& rng) {
                                  cost_.regs_used - cost_before_.regs_used,
                                  cost_.muxes - cost_before_.muxes,
                                  cost_.connections - cost_before_.connections);
-  ++steps_;
   MoveKindStats& ks = kind_stats_[static_cast<size_t>(kind)];
   ++ks.attempted;
   ks.delta_sum += pending_delta_;
@@ -1146,7 +1144,6 @@ void SearchEngine::commit() {
   MoveKindStats& ks = kind_stats_[static_cast<size_t>(pending_kind_)];
   ++ks.accepted;
   ks.accepted_delta_sum += pending_delta_;
-  trace_decision(true);
   const double delta = pending_delta_;
   recompute_total();  // finish_mutation leaves the weighted total stale
   apply_pending_claims();
@@ -1162,7 +1159,6 @@ void SearchEngine::commit() {
 
 void SearchEngine::rollback() {
   SALSA_DCHECK(in_txn_);
-  trace_decision(false);
   if (break_next_undo_) {
     // Test-only fault injection (inject_broken_undo_for_test): keep the
     // mutated binding instead of restoring the saved units. The pending
@@ -1357,15 +1353,6 @@ void SearchEngine::restore_checkpoint() {
 #ifndef NDEBUG
   SALSA_CHECK(index_matches_rebuild());
 #endif
-}
-
-void SearchEngine::trace_decision(bool accepted) {
-  if (!trace_) return;
-  *trace_ << "{\"step\":" << steps_ << ",\"move\":\""
-          << move_name(pending_kind_) << "\",\"delta\":" << pending_delta_
-          << ",\"accepted\":" << (accepted ? "true" : "false");
-  if (aux_name_) *trace_ << ",\"" << aux_name_ << "\":" << aux_;
-  *trace_ << "}\n";
 }
 
 void SearchEngine::update_fu_ops(NodeId n, FuId from, FuId to) {

@@ -58,7 +58,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -101,9 +100,12 @@ inline long restores = 0;  ///< restores counted while armed
 }  // namespace checkpoint_hooks
 
 /// Transaction observer: the seam the SalsaCheck invariant auditor
-/// (src/analysis/auditor.h) hooks into. The engine invokes the callbacks
-/// around every move transaction; with no observer installed the cost is a
-/// single null check per call site, so the hooks are compiled in always.
+/// (src/analysis/auditor.h) hooks into. For the searches, run_search
+/// (core/improver.h) is the only place that installs one; the move fuzzer
+/// and tests install theirs on engines of their own. The engine invokes
+/// the callbacks around every move transaction; with no observer installed
+/// the cost is a single null check per call site, so the hooks are
+/// compiled in always.
 ///
 /// Callback order per proposal:
 ///   on_txn_begin   — propose() entered, binding still in its pre-move state
@@ -352,19 +354,6 @@ class SearchEngine {
   const std::array<MoveKindStats, kNumMoveKinds>& kind_stats() const {
     return kind_stats_;
   }
-  /// Proposals that found a feasible instance (committed or rolled back).
-  long steps() const { return steps_; }
-
-  /// Streams one JSONL record per decided proposal:
-  ///   {"step":N,"move":"F2:fu-move","delta":-3,"accepted":true,...}
-  /// nullptr disables tracing.
-  void set_trace(std::ostream* os) { trace_ = os; }
-  /// Adds a policy-side field (e.g. temperature or remaining uphill budget)
-  /// to subsequent trace records; nullptr name drops the field.
-  void set_trace_aux(const char* name, double value) {
-    aux_name_ = name;
-    aux_ = value;
-  }
 
   /// True iff the incremental breakdown equals a fresh evaluate_cost.
   bool matches_full_eval() const;
@@ -390,7 +379,6 @@ class SearchEngine {
   /// Installs (or clears, with nullptr) the transaction observer. The
   /// engine does not own it; it must outlive the engine or be cleared.
   void set_observer(SearchObserver* obs) { observer_ = obs; }
-  SearchObserver* observer() const { return observer_; }
 
   /// Test-only fault injection: the next rollback() skips restoring the
   /// touched units' saved state — a deliberately broken undo. Exists so the
@@ -601,7 +589,6 @@ class SearchEngine {
   /// every touched unit dirty for the checkpoint.
   void keep_touched_units();
   void end_txn();
-  void trace_decision(bool accepted);
   /// Re-files a committed FU change in the fu_ops_ index (no-op when the
   /// op's unit did not change).
   void update_fu_ops(NodeId n, FuId from, FuId to);
@@ -728,10 +715,6 @@ class SearchEngine {
   double pending_delta_ = 0;
 
   std::array<MoveKindStats, kNumMoveKinds> kind_stats_{};
-  long steps_ = 0;
-  std::ostream* trace_ = nullptr;
-  const char* aux_name_ = nullptr;
-  double aux_ = 0;
   SearchObserver* observer_ = nullptr;
   bool break_next_undo_ = false;
 

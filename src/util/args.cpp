@@ -52,21 +52,6 @@ double real_flag(int argc, char** argv, int* i, double lo, double hi) {
   return v;
 }
 
-std::vector<int> int_list_flag(int argc, char** argv, int* i, int lo, int hi) {
-  const std::string flag = argv[*i];
-  const std::string text = flag_value(argc, argv, i);
-  std::vector<int> out;
-  size_t start = 0;
-  for (;;) {
-    const size_t comma = text.find(',', start);
-    out.push_back(static_cast<int>(
-        parse_int(flag, text.substr(start, comma - start), lo, hi)));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 void write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path);
   out << text;

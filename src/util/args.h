@@ -8,7 +8,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace salsa {
 
@@ -26,10 +25,6 @@ long long int_flag(int argc, char** argv, int* i, long long lo, long long hi);
 
 /// flag_value() as a whole finite decimal number in [lo, hi].
 double real_flag(int argc, char** argv, int* i, double lo, double hi);
-
-/// flag_value() as a non-empty comma-separated list of integers, each in
-/// [lo, hi].
-std::vector<int> int_list_flag(int argc, char** argv, int* i, int lo, int hi);
 
 /// Writes `text` to the file at `path`, replacing it; fails with "cannot
 /// write <path>" if the file cannot be opened or the write does not

@@ -1,7 +1,7 @@
 // The audit wall on the generated scaling corpus (frontend/generate.h):
-// large-design sampling of the O(design) invariant battery
-// (AuditorOptions::sample_threshold_ops), the exact every-transaction mode
-// behind SALSA_CHECK=full, the mutation proof that a *sampled* auditor
+// large-design sampling of the O(design) invariant battery (the size-based
+// rate, AuditorOptions::every = 0), the exact every-transaction rate behind
+// SALSA_CHECK=full (every = 1), the mutation proof that a *sampled* auditor
 // still catches seeded index corruption, and the steady-state no-rehash pin
 // on the engine's pre-reserved hash tables.
 #include <gtest/gtest.h>
@@ -33,7 +33,8 @@ GeneratedDesign cascade(int target_ops) {
 // per move and the scaling corpus is unusable under SALSA_CHECK=1.
 TEST(AuditScaling, SamplingEngagesAboveThreshold) {
   const GeneratedDesign d = cascade(2500);
-  ASSERT_GT(d.num_ops, 2048) << "design must exceed the default threshold";
+  ASSERT_GT(d.num_ops, AuditorOptions::kExactUpToOps)
+      << "design must exceed the default threshold";
   FuzzParams p;
   p.seed = 3;
   p.transactions = 1500;
@@ -54,7 +55,7 @@ TEST(AuditScaling, SamplingEngagesAboveThreshold) {
 // every transaction is audited, nothing about small-design runs changed.
 TEST(AuditScaling, SmallDesignsStillAuditEveryTransaction) {
   const GeneratedDesign d = cascade(400);
-  ASSERT_LE(d.num_ops, 2048);
+  ASSERT_LE(d.num_ops, AuditorOptions::kExactUpToOps);
   FuzzParams p;
   p.seed = 3;
   p.transactions = 300;
@@ -64,15 +65,15 @@ TEST(AuditScaling, SmallDesignsStillAuditEveryTransaction) {
   EXPECT_EQ(res.audit.audited, res.audit.txns);
 }
 
-// sample_threshold_ops = 0 (what CheckMode::kAuditFull / SALSA_CHECK=full
-// selects) defeats sampling on any size: the exact mode survives for
-// pinning down which transaction first corrupts state.
+// every = 1 (what CheckMode::kAuditFull / SALSA_CHECK=full selects) audits
+// every transaction on any size: the exact mode survives for pinning down
+// which transaction first corrupts state.
 TEST(AuditScaling, FullModeAuditsEveryTransactionOnLargeDesigns) {
   const GeneratedDesign d = cascade(2500);
   FuzzParams p;
   p.seed = 3;
   p.transactions = 40;  // every transaction is O(design): keep the run short
-  p.audit.sample_threshold_ops = 0;
+  p.audit.every = 1;
   p.name = "audit-full";
   const FuzzResult res = run_move_fuzz(*d.problem, p);
   EXPECT_TRUE(res.ok) << res.failure;
@@ -80,7 +81,7 @@ TEST(AuditScaling, FullModeAuditsEveryTransactionOnLargeDesigns) {
 }
 
 // SALSA_CHECK mapping: "full" is its own mode now, and the audit modes stay
-// distinct from kOff/kFinal (the allocator installs an auditor for both).
+// distinct from kOff/kFinal (run_search installs an auditor for both).
 TEST(AuditScaling, CheckModeFullIsDistinctFromAudit) {
   EXPECT_NE(CheckMode::kAudit, CheckMode::kAuditFull);
 }

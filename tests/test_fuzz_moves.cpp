@@ -3,8 +3,8 @@
 // full invariant auditor (verify + index-rebuild + cost + undo-digest
 // checks, and the checkpoint-restore checks) on each standard target;
 // mutation tests prove the digest checks catch a deliberately broken undo
-// and a deliberately incomplete restore; and the determinism audit replays
-// allocate() across thread counts and diffs per-restart digest streams.
+// and a deliberately incomplete restore; and allocate()'s check modes run
+// its searches audited or not without changing a result.
 //
 // Transaction counts are tuned per build: CI runs the fuzzer at >= 10000
 // transactions per target (SALSA_FUZZ_TXNS); plain local ctest runs a
@@ -16,7 +16,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "analysis/determinism.h"
 #include "analysis/digest.h"
 #include "analysis/fuzz.h"
 #include "core/allocator.h"
@@ -234,11 +233,13 @@ TEST(CheckedMode, AuditedAllocateProducesLegalResult) {
   AllocatorOptions opts;
   opts.restarts = 2;
   opts.checked = CheckMode::kAudit;
-  opts.audit_every = 64;  // spot-check: a full audit of a whole search is slow
   opts.improve.max_trials = 4;
   opts.improve.moves_per_trial = 300;
   const AllocationResult res = allocate(target.prob(), opts);
   EXPECT_TRUE(verify(res.binding).empty());
+  // The auditor observes; it never steers the search.
+  opts.checked = CheckMode::kFinal;
+  EXPECT_EQ(res.binding, allocate(target.prob(), opts).binding);
 }
 
 TEST(CheckedMode, CheckedOffSkipsNothingObservable) {
@@ -253,53 +254,6 @@ TEST(CheckedMode, CheckedOffSkipsNothingObservable) {
   // The knob controls checking only — results are identical either way.
   EXPECT_EQ(off.binding, fin.binding);
   EXPECT_EQ(off.cost.total, fin.cost.total);
-}
-
-TEST(CheckedMode, RestartDigestStreamEmittedInRestartOrder) {
-  FuzzTarget target("ewf");
-  std::vector<uint64_t> stream_a, stream_b;
-  AllocatorOptions opts;
-  opts.restarts = 4;
-  opts.improve.max_trials = 3;
-  opts.improve.moves_per_trial = 200;
-  opts.restart_digests = &stream_a;
-  allocate(target.prob(), opts);
-  ASSERT_EQ(stream_a.size(), 4u);
-  opts.restart_digests = &stream_b;
-  opts.parallelism = Parallelism{4};
-  allocate(target.prob(), opts);
-  EXPECT_EQ(stream_a, stream_b);
-}
-
-// --- determinism audit -----------------------------------------------------
-
-TEST(DeterminismAudit, ByteIdenticalAcrossThreadCounts) {
-  FuzzTarget target("ewf");
-  AllocatorOptions opts;
-  opts.restarts = 5;
-  opts.improve.max_trials = 4;
-  opts.improve.moves_per_trial = 300;
-  const DeterminismReport rep = audit_determinism(target.prob(), opts);
-  EXPECT_TRUE(rep.ok) << rep.detail;
-  ASSERT_EQ(rep.restart_streams.size(), 3u);
-  for (const auto& stream : rep.restart_streams)
-    EXPECT_EQ(stream.size(), 5u);
-  // The streams are genuinely per-restart: restarts differ from each other.
-  EXPECT_NE(rep.restart_streams[0][0], rep.restart_streams[0][1]);
-}
-
-TEST(DeterminismAudit, ReportsDivergenceInDigestStreams) {
-  // Feed the comparison a synthetic divergence by diffing two different
-  // problems' streams is not possible through the public API — instead
-  // check digest_allocation is sensitive to each result component.
-  FuzzTarget target("random");
-  AllocatorOptions opts;
-  opts.improve.max_trials = 3;
-  opts.improve.moves_per_trial = 200;
-  AllocationResult res = allocate(target.prob(), opts);
-  const uint64_t d0 = digest_allocation(res);
-  res.stats.attempted += 1;
-  EXPECT_NE(digest_allocation(res), d0);
 }
 
 }  // namespace

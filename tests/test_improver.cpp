@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
 #include "core/allocator.h"
 #include "core/annealer.h"
+#include "core/search_engine.h"
 #include "core/verify.h"
+#include "util/rng.h"
 
 namespace salsa {
 namespace {
@@ -80,6 +84,38 @@ TEST(Annealer, ProducesLegalResult) {
   const ImproveResult res = anneal(start, p);
   EXPECT_TRUE(verify(res.best).empty());
   EXPECT_LE(res.cost.total, evaluate_cost(start).total);
+}
+
+// run_search is the one place a search is observed: under kAudit it
+// installs the invariant auditor itself, so a rollback that keeps its move
+// fails the search with a SalsaCheck violation. Under kFinal the same
+// policy runs unaudited and returns the untouched checkpoint.
+TEST(RunSearch, AuditModeCatchesABrokenUndo) {
+  const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  const Binding start = initial_allocation(*ctx.problem);
+  auto broken_rollback = [](SearchEngine& eng) {
+    Rng rng(42);
+    const MoveConfig moves = MoveConfig::salsa_default();
+    for (int attempt = 0; attempt < 1000; ++attempt) {
+      if (!eng.propose(moves.pick(rng), rng)) continue;
+      eng.inject_broken_undo_for_test();
+      eng.rollback();
+      return ImproveStats{};
+    }
+    ADD_FAILURE() << "no feasible move found";
+    return ImproveStats{};
+  };
+  try {
+    run_search(start, CheckMode::kAudit, broken_rollback);
+    FAIL() << "a broken undo slipped past the audited search";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("SalsaCheck violation"),
+              std::string::npos)
+        << e.what();
+  }
+  const ImproveResult res =
+      run_search(start, CheckMode::kFinal, broken_rollback);
+  EXPECT_EQ(res.best, start);
 }
 
 TEST(Allocator, EndToEndWithRestarts) {

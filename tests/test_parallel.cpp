@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
 #include "bench_suite/random_cdfg.h"
 #include "core/allocator.h"
@@ -164,6 +165,16 @@ void expect_identical(const AllocationResult& a, const AllocationResult& b) {
 
 TEST(ParallelAllocate, EwfByteIdenticalAcrossThreadCounts) {
   const auto ctx = make_problem(make_ewf(), HwSpec{}, 17, SpareRegisters{1});
+  const AllocationResult ref = allocate(*ctx.problem, restart_opts(1));
+  EXPECT_TRUE(verify(ref.binding).empty());
+  for (int threads : {2, 8}) {
+    const AllocationResult res = allocate(*ctx.problem, restart_opts(threads));
+    expect_identical(ref, res);
+  }
+}
+
+TEST(ParallelAllocate, DctByteIdenticalAcrossThreadCounts) {
+  const auto ctx = make_problem(make_dct(), HwSpec{}, 9, SpareRegisters{2});
   const AllocationResult ref = allocate(*ctx.problem, restart_opts(1));
   EXPECT_TRUE(verify(ref.binding).empty());
   for (int threads : {2, 8}) {

@@ -1,17 +1,16 @@
-// salsa_audit — the SalsaCheck command line: drives the move fuzzer, the
-// determinism audit and the segment/scaling cross-checks over the
-// standard targets, printing one summary line per audit and exiting
-// non-zero on any violation. Run with --help for the full flag catalogue
-// (kUsage below is the single source of truth; an unknown flag prints it
-// and exits 2 so CI invocations cannot silently mis-type a mode, and a
-// malformed flag value prints "error: ..." and exits 2).
+// salsa_audit — the SalsaCheck command line: drives the move fuzzer and
+// the segment/scaling cross-checks over the standard targets, printing one
+// summary line per audit and exiting non-zero on any violation. Run with
+// --help for the full flag catalogue (kUsage below is the single source of
+// truth). A usage error prints "error: ..." and exits 2: an unknown flag,
+// followed by the catalogue, so CI invocations cannot silently mis-type a
+// mode, and a malformed flag value.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "analysis/determinism.h"
 #include "analysis/digest.h"
 #include "analysis/fuzz.h"
 #include "core/initial.h"
@@ -39,7 +38,8 @@ general
   --target ewf|dct|random|all   standard target(s) to audit (default: all)
   --transactions N   feasible transactions per target (default: 10000)
   --seed S           fuzz seed; a CI failure replays with the printed seed
-  --every N          audit every Nth transaction (default: 1 = all)
+  --every N          audit exactly every Nth transaction (1 = all; default:
+                     every one up to 2048 ops, every ops/64-th above)
   --commit-prob P    probability a feasible move is committed (default: 0.5)
   --weighted         draw moves by MoveConfig::salsa_default() weight
                      instead of uniformly
@@ -48,16 +48,13 @@ general
   --help, -h         print this listing and exit
 
 audit modes
-  --determinism      replay allocate() per thread count and diff the
-                     per-restart digest streams (default threads 1,2,8)
-  --restarts R       restarts for the determinism audit (default: 6)
-  --threads a,b,c    comma-separated thread counts for the determinism audit
   --segment          window-vs-whole differential: a segment-windowed engine
                      against a whole-storage-walk reference on the identical
                      move stream, cost integers and digests cross-checked
                      after every transaction
   --scaling          fuzz a generated mid-size cascade under the
-                     size-sampled auditor (fails if sampling never engages)
+                     size-sampled auditor (without --every, fails if
+                     sampling never engages)
   --scaling-ops N    target operation count for --scaling (default: 5000)
 
 mutation drills (expected output: a VIOLATION and exit 1; an armed hook
@@ -105,7 +102,7 @@ struct Drill {
 int main(int argc, char** argv) {
   std::string target = "all";
   FuzzParams fuzz;
-  bool determinism = false, dump = false;
+  bool dump = false;
   bool segment_audit = false;
   bool scaling = false;
   int scaling_ops = 5000;
@@ -123,9 +120,6 @@ int main(int argc, char** argv) {
   Drill segment_window{"--break-segment-window", "windowed transactions",
                        &seg_window_hooks::break_claim_window_after,
                        &seg_window_hooks::windowed_txns};
-  int restarts = 6;
-  std::vector<int> threads{1, 2, 8};
-
   // Flag values are range-checked (util/args.h); a malformed one is a
   // usage error like an unknown flag.
   constexpr long kMaxCount = 1000000000;
@@ -157,12 +151,6 @@ int main(int argc, char** argv) {
         fuzz.commit_prob = real_flag(argc, argv, &i, 0.0, 1.0);
       } else if (arg == "--weighted") {
         fuzz.uniform_kinds = false;
-      } else if (arg == "--determinism") {
-        determinism = true;
-      } else if (arg == "--restarts") {
-        restarts = static_cast<int>(int_flag(argc, argv, &i, 1, 100000));
-      } else if (arg == "--threads") {
-        threads = int_list_flag(argc, argv, &i, 1, 4096);
       } else if (arg == "--artifacts") {
         fuzz.artifact_dir = flag_value(argc, argv, &i);
       } else if (arg == "--inject-broken-undo") {
@@ -204,8 +192,8 @@ int main(int argc, char** argv) {
         std::fputs(kUsage, stdout);
         return 0;
       } else {
-        std::fprintf(stderr, "salsa_audit: unknown flag '%s'\n\n%s",
-                     arg.c_str(), kUsage);
+        std::fprintf(stderr, "error: unknown flag '%s'\n\n%s", arg.c_str(),
+                     kUsage);
         return 2;
       }
     }
@@ -282,9 +270,10 @@ int main(int argc, char** argv) {
       // the move fuzzer under the size-sampled auditor. Every check of the
       // battery still runs — just on every ops/64-th transaction — so this
       // is the audit wall's presence on the scaling corpus, not a weaker
-      // wall. A run that did NOT sample is itself a failure: it means the
-      // threshold regressed and audited large-design searches are back to
-      // O(design) per move.
+      // wall. At the default rate, a run that did NOT sample is itself a
+      // failure: it means the threshold regressed and audited large-design
+      // searches are back to O(design) per move. --every sets the rate
+      // exactly (1 audits every transaction of the cascade).
       const GeneratedDesign d = generate_design(GenParams{
           .family = GenFamily::kFilterCascade,
           .target_ops = scaling_ops,
@@ -294,8 +283,7 @@ int main(int argc, char** argv) {
       p.name = "scaling-cascade" + std::to_string(scaling_ops);
       const FuzzResult res = run_move_fuzz(*d.problem, p);
       const bool expect_sampled =
-          p.audit.every <= 1 && p.audit.sample_threshold_ops > 0 &&
-          d.num_ops > p.audit.sample_threshold_ops;
+          p.audit.every == 0 && d.num_ops > AuditorOptions::kExactUpToOps;
       const bool sampled = res.audit.audited < res.audit.txns;
       const bool ok = res.ok && (sampled || !expect_sampled);
       std::printf(
@@ -315,25 +303,6 @@ int main(int argc, char** argv) {
                      "  auditor audited every transaction of a %d-op design "
                      "— large-design sampling did not engage\n",
                      d.num_ops);
-      }
-    }
-
-    if (determinism && !dump) {
-      AllocatorOptions opts;
-      opts.restarts = restarts;
-      opts.improve.seed = fuzz.seed;
-      opts.initial.seed = derive_seed(fuzz.seed, 99);
-      DeterminismOptions dopts;
-      dopts.thread_counts = threads;
-      const DeterminismReport rep = audit_determinism(t.prob(), opts, dopts);
-      std::printf("det  %-6s %d restarts over threads {", name.c_str(),
-                  restarts);
-      for (size_t k = 0; k < rep.thread_counts.size(); ++k)
-        std::printf("%s%d", k ? "," : "", rep.thread_counts[k]);
-      std::printf("}: %s\n", rep.ok ? "byte-identical" : "DIVERGED");
-      if (!rep.ok) {
-        failed = true;
-        std::fprintf(stderr, "  %s\n", rep.detail.c_str());
       }
     }
   }
