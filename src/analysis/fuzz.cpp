@@ -133,6 +133,7 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
   const MoveConfig moves = MoveConfig::salsa_default();
   const long cap = params.transactions * params.proposal_cap_factor;
   long proposals = 0;
+  double best_cost = win.total();
   auto diverged = [&res](const std::string& what) {
     res.ok = false;
     res.divergence = res.transactions - 1;
@@ -204,9 +205,43 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
           diverged("windowed index diverged from rebuild: " + why);
           break;
         }
+        if (win.total() < best_cost) {
+          win.checkpoint();
+          whole.checkpoint();
+          best_cost = win.total();
+        }
       } else {
         win.rollback();
         whole.rollback();
+      }
+      if (params.reset_every > 0 &&
+          res.transactions % params.reset_every == 0) {
+        // A restore is a transaction over the dirty units, so it runs the
+        // windowed splices too: a dirty op's read generators and the [0, 0]
+        // write window of the storage it produces.
+        win.restore_checkpoint();
+        whole.restore_checkpoint();
+        ++res.restores;
+        if (win.total() != whole.total()) {
+          diverged("totals diverged after restore (windowed " +
+                   std::to_string(win.total()) + " vs whole " +
+                   std::to_string(whole.total()) + ")");
+          break;
+        }
+        if (digest_binding(win.binding()) != digest_binding(whole.binding())) {
+          diverged("binding digests diverged after restore");
+          break;
+        }
+        std::string why;
+        if (!win.index_matches_rebuild(&why)) {
+          diverged("windowed index diverged from rebuild after restore: " +
+                   why);
+          break;
+        }
+        if (!whole.index_matches_rebuild(&why)) {
+          diverged("whole index diverged from rebuild after restore: " + why);
+          break;
+        }
       }
     }
   } catch (const Error& e) {

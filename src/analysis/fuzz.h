@@ -72,6 +72,7 @@ struct SegmentDiffResult {
   long transactions = 0;  ///< feasible transactions compared
   long commits = 0;       ///< transactions that committed on both engines
   long windowed = 0;      ///< transactions that took a non-whole window
+  long restores = 0;      ///< checkpoint restores run on both engines
   /// Index (0-based transaction count) of the first divergence; -1 = none.
   long divergence = -1;
 };
@@ -86,6 +87,10 @@ struct SegmentDiffResult {
 /// digest-match, and the windowed engine's connection index must match a
 /// from-scratch rebuild. This is the proof obligation of the windowed
 /// claim-staging walk: identical cost integers, not merely close ones.
+/// Both engines checkpoint on each new best of the windowed one and
+/// restore every `reset_every` transactions — a restore is a transaction
+/// through the same splices — after which the totals, the binding digests
+/// and both engines' rebuild cross-checks must agree.
 SegmentDiffResult run_segment_diff(const AllocProblem& prob,
                                    const FuzzParams& params);
 

@@ -68,19 +68,17 @@ struct GridPoint {
   uint64_t seed = 0;
 };
 
-TableRow make_row(const GridPoint& g, const Cdfg& graph,
-                  const TableBudget& budget) {
-  const FuSearchResult sr =
-      schedule_min_fu(graph, HwSpec{.pipelined_mul = g.pipelined}, g.steps);
-  const AllocProblem prob(sr.schedule, FuPool::standard(sr.fus),
-                          SpareRegisters{g.extra});
-  const Comparison cmp = run_budget_comparison(prob, g.seed, budget);
+TableRow make_row(const GridPoint& g, Cdfg graph, const TableBudget& budget) {
+  const ProblemBundle pb =
+      make_problem(std::move(graph), HwSpec{.pipelined_mul = g.pipelined},
+                   g.steps, SpareRegisters{g.extra});
+  const Comparison cmp = run_budget_comparison(*pb.problem, g.seed, budget);
   TableRow row;
   row.steps = g.steps;
   row.pipelined = g.pipelined;
-  row.alus = sr.fus.alu;
-  row.muls = sr.fus.mul;
-  row.regs = prob.num_regs();
+  row.alus = pb.fus.alu;
+  row.muls = pb.fus.mul;
+  row.regs = pb.problem->num_regs();
   row.traditional_feasible = cmp.traditional_feasible;
   row.salsa_muxes = cmp.salsa.cost.muxes;
   row.salsa_merged = cmp.salsa.merging.muxes_after;

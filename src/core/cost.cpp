@@ -4,15 +4,6 @@
 
 namespace salsa {
 
-uint64_t key_of(const Endpoint& e) {
-  return (static_cast<uint64_t>(e.kind) << 32) |
-         static_cast<uint32_t>(e.id);
-}
-
-uint64_t key_of(const Pin& p) {
-  return (static_cast<uint64_t>(p.kind) << 32) | static_cast<uint32_t>(p.id);
-}
-
 PinIndex::PinIndex(const AllocProblem& prob)
     : fus_(static_cast<size_t>(prob.fus().size())),
       regs_(static_cast<size_t>(prob.num_regs())),
@@ -146,20 +137,20 @@ CostBreakdown evaluate_cost(const Binding& b) {
   out.regs_used = b.regs_used();
 
   auto uses = connection_uses(b);
-  // Distinct (sink, src) pairs; constants are free (Section 5).
-  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  // Distinct (sink, src) pair keys; constants are free (Section 5).
+  std::vector<uint64_t> pairs;
   pairs.reserve(uses.size());
   for (const ConnUse& u : uses) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    pairs.emplace_back(key_of(u.sink), key_of(u.src));
+    pairs.push_back(pair_key(u.sink, u.src));
   }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   out.connections = static_cast<int>(pairs.size());
-  // Equivalent 2-1 muxes: per sink pin, (#sources - 1).
+  // Equivalent 2-1 muxes: per sink pin (the key's high half), sources - 1.
   for (size_t i = 0; i < pairs.size();) {
     size_t j = i;
-    while (j < pairs.size() && pairs[j].first == pairs[i].first) ++j;
+    while (j < pairs.size() && pairs[j] >> 32 == pairs[i] >> 32) ++j;
     out.muxes += static_cast<int>(j - i) - 1;
     i = j;
   }

@@ -46,14 +46,10 @@ struct ConnUse {
   int step;
 };
 
-/// Dense orderable keys, used to group and deduplicate connections.
-uint64_t key_of(const Endpoint& e);
-uint64_t key_of(const Pin& p);
-
 /// Compact 32-bit endpoint/pin keys: kind in the top four bits, id below,
-/// so a (sink, source) pair packs into one 64-bit key — the pair key of the
-/// search engine's connection index and of the constructive start's
-/// connection tracker. Ids are node/FU/register indices, far below 2^28.
+/// so ascending keys order by kind, then id, and a (sink, source) pair
+/// packs into one 64-bit key (pair_key). The one key encoding of
+/// connections. Ids are node/FU/register indices, far below 2^28.
 inline uint32_t pack(const Endpoint& e) {
   SALSA_DCHECK(e.id >= 0 && e.id < (1 << 28));
   return (static_cast<uint32_t>(e.kind) << 28) | static_cast<uint32_t>(e.id);
@@ -62,6 +58,14 @@ inline uint32_t pack(const Endpoint& e) {
 inline uint32_t pack(const Pin& p) {
   SALSA_DCHECK(p.id >= 0 && p.id < (1 << 28));
   return (static_cast<uint32_t>(p.kind) << 28) | static_cast<uint32_t>(p.id);
+}
+
+/// The (sink, source) pair key: the sink's pack() in the high half, the
+/// source's in the low half, so one sink's pairs are adjacent in key order.
+/// The key of the search engine's connection index, the constructive
+/// start's connection tracker and evaluate_cost.
+inline uint64_t pair_key(const Pin& sink, const Endpoint& src) {
+  return (static_cast<uint64_t>(pack(sink)) << 32) | pack(src);
 }
 
 /// The endpoint a pack()ed key names.

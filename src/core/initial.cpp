@@ -39,19 +39,16 @@ class WireTracker {
   /// Records the connection; a register joins the wired list the first
   /// time its (sink, source) pair is seen.
   void connect(const Endpoint& src, RegId r) {
-    if (seen_.increment(key(Pin{Pin::Kind::kRegIn, r}, src)) == 1)
+    if (seen_.increment(pair_key(Pin{Pin::Kind::kRegIn, r}, src)) == 1)
       from_source_[index_.source(src)].push_back(r);
   }
   void connect(const Pin& sink, RegId r) {
-    if (seen_.increment(key(sink, Endpoint{Endpoint::Kind::kRegOut, r})) == 1)
+    const Endpoint src{Endpoint::Kind::kRegOut, r};
+    if (seen_.increment(pair_key(sink, src)) == 1)
       to_pin_[index_.pin(sink)].push_back(r);
   }
 
  private:
-  static uint64_t key(const Pin& sink, const Endpoint& src) {
-    return (static_cast<uint64_t>(pack(sink)) << 32) | pack(src);
-  }
-
   PinIndex index_;
   FlatMap<uint64_t> seen_;  ///< (sink, source) pairs, counted
   std::vector<std::vector<RegId>> to_pin_;       ///< per PinIndex pin

@@ -32,7 +32,7 @@ struct MuxMergeResult {
 /// Constant sources are excluded (they are free in the cost model).
 ///
 /// Order contract: the multi-source muxes are taken in ascending sink-key
-/// order (key_of, the PinIndex order); each group opens at the lowest unused
+/// order (pack(), the PinIndex order); each group opens at the lowest unused
 /// mux and tries the later unused muxes once each, in ascending order,
 /// merging those that share a source with the group and never need a
 /// different source at one of its steps. `muxes` lists the groups in that

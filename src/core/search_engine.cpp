@@ -304,14 +304,6 @@ void SearchEngine::add_key(uint64_t key) {
   }
 }
 
-void SearchEngine::remove_key(uint64_t key) {
-  if (pair_refs_.decrement(key) == 0) {
-    --cost_.connections;
-    if (sink_sources_.decrement(static_cast<uint32_t>(key >> 32)) != 0)
-      --cost_.muxes;
-  }
-}
-
 void SearchEngine::apply_pending_uses() {
   for (const PendingUse& u : pending_uses_) {
     // One add() per key applies the whole net; the count crosses zero at
@@ -339,7 +331,7 @@ void SearchEngine::add_gen(int gen, std::vector<uint64_t>& keys) {
   // header).
   keys.clear();
   auto emit = [this, &keys](const Endpoint& src, const Pin& sink) {
-    const uint64_t key = (static_cast<uint64_t>(pack(sink)) << 32) | pack(src);
+    const uint64_t key = pair_key(sink, src);
     keys.push_back(key);
     // Inside a transaction finish_mutation nets the old and new key lists.
     if (!in_txn_) add_key(key);
@@ -401,9 +393,7 @@ void SearchEngine::add_write_gen_spliced(int sid, size_t stash_idx, int wlo,
     const size_t before = keys.size();
     enum_write_seg_uses(s, sb, seg,
                         [&keys](const Endpoint& src, const Pin& sink) {
-                          keys.push_back(
-                              (static_cast<uint64_t>(pack(sink)) << 32) |
-                              pack(src));
+                          keys.push_back(pair_key(sink, src));
                         });
     int& slot = write_seg_keys_[static_cast<size_t>(off + seg)];
     const int now = static_cast<int>(keys.size() - before);
@@ -697,9 +687,9 @@ void SearchEngine::refresh_sto_stats(int sid) {
   const Storage& s = lt.storage(sid);
   for (const StorageRead& r : s.reads)
     fat += sb.cells[static_cast<size_t>(r.seg)].size() >= 2;
-  // Fold the recount into the selection Fenwicks as diffs. Runs outside
-  // transactions only (rebuild, and commit after the decision), so nothing
-  // here needs an undo record.
+  // Fold the recount into the selection Fenwicks as diffs. Runs in rebuild
+  // and in a kept transaction's tail (after the decision), so nothing here
+  // needs an undo record.
   auto upd = [&](std::vector<int>& row, Fenwick& fw, int now) {
     int& slot = row[static_cast<size_t>(sid)];
     if (slot == now) return;
@@ -1145,16 +1135,28 @@ void SearchEngine::commit() {
   ++ks.accepted;
   ks.accepted_delta_sum += pending_delta_;
   const double delta = pending_delta_;
-  recompute_total();  // finish_mutation leaves the weighted total stale
-  apply_pending_claims();
-  apply_pending_uses();
-  install_fresh_gen_caches();
-  keep_touched_units();
-  end_txn();
+  apply_txn();
 #ifndef NDEBUG
   SALSA_CHECK(matches_full_eval());
 #endif
   if (observer_) observer_->on_commit(*this, delta);
+}
+
+void SearchEngine::apply_txn() {
+  recompute_total();  // finish_mutation leaves the weighted total stale
+  apply_pending_claims();
+  apply_pending_uses();
+  install_fresh_gen_caches();
+  // Re-file FU changes in the per-FU op index. Only a kept transaction
+  // mutates fu_ops_ — proposals read it, and a rolled-back move restores
+  // the saved FU, so the index stays consistent with the binding between
+  // transactions.
+  for (const TouchedOp& t : touched_ops_) {
+    update_fu_ops(t.n, t.saved.fu, b_.op(t.n).fu);
+    mark_dirty_op(t.n);
+  }
+  for (const int sid : touched_sids_) mark_dirty_sto(sid);
+  end_txn();
 }
 
 void SearchEngine::rollback() {
@@ -1166,12 +1168,7 @@ void SearchEngine::rollback() {
     // self-consistent with the (wrong) binding — only the auditor's digest
     // comparison can tell that the undo lied.
     break_next_undo_ = false;
-    recompute_total();
-    apply_pending_claims();
-    apply_pending_uses();
-    install_fresh_gen_caches();
-    keep_touched_units();
-    end_txn();
+    apply_txn();
     if (observer_) observer_->on_rollback(*this);
     return;
   }
@@ -1208,18 +1205,6 @@ void SearchEngine::rollback() {
   if (observer_) observer_->on_rollback(*this);
 }
 
-void SearchEngine::keep_touched_units() {
-  // Re-file committed FU changes in the per-FU op index. Only commit (and
-  // the broken-undo test path) mutate fu_ops_ — proposals read it, and a
-  // rolled-back move restores the saved FU, so the index stays consistent
-  // with the binding between transactions.
-  for (const TouchedOp& t : touched_ops_) {
-    update_fu_ops(t.n, t.saved.fu, b_.op(t.n).fu);
-    mark_dirty_op(t.n);
-  }
-  for (const int sid : touched_sids_) mark_dirty_sto(sid);
-}
-
 void SearchEngine::end_txn() {
   touched_ops_.clear();
   touched_sids_.clear();
@@ -1249,41 +1234,19 @@ void SearchEngine::mark_dirty_sto(int sid) {
   dirty_stos_.push_back(sid);
 }
 
-void SearchEngine::checkpoint() {
-  SALSA_DCHECK(!in_txn_);
-  for (const NodeId n : dirty_ops_) {
-    ckpt_.op(n) = b_.op(n);
-    op_dirty_[static_cast<size_t>(n)] = 0;
-  }
-  // Copy-assignment refills the checkpoint's cell vectors in place.
-  for (const int sid : dirty_stos_) {
-    ckpt_.sto(sid) = b_.sto(sid);
-    sto_dirty_[static_cast<size_t>(sid)] = 0;
-  }
+void SearchEngine::clear_dirty() {
+  for (const NodeId n : dirty_ops_) op_dirty_[static_cast<size_t>(n)] = 0;
+  for (const int sid : dirty_stos_) sto_dirty_[static_cast<size_t>(sid)] = 0;
   dirty_ops_.clear();
   dirty_stos_.clear();
 }
 
-void SearchEngine::claim_op(NodeId n) {
-  const FuId f = b_.op(n).fu;
-  occ_.claim_fu_range(f, b_.prob().sched().start(n),
-                      statics_->op_occ[static_cast<size_t>(n)], n);
-  if (++fu_refs_[static_cast<size_t>(f)] == 1) ++cost_.fus_used;
-}
-
-void SearchEngine::claim_sto(int sid) {
-  const std::vector<int>& steps = b_.prob().lifetimes().steps_of(sid);
-  const StorageBinding& sb = b_.sto(sid);
-  for (size_t seg = 0; seg < sb.cells.size(); ++seg) {
-    for (const Cell& c : sb.cells[seg]) {
-      occ_.claim_reg(c.reg, steps[seg], sid);
-      if (++reg_refs_[static_cast<size_t>(c.reg)] == 1) ++cost_.regs_used;
-      if (seg > 0 && c.via != kInvalidId) {
-        occ_.claim_fu(c.via, steps[seg - 1], Occupancy::kPassThrough);
-        if (++fu_refs_[static_cast<size_t>(c.via)] == 1) ++cost_.fus_used;
-      }
-    }
-  }
+void SearchEngine::checkpoint() {
+  SALSA_DCHECK(!in_txn_);
+  for (const NodeId n : dirty_ops_) ckpt_.op(n) = b_.op(n);
+  // Copy-assignment refills the checkpoint's cell vectors in place.
+  for (const int sid : dirty_stos_) ckpt_.sto(sid) = b_.sto(sid);
+  clear_dirty();
 }
 
 void SearchEngine::restore_checkpoint() {
@@ -1291,7 +1254,7 @@ void SearchEngine::restore_checkpoint() {
   if (checkpoint_hooks::break_restore_after > 0 &&
       ++checkpoint_hooks::restores >= checkpoint_hooks::break_restore_after) {
     // Mutation hook (--break-restore): drop the first dirty storage that
-    // differs from the checkpoint from this restore. Everything below
+    // differs from the checkpoint from this restore. The transaction below
     // re-derives from the binding, so the engine stays self-consistent
     // and only the binding-vs-checkpoint digest can tell.
     for (size_t k = 0; k < dirty_stos_.size(); ++k) {
@@ -1303,52 +1266,18 @@ void SearchEngine::restore_checkpoint() {
       break;
     }
   }
-  // rebuild() restricted to the dirty units. Retire first: release their
-  // claims and the connection uses of every generator reading them (the
-  // generator sets touch_op/touch_sto retire, deduplicated by a fresh
-  // epoch stamp). The index tables are written directly (remove_key /
-  // add_key), outside any transaction, so nothing is netted.
+  // One transaction over the dirty units: each takes its checkpoint value
+  // through the ordinary touch, and the kept-transaction tail re-derives
+  // claims, index, key caches, statistics and per-FU op lists as a commit
+  // does. Every touch precedes every staged claim and the checkpoint is
+  // legal, so no claim collides. A restore is no move: no kind stats.
+  in_txn_ = true;
   ++epoch_;
-  auto retire_gen = [this](int gen) {
-    if (gen_epoch_[static_cast<size_t>(gen)] == epoch_) return;
-    gen_epoch_[static_cast<size_t>(gen)] = epoch_;
-    removed_gens_.push_back(gen);
-  };
-  for (const NodeId n : dirty_ops_) {
-    remove_op_claims(n);
-    for (const int gen : statics_->op_gens[static_cast<size_t>(n)])
-      retire_gen(gen);
-  }
-  for (const int sid : dirty_stos_) {
-    remove_sto_claims(sid, 0, static_cast<int>(b_.sto(sid).cells.size()) - 1);
-    retire_gen(gen_reads(sid));
-    retire_gen(gen_writes(sid));
-  }
-  for (const int gen : removed_gens_)
-    for (const uint64_t key : gen_keys_[static_cast<size_t>(gen)])
-      remove_key(key);
-  // Then assign the checkpoint's units and re-derive: all releases precede
-  // every claim, and the checkpoint is legal, so no claim collides.
-  for (const NodeId n : dirty_ops_) {
-    update_fu_ops(n, b_.op(n).fu, ckpt_.op(n).fu);
-    b_.op(n) = ckpt_.op(n);
-    op_dirty_[static_cast<size_t>(n)] = 0;
-  }
-  for (const int sid : dirty_stos_) {
-    b_.sto(sid) = ckpt_.sto(sid);
-    sto_dirty_[static_cast<size_t>(sid)] = 0;
-  }
-  for (const NodeId n : dirty_ops_) claim_op(n);
-  for (const int sid : dirty_stos_) {
-    claim_sto(sid);
-    refresh_sto_stats(sid);
-  }
-  for (const int gen : removed_gens_)
-    add_gen(gen, gen_keys_[static_cast<size_t>(gen)]);
-  removed_gens_.clear();
-  dirty_ops_.clear();
-  dirty_stos_.clear();
-  recompute_total();
+  for (const NodeId n : dirty_ops_) touch_op(n) = ckpt_.op(n);
+  for (const int sid : dirty_stos_) touch_sto(sid) = ckpt_.sto(sid);
+  finish_mutation();
+  apply_txn();
+  clear_dirty();  // apply_txn re-marked exactly the units just restored
   if (observer_) observer_->on_restore(*this);
 #ifndef NDEBUG
   SALSA_CHECK(index_matches_rebuild());

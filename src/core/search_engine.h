@@ -47,7 +47,12 @@
 //
 // Search policies keep their best-so-far binding in the engine's
 // checkpoint (checkpoint() / restore_checkpoint()): commits mark the units
-// they touch dirty, and saving or restoring the best walks only those.
+// they touch dirty, and saving or restoring the best walks only those. A
+// restore is one more transaction — it touches each dirty unit, assigns
+// its checkpoint value and keeps the result — so after construction the
+// transaction protocol is the only writer of every derived structure, and
+// rebuild() is the from-scratch reference index_matches_rebuild() compares
+// against.
 //
 // Consistency is guarded two ways: in !NDEBUG builds every commit
 // cross-checks the incremental breakdown against a fresh evaluate_cost
@@ -172,11 +177,11 @@ class SearchEngine {
   /// changed since the last checkpoint() or restore_checkpoint().
   void checkpoint();
   /// Returns the working binding to the checkpoint. Only the changed units
-  /// are restored: their claims and their generators' connection uses are
-  /// retired, the checkpoint's units assigned, and both re-derived — a
-  /// rebuild restricted to those units, so every derived structure equals
-  /// a from-scratch build (index_matches_rebuild()). Outside transactions
-  /// only.
+  /// are restored, by one transaction that touches each of them, assigns
+  /// its checkpoint value and is kept like a commit, so every derived
+  /// structure equals a from-scratch build (index_matches_rebuild()). The
+  /// observer sees only on_restore, and no move-kind stats change. Outside
+  /// transactions only.
   void restore_checkpoint();
   /// Operations and storages changed since the last checkpoint() or
   /// restore_checkpoint() — the work both of them do.
@@ -185,9 +190,10 @@ class SearchEngine {
   Binding take_checkpoint() && { return std::move(ckpt_); }
 
   // --- mutation interface for move proposers ---------------------------
-  // Must be called inside propose()'s move dispatch, before mutating the
-  // unit, and only once the move is certain to succeed. The first touch of
-  // a unit saves its undo state and retires its uses from the index.
+  // Must be called inside propose()'s move dispatch (or by
+  // restore_checkpoint()), before mutating the unit, and only once the move
+  // is certain to succeed. The first touch of a unit saves its undo state
+  // and retires its uses from the index.
   OpBind& touch_op(NodeId n);
   /// Operand-swap touch: only ob.swap will be mutated — the FU, and with it
   /// the op's FU window and the write generator of the storage it produces,
@@ -473,14 +479,11 @@ class SearchEngine {
   void init_from_statics();
   void rebuild();
   void recompute_total();
-  /// Adds a committed unit to the checkpoint's dirty set (idempotent).
+  /// Adds a kept unit to the checkpoint's dirty set (idempotent).
   void mark_dirty_op(NodeId n);
   void mark_dirty_sto(int sid);
-  /// Claims one operation's / one whole storage's occupancy from the
-  /// binding with refcount and fus_used/regs_used accounting — rebuild()'s
-  /// per-unit claim, for restore_checkpoint().
-  void claim_op(NodeId n);
-  void claim_sto(int sid);
+  /// Empties the dirty set: the binding equals the checkpoint again.
+  void clear_dirty();
 
   int gen_reads(int sid) const { return 2 * sid; }
   int gen_writes(int sid) const { return 2 * sid + 1; }
@@ -526,12 +529,10 @@ class SearchEngine {
   /// enum_read_uses.
   void add_read_gen_spliced(int sid, size_t stash_idx);
   void remove_gen_once(int gen);
-  /// The packed-key halves of a use charge/retire: maintain the two index
-  /// tables and the connections/muxes counts for one charged pair key.
-  /// Non-transactional path only (rebuild); transactions go through the
+  /// Charges one pair key to the two index tables and the
+  /// connections/muxes counts. rebuild() only; transactions go through the
   /// pending-use netting instead.
   void add_key(uint64_t key);
-  void remove_key(uint64_t key);
   /// Applies the transaction's netted use deltas to the shared index
   /// tables (cost_ was already advanced read-only by finish_mutation).
   void apply_pending_uses();
@@ -562,17 +563,18 @@ class SearchEngine {
   void settle_staged_claims();
   /// Claims every touched unit's occupancy from its *current* binding
   /// state, without journaling or cost accounting. Serves two symmetric
-  /// callers: commit (binding holds the accepted mutation) and rollback
-  /// (binding just restored to the saved units — re-claiming them is the
-  /// exact inverse of the unjournaled touch-time removals).
+  /// callers: a kept transaction (binding holds the accepted mutation) and
+  /// rollback (binding just restored to the saved units — re-claiming them
+  /// is the exact inverse of the unjournaled touch-time removals).
   void apply_claims_walk();
-  /// Commit-side apply of the staged claims: replays the touched sets
+  /// Keep-side apply of the staged claims: replays the touched sets
   /// through the real claim writes (occupancy + refcounts) without cost
   /// accounting (settle_staged_claims already charged it), then refreshes
   /// the touched storages' candidate statistics.
   void apply_pending_claims();
   /// Recounts sto_cells_/sto_vias_/sto_xfers_ (and total_cells_) for one
-  /// storage from its current binding. Outside transactions only.
+  /// storage from its current binding. rebuild() and apply_pending_claims
+  /// only.
   void refresh_sto_stats(int sid);
   /// Windowed stats refresh (commit only): folds the difference between
   /// the saved pre-move window (sto_save_) and the current binding window
@@ -584,10 +586,12 @@ class SearchEngine {
   void refresh_sto_stats_window(int sid, int wlo, int whi);
 
   void finish_mutation();
-  /// The kept-mutation tail shared by commit() and the broken-undo
-  /// rollback: re-files the touched ops' FU changes in fu_ops_ and marks
-  /// every touched unit dirty for the checkpoint.
-  void keep_touched_units();
+  /// Keeps the open transaction — the tail shared by commit(), the
+  /// broken-undo rollback and restore_checkpoint(): recomputes the total,
+  /// applies the staged claims and netted uses, installs the fresh key
+  /// caches, re-files FU changes in fu_ops_, marks every touched unit dirty
+  /// for the checkpoint and closes the transaction.
+  void apply_txn();
   void end_txn();
   /// Re-files a committed FU change in the fu_ops_ index (no-op when the
   /// op's unit did not change).
@@ -641,10 +645,10 @@ class SearchEngine {
   std::vector<Fenwick> step_cells_;
   std::vector<int> seg_size_;
   // Sorted pos_in_class ranks of the operations bound to each FU — the
-  // fu-exchange order-statistics index. Updated at commit (and on the
-  // broken-undo test path) by diffing touched ops' saved vs current FU,
-  // and by restore_checkpoint for the ops it moves back; proposals only
-  // read it, so rejected moves never touch it.
+  // fu-exchange order-statistics index. Updated when a transaction is kept
+  // (commit, a restore, the broken-undo test path) by diffing touched ops'
+  // saved vs current FU; proposals only read it, so rejected moves never
+  // touch it.
   std::vector<std::vector<int>> fu_ops_;
 
   std::shared_ptr<const EngineStatics> statics_;
@@ -720,10 +724,10 @@ class SearchEngine {
 
   // Best-so-far checkpoint (see checkpoint()): the recorded binding, and
   // the units committed since the working binding last equalled it — a
-  // flag per unit plus the list of flagged units. commit() marks its
-  // touched units, as does the broken-undo rollback, which also keeps a
-  // mutated binding; a plain rollback restores its units byte-identically
-  // and marks nothing.
+  // flag per unit plus the list of flagged units. Every kept transaction
+  // marks its touched units: a commit, a restore (which then clears the
+  // set) and the broken-undo rollback, which keeps a mutated binding. A
+  // plain rollback restores its units byte-identically and marks nothing.
   Binding ckpt_;
   std::vector<uint8_t> op_dirty_;   // indexed by NodeId
   std::vector<uint8_t> sto_dirty_;  // indexed by storage id

@@ -11,7 +11,11 @@
 
 namespace salsa {
 
-/// Emits one synthesisable Verilog-2001 module named `module_name`.
+/// Emits one synthesisable Verilog-2001 module named `module_name`. The
+/// emitted ALU is combinational and the multiplier one register stage fed
+/// at its start step, so a design with an ALU operation under
+/// HwSpec::add_delay != 1 or a multiply under HwSpec::mul_delay != 2 throws
+/// salsa::Error naming the field and its value.
 std::string to_verilog(const Netlist& nl, const std::string& module_name,
                        int width = 16);
 

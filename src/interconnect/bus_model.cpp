@@ -27,10 +27,10 @@ BusAllocation bus_allocate(const Binding& b) {
     int step;
     std::vector<Pin> sinks;
   };
-  std::map<std::pair<uint64_t, int>, Transmission> tx_map;
+  std::map<std::pair<uint32_t, int>, Transmission> tx_map;
   for (const ConnUse& u : connection_uses(b)) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    Transmission& t = tx_map[{key_of(u.src), u.step}];
+    Transmission& t = tx_map[{pack(u.src), u.step}];
     t.src = u.src;
     t.step = u.step;
     t.sinks.push_back(u.sink);
@@ -42,20 +42,20 @@ BusAllocation bus_allocate(const Binding& b) {
     txs.push_back(std::move(t));
   }
   // Allocate sources with many transmissions first: they anchor buses.
-  std::map<uint64_t, int> tx_per_src;
-  for (const Transmission& t : txs) ++tx_per_src[key_of(t.src)];
+  std::map<uint32_t, int> tx_per_src;
+  for (const Transmission& t : txs) ++tx_per_src[pack(t.src)];
   std::stable_sort(txs.begin(), txs.end(),
                    [&](const Transmission& a, const Transmission& c) {
-                     return tx_per_src[key_of(a.src)] >
-                            tx_per_src[key_of(c.src)];
+                     return tx_per_src[pack(a.src)] >
+                            tx_per_src[pack(c.src)];
                    });
 
   BusAllocation out;
   // Working state per bus: which steps are taken, which sources/sinks known.
   struct BusState {
     std::set<int> busy_steps;
-    std::set<uint64_t> driver_keys;
-    std::set<uint64_t> sink_keys;
+    std::set<uint32_t> driver_keys;
+    std::set<uint32_t> sink_keys;
   };
   std::vector<BusState> state;
 
@@ -66,9 +66,9 @@ BusAllocation bus_allocate(const Binding& b) {
       BusState& bs = state[bi];
       if (bs.busy_steps.count(t.step)) continue;
       // Score: new drivers and new sink taps this placement would create.
-      int score = bs.driver_keys.count(key_of(t.src)) ? 0 : 4;
+      int score = bs.driver_keys.count(pack(t.src)) ? 0 : 4;
       for (const Pin& s : t.sinks)
-        score += bs.sink_keys.count(key_of(s)) ? 0 : 1;
+        score += bs.sink_keys.count(pack(s)) ? 0 : 1;
       if (score < best_score) {
         best_score = score;
         best = static_cast<int>(bi);
@@ -85,25 +85,25 @@ BusAllocation bus_allocate(const Binding& b) {
     BusState& bs = state[static_cast<size_t>(best)];
     Bus& bus = out.buses[static_cast<size_t>(best)];
     bs.busy_steps.insert(t.step);
-    if (!bs.driver_keys.count(key_of(t.src))) {
-      bs.driver_keys.insert(key_of(t.src));
+    if (!bs.driver_keys.count(pack(t.src))) {
+      bs.driver_keys.insert(pack(t.src));
       bus.drivers.push_back(t.src);
     }
     int driver_idx = 0;
-    while (key_of(bus.drivers[static_cast<size_t>(driver_idx)]) !=
-           key_of(t.src))
+    while (pack(bus.drivers[static_cast<size_t>(driver_idx)]) !=
+           pack(t.src))
       ++driver_idx;
     bus.schedule.emplace_back(driver_idx, t.step);
-    for (const Pin& s : t.sinks) bs.sink_keys.insert(key_of(s));
+    for (const Pin& s : t.sinks) bs.sink_keys.insert(pack(s));
     return best;
   };
 
   // Sink taps accumulate as transmissions are placed.
-  std::map<uint64_t, BusAllocation::SinkTap> taps;
+  std::map<uint32_t, BusAllocation::SinkTap> taps;
   for (const Transmission& t : txs) {
     const int bus = place(t);
     for (const Pin& s : t.sinks) {
-      BusAllocation::SinkTap& tap = taps[key_of(s)];
+      BusAllocation::SinkTap& tap = taps[pack(s)];
       tap.sink = s;
       if (std::find(tap.buses.begin(), tap.buses.end(), bus) ==
           tap.buses.end())
@@ -122,7 +122,7 @@ std::vector<std::string> verify_bus_allocation(const Binding& b,
                                                const BusAllocation& alloc) {
   std::vector<std::string> bad;
   // Rebuild (bus, step) -> source key.
-  std::map<std::pair<int, int>, uint64_t> bus_at;
+  std::map<std::pair<int, int>, uint32_t> bus_at;
   for (size_t bi = 0; bi < alloc.buses.size(); ++bi) {
     const Bus& bus = alloc.buses[bi];
     for (const auto& [driver_idx, step] : bus.schedule) {
@@ -132,19 +132,19 @@ std::vector<std::string> verify_bus_allocation(const Binding& b,
         continue;
       }
       const auto key = std::make_pair(static_cast<int>(bi), step);
-      const uint64_t src = key_of(bus.drivers[static_cast<size_t>(driver_idx)]);
+      const uint32_t src = pack(bus.drivers[static_cast<size_t>(driver_idx)]);
       const auto [it, inserted] = bus_at.emplace(key, src);
       if (!inserted && it->second != src)
         bad.push_back("bus " + std::to_string(bi) +
                       " carries two sources at step " + std::to_string(step));
     }
   }
-  std::map<uint64_t, std::vector<int>> taps_of;
-  for (const auto& tap : alloc.taps) taps_of[key_of(tap.sink)] = tap.buses;
+  std::map<uint32_t, std::vector<int>> taps_of;
+  for (const auto& tap : alloc.taps) taps_of[pack(tap.sink)] = tap.buses;
 
   for (const ConnUse& u : connection_uses(b)) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    const auto tap_it = taps_of.find(key_of(u.sink));
+    const auto tap_it = taps_of.find(pack(u.sink));
     if (tap_it == taps_of.end()) {
       bad.push_back("a sink pin has no bus taps");
       continue;
@@ -152,7 +152,7 @@ std::vector<std::string> verify_bus_allocation(const Binding& b,
     int carriers = 0;
     for (int bus : tap_it->second) {
       const auto it = bus_at.find({bus, u.step});
-      if (it != bus_at.end() && it->second == key_of(u.src)) ++carriers;
+      if (it != bus_at.end() && it->second == pack(u.src)) ++carriers;
     }
     if (carriers == 0)
       bad.push_back("a connection use at step " + std::to_string(u.step) +

@@ -41,17 +41,17 @@ std::vector<std::vector<double>> module_affinity(const Binding& b) {
   std::vector<std::vector<double>> w(
       static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(n), 0));
   // Distinct connections only: a wire is laid out once however often used.
-  // Each wire's (source, sink) keys, then the two modules it joins.
-  std::vector<std::tuple<uint64_t, uint64_t, int, int>> wires;
+  // Each wire's (sink, source) pair key, then the two modules it joins.
+  std::vector<std::tuple<uint64_t, int, int>> wires;
   for (const ConnUse& u : connection_uses(b)) {
     const int a = module_of(b, u.src);
     const int c = module_of(b, u.sink);
     if (a < 0 || c < 0 || a == c) continue;
-    wires.emplace_back(key_of(u.src), key_of(u.sink), a, c);
+    wires.emplace_back(pair_key(u.sink, u.src), a, c);
   }
   std::sort(wires.begin(), wires.end());
   wires.erase(std::unique(wires.begin(), wires.end()), wires.end());
-  for (const auto& [src, sink, a, c] : wires) {
+  for (const auto& [key, a, c] : wires) {
     w[static_cast<size_t>(a)][static_cast<size_t>(c)] += 1;
     w[static_cast<size_t>(c)][static_cast<size_t>(a)] += 1;
   }

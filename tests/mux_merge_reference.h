@@ -19,8 +19,8 @@ namespace reference {
 
 struct ProtoMux {
   Pin sink;
-  std::map<int, uint64_t> active;  // step -> source key
-  std::map<uint64_t, Endpoint> sources;
+  std::map<int, uint32_t> active;  // step -> source key
+  std::map<uint32_t, Endpoint> sources;
 };
 
 inline bool compatible(const ProtoMux& a, const ProtoMux& b) {
@@ -44,13 +44,13 @@ inline bool compatible(const ProtoMux& a, const ProtoMux& b) {
 
 inline MuxMergeResult merge_muxes(const Binding& b) {
   // Group connection uses per sink pin.
-  std::map<uint64_t, ProtoMux> pins;
+  std::map<uint32_t, ProtoMux> pins;
   for (const ConnUse& u : connection_uses(b)) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    ProtoMux& pm = pins[key_of(u.sink)];
+    ProtoMux& pm = pins[pack(u.sink)];
     pm.sink = u.sink;
-    pm.active[u.step] = key_of(u.src);
-    pm.sources.emplace(key_of(u.src), u.src);
+    pm.active[u.step] = pack(u.src);
+    pm.sources.emplace(pack(u.src), u.src);
   }
 
   MuxMergeResult out;

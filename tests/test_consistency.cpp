@@ -61,7 +61,7 @@ TEST_P(Consistency, MuxCountEqualsPinSourceExcess) {
   std::map<uint64_t, std::set<uint64_t>> pin_sources;
   for (const ConnUse& u : connection_uses(*binding_)) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    pin_sources[key_of(u.sink)].insert(key_of(u.src));
+    pin_sources[pack(u.sink)].insert(pack(u.src));
   }
   int muxes = 0, conns = 0;
   for (const auto& [pin, srcs] : pin_sources) {
@@ -79,7 +79,7 @@ TEST_P(Consistency, NetlistRoutesEveryUse) {
   for (const ConnUse& u : connection_uses(*binding_)) {
     const auto src = nl.source_of(u.sink, u.step);
     ASSERT_TRUE(src.has_value());
-    EXPECT_EQ(key_of(*src), key_of(u.src));
+    EXPECT_EQ(pack(*src), pack(u.src));
   }
 }
 
@@ -89,13 +89,13 @@ TEST_P(Consistency, MergedMuxesNeverNeedTwoSourcesAtOnce) {
   std::map<std::pair<uint64_t, int>, uint64_t> demand;
   for (const ConnUse& u : connection_uses(*binding_)) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    demand[{key_of(u.sink), u.step}] = key_of(u.src);
+    demand[{pack(u.sink), u.step}] = pack(u.src);
   }
   for (const MergedMux& m : merged.muxes) {
     for (int t = 0; t < bundle_.schedule->length(); ++t) {
       std::set<uint64_t> wanted;
       for (const Pin& sink : m.sinks) {
-        const auto it = demand.find({key_of(sink), t});
+        const auto it = demand.find({pack(sink), t});
         if (it != demand.end()) wanted.insert(it->second);
       }
       EXPECT_LE(wanted.size(), 1u) << "merged mux conflict at step " << t;
@@ -108,13 +108,13 @@ TEST_P(Consistency, MergedMuxSourcesCoverSinkDemands) {
   std::map<uint64_t, std::set<uint64_t>> pin_sources;
   for (const ConnUse& u : connection_uses(*binding_)) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    pin_sources[key_of(u.sink)].insert(key_of(u.src));
+    pin_sources[pack(u.sink)].insert(pack(u.src));
   }
   for (const MergedMux& m : merged.muxes) {
     std::set<uint64_t> offered;
-    for (const Endpoint& e : m.sources) offered.insert(key_of(e));
+    for (const Endpoint& e : m.sources) offered.insert(pack(e));
     for (const Pin& sink : m.sinks)
-      for (uint64_t src : pin_sources[key_of(sink)])
+      for (uint64_t src : pin_sources[pack(sink)])
         EXPECT_TRUE(offered.count(src));
   }
 }

@@ -136,12 +136,12 @@ TEST(Cost, WeightsScaleTotal) {
 }
 
 TEST(Cost, KeysDistinguishKindsAndIds) {
-  EXPECT_NE(key_of(Endpoint{Endpoint::Kind::kFuOut, 1}),
-            key_of(Endpoint{Endpoint::Kind::kRegOut, 1}));
-  EXPECT_NE(key_of(Pin{Pin::Kind::kFuIn0, 2}),
-            key_of(Pin{Pin::Kind::kFuIn1, 2}));
-  EXPECT_NE(key_of(Pin{Pin::Kind::kRegIn, 0}),
-            key_of(Pin{Pin::Kind::kRegIn, 1}));
+  EXPECT_NE(pack(Endpoint{Endpoint::Kind::kFuOut, 1}),
+            pack(Endpoint{Endpoint::Kind::kRegOut, 1}));
+  EXPECT_NE(pack(Pin{Pin::Kind::kFuIn0, 2}),
+            pack(Pin{Pin::Kind::kFuIn1, 2}));
+  EXPECT_NE(pack(Pin{Pin::Kind::kRegIn, 0}),
+            pack(Pin{Pin::Kind::kRegIn, 1}));
 }
 
 }  // namespace

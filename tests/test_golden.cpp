@@ -196,14 +196,18 @@ TEST(Golden, StrictRetryRescuesTheWarmStart) {
 }
 
 // FNV-1a over merge_muxes's groups in output order: each group's sink keys,
-// then its source keys, each list in order and prefixed by its length.
+// then its source keys, each list in order and prefixed by its length. The
+// pinned digests hash each pin or source as the 64-bit (kind << 32) | id.
 uint64_t merge_digest(const MuxMergeResult& m) {
   Fnv1a h;
+  auto key = [&h](auto kind, int id) {
+    h.u64((static_cast<uint64_t>(kind) << 32) | static_cast<uint32_t>(id));
+  };
   for (const MergedMux& mm : m.muxes) {
     h.u32(static_cast<uint32_t>(mm.sinks.size()));
-    for (const Pin& p : mm.sinks) h.u64(key_of(p));
+    for (const Pin& p : mm.sinks) key(p.kind, p.id);
     h.u32(static_cast<uint32_t>(mm.sources.size()));
-    for (const Endpoint& e : mm.sources) h.u64(key_of(e));
+    for (const Endpoint& e : mm.sources) key(e.kind, e.id);
   }
   return h.value();
 }

@@ -9,6 +9,7 @@
 #include "core/allocator.h"
 #include "core/verify.h"
 #include "datapath/simulator.h"
+#include "datapath/verilog.h"
 #include "problem_at_slack.h"
 #include "sched/asap_alap.h"
 
@@ -74,6 +75,50 @@ TEST(HwVariants, ThreeCyclePipelinedMultipliers) {
   Binding b = initial_allocation(*ctx.problem);
   Netlist nl(b);
   EXPECT_EQ(random_equivalence_check(nl, 4, 7), "");
+}
+
+// The message to_verilog throws for `design` under `hw`, or "" when it
+// emits a module.
+std::string verilog_error(Cdfg design, const HwSpec& hw, int slack) {
+  const auto ctx =
+      make_problem_at_slack(std::move(design), hw, slack, SpareRegisters{2});
+  const Binding b = initial_allocation(*ctx.problem);
+  try {
+    to_verilog(Netlist(b), "variant");
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// to_verilog emits a combinational ALU and a one-register multiplier fed at
+// its start step. Under other delays it must refuse, naming the field, not
+// emit a module that computes wrong outputs.
+TEST(HwVariants, VerilogRejectsSlowAdders) {
+  HwSpec hw;
+  hw.add_delay = 2;
+  const std::string why = verilog_error(make_diffeq(), hw, 1);
+  EXPECT_NE(why.find("HwSpec::add_delay = 2"), std::string::npos) << why;
+}
+
+TEST(HwVariants, VerilogRejectsThreeCycleMultipliers) {
+  HwSpec hw;
+  hw.mul_delay = 3;
+  const std::string why = verilog_error(make_diffeq(), hw, 2);
+  EXPECT_NE(why.find("HwSpec::mul_delay = 3"), std::string::npos) << why;
+}
+
+TEST(HwVariants, VerilogRejectsThreeCyclePipelinedMultipliers) {
+  HwSpec hw;
+  hw.mul_delay = 3;
+  hw.pipelined_mul = true;
+  const std::string why = verilog_error(make_ewf(), hw, 3);
+  EXPECT_NE(why.find("HwSpec::mul_delay = 3"), std::string::npos) << why;
+}
+
+TEST(HwVariants, VerilogAcceptsDefaultDelays) {
+  EXPECT_EQ(verilog_error(make_ewf(), HwSpec{}, 0), "");
+  EXPECT_EQ(verilog_error(make_ewf(), HwSpec{.pipelined_mul = true}, 2), "");
 }
 
 TEST(HwVariants, UnrolledEwfCensusAndBehaviour) {

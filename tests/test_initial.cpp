@@ -136,7 +136,7 @@ Binding reference_initial_allocation(const AllocProblem& prob,
           s.producer == kInvalidId
               ? Endpoint{Endpoint::Kind::kInPort, g.producer(s.members[0])}
               : Endpoint{Endpoint::Kind::kFuOut, b.op(s.producer).fu};
-      conns.emplace_back(key_of(Pin{Pin::Kind::kRegIn, reg}), key_of(src));
+      conns.emplace_back(pack(Pin{Pin::Kind::kRegIn, reg}), pack(src));
     }
     for (const StorageRead& r : s.reads) {
       if (r.seg != seg) continue;
@@ -146,8 +146,8 @@ Binding reference_initial_allocation(const AllocProblem& prob,
                      : Pin{r.operand == 0 ? Pin::Kind::kFuIn0
                                           : Pin::Kind::kFuIn1,
                            b.op(r.consumer).fu};
-      conns.emplace_back(key_of(sink),
-                         key_of(Endpoint{Endpoint::Kind::kRegOut, reg}));
+      conns.emplace_back(pack(sink),
+                         pack(Endpoint{Endpoint::Kind::kRegOut, reg}));
     }
     return conns;
   };

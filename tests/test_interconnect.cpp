@@ -68,7 +68,7 @@ TEST(BusModel, BusCountBoundedByPeakTraffic) {
       static_cast<size_t>(ctx.schedule->length()));
   for (const ConnUse& u : connection_uses(b)) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    per_step[static_cast<size_t>(u.step)].insert(key_of(u.src));
+    per_step[static_cast<size_t>(u.step)].insert(pack(u.src));
   }
   size_t peak = 0;
   for (const auto& s : per_step) peak = std::max(peak, s.size());

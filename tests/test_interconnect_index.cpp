@@ -142,7 +142,7 @@ struct ReferenceNetlist {
 
   explicit ReferenceNetlist(const Binding& b) {
     for (const ConnUse& u : connection_uses(b)) {
-      route.emplace(std::make_pair(key_of(u.sink), u.step), u.src);
+      route.emplace(std::make_pair(pack(u.sink), u.step), u.src);
       if (u.sink.kind == Pin::Kind::kRegIn)
         reg_loads.push_back(RegLoad{u.sink.id, u.src, u.step});
       if (u.sink.kind == Pin::Kind::kOutPort)
@@ -153,7 +153,7 @@ struct ReferenceNetlist {
   }
 
   std::optional<Endpoint> source_of(const Pin& pin, int step) const {
-    const auto it = route.find(std::make_pair(key_of(pin), step));
+    const auto it = route.find(std::make_pair(pack(pin), step));
     if (it == route.end()) return std::nullopt;
     return it->second;
   }

@@ -45,7 +45,7 @@ TEST(MuxMerge, EverySinkAppearsAtMostOnce) {
   const MuxMergeResult r = merge_muxes(b);
   std::vector<uint64_t> sinks;
   for (const MergedMux& m : r.muxes)
-    for (const Pin& p : m.sinks) sinks.push_back(key_of(p));
+    for (const Pin& p : m.sinks) sinks.push_back(pack(p));
   std::sort(sinks.begin(), sinks.end());
   EXPECT_EQ(std::adjacent_find(sinks.begin(), sinks.end()), sinks.end());
 }
@@ -146,15 +146,15 @@ MergeCensus census(const Binding& b, const MuxMergeResult& r) {
   std::map<uint64_t, std::map<int, uint64_t>> active;
   for (const ConnUse& u : connection_uses(b)) {
     if (u.src.kind == Endpoint::Kind::kConstPort) continue;
-    sources[key_of(u.sink)].insert(key_of(u.src));
-    active[key_of(u.sink)][u.step] = key_of(u.src);
+    sources[pack(u.sink)].insert(pack(u.src));
+    active[pack(u.sink)][u.step] = pack(u.src);
   }
   std::vector<uint64_t> muxes;  // multi-source pins, ascending
   for (const auto& [pin, srcs] : sources)
     if (srcs.size() >= 2) muxes.push_back(pin);
   std::map<uint64_t, size_t> group_of;
   for (size_t g = 0; g < r.muxes.size(); ++g)
-    for (const Pin& p : r.muxes[g].sinks) group_of[key_of(p)] = g;
+    for (const Pin& p : r.muxes[g].sinks) group_of[pack(p)] = g;
 
   const auto shares = [](const std::set<uint64_t>& a,
                          const std::set<uint64_t>& b) {
@@ -165,16 +165,16 @@ MergeCensus census(const Binding& b, const MuxMergeResult& r) {
   for (size_t g = 0; g < r.muxes.size(); ++g) {
     const std::vector<Pin>& sinks = r.muxes[g].sinks;
     if (sinks.size() >= 3) ++c.big_groups;
-    const uint64_t first = key_of(sinks[0]);
+    const uint64_t first = pack(sinks[0]);
     for (size_t k = 1; k < sinks.size(); ++k)
-      c.transitive_joins += !shares(sources[key_of(sinks[k])], sources[first]);
+      c.transitive_joins += !shares(sources[pack(sinks[k])], sources[first]);
     std::set<uint64_t> group_srcs = sources[first];
     std::map<int, uint64_t> group_act = active[first];
     size_t next = 1;
     for (auto it = std::upper_bound(muxes.begin(), muxes.end(), first);
          it != muxes.end(); ++it) {
       if (group_of[*it] < g) continue;  // merged by an earlier group
-      if (next < sinks.size() && *it == key_of(sinks[next])) {
+      if (next < sinks.size() && *it == pack(sinks[next])) {
         ++next;
         group_srcs.insert(sources[*it].begin(), sources[*it].end());
         for (const auto& [step, src] : active[*it]) group_act[step] = src;

@@ -22,8 +22,8 @@ std::vector<std::string> reference_driver_pass(const Binding& b) {
   std::vector<std::string> bad;
   std::map<std::pair<uint64_t, int>, uint64_t> driver;
   for (const ConnUse& u : connection_uses(b)) {
-    const auto pin_step = std::make_pair(key_of(u.sink), u.step);
-    const uint64_t src = key_of(u.src);
+    const auto pin_step = std::make_pair(pack(u.sink), u.step);
+    const uint64_t src = pack(u.src);
     auto [it, inserted] = driver.emplace(pin_step, src);
     if (!inserted && it->second != src) {
       std::ostringstream os;

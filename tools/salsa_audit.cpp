@@ -245,10 +245,10 @@ int main(int argc, char** argv) {
       sp.name = name + "-segment";
       const SegmentDiffResult sgr = run_segment_diff(t.prob(), sp);
       std::printf(
-          "segm  %-6s seed %llu: %ld txns (%ld commits, %ld windowed) "
-          "window-vs-whole — %s\n",
+          "segm  %-6s seed %llu: %ld txns (%ld commits, %ld windowed, %ld "
+          "restores) window-vs-whole — %s\n",
           name.c_str(), static_cast<unsigned long long>(sp.seed),
-          sgr.transactions, sgr.commits, sgr.windowed,
+          sgr.transactions, sgr.commits, sgr.windowed, sgr.restores,
           sgr.ok ? "ok" : "VIOLATION");
       if (!sgr.ok) {
         failed = true;
