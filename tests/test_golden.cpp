@@ -20,6 +20,7 @@
 #include "frontend/generate.h"
 #include "layout/linear_placement.h"
 #include "sched/asap_alap.h"
+#include "sched/force_directed.h"
 #include "sched/fu_search.h"
 
 namespace salsa {
@@ -239,26 +240,61 @@ TEST(Golden, GeneratedMergeGroupsArePinned) {
   }
 }
 
+// FNV-1a over every node's start step.
+uint64_t start_digest(const Schedule& s) {
+  Fnv1a h;
+  for (NodeId n = 0; n < s.cdfg().num_nodes(); ++n) h.i32(s.start(n));
+  return h.value();
+}
+
+// The nine Table 2/3 schedules: the minimum-FU envelope, the minimum
+// register count and every start step of both the minimum-FU schedule and
+// the force-directed schedule it starts from.
 TEST(Golden, ScheduleEnvelopesArePinned) {
-  Cdfg g = make_ewf();
-  HwSpec np, p;
-  p.pipelined_mul = true;
   struct Row {
+    const char* name;
+    Cdfg (*make)();
     int len;
     bool pipe;
     int alu, mul, minregs;
+    uint64_t min_fu_digest, fds_digest;
   };
-  // Frozen envelope of the reconstruction (also quoted in EXPERIMENTS.md).
+  // Frozen envelopes of the reconstruction (EWF's are also quoted in
+  // EXPERIMENTS.md); start digests frozen on 2026-10-19.
   const Row rows[] = {
-      {17, false, 3, 2, 13}, {17, true, 3, 1, 13}, {19, false, 2, 2, 13},
-      {19, true, 2, 1, 13},  {21, false, 2, 1, 12},
+      {"ewf", make_ewf, 17, false, 3, 2, 13, 0x5a2ec9924137d5abull,
+       0x5a2ec9924137d5abull},
+      {"ewf", make_ewf, 17, true, 3, 1, 13, 0xf7c129813f91bb2bull,
+       0xa070ab62c4b15663ull},
+      {"ewf", make_ewf, 19, false, 2, 2, 13, 0x18920aa4c7e4dbcdull,
+       0xfb9276e2bdb9178dull},
+      {"ewf", make_ewf, 19, true, 2, 1, 13, 0x9084091b07aad67aull,
+       0x9084091b07aad67aull},
+      {"ewf", make_ewf, 21, false, 2, 1, 12, 0x6bb78688ac1ef7c3ull,
+       0x4d9c52e41415638aull},
+      {"dct", make_dct, 7, false, 8, 10, 12, 0x34fee943146e9615ull,
+       0x34fee943146e9615ull},
+      {"dct", make_dct, 9, false, 5, 6, 13, 0xc0197609f5516fdbull,
+       0xc0197609f5516fdbull},
+      {"dct", make_dct, 11, false, 4, 4, 16, 0x9b22866ad0c681f5ull,
+       0x69c5a51d47cccfe2ull},
+      {"dct", make_dct, 13, false, 3, 4, 15, 0x52289a6aa43be4ffull,
+       0x44a4dd3105ba4bc5ull},
   };
   for (const Row& r : rows) {
-    const auto sr = schedule_min_fu(g, r.pipe ? p : np, r.len);
-    EXPECT_EQ(sr.fus.alu, r.alu) << r.len << (r.pipe ? "P" : "");
-    EXPECT_EQ(sr.fus.mul, r.mul) << r.len << (r.pipe ? "P" : "");
-    EXPECT_EQ(Lifetimes(sr.schedule).min_registers(), r.minregs)
-        << r.len << (r.pipe ? "P" : "");
+    const Cdfg g = r.make();
+    const HwSpec hw{.pipelined_mul = r.pipe};
+    const std::string at =
+        std::string(r.name) + " " + std::to_string(r.len) + (r.pipe ? "P" : "");
+    const auto sr = schedule_min_fu(g, hw, r.len);
+    EXPECT_EQ(sr.fus.alu, r.alu) << at;
+    EXPECT_EQ(sr.fus.mul, r.mul) << at;
+    EXPECT_EQ(Lifetimes(sr.schedule).min_registers(), r.minregs) << at;
+    EXPECT_EQ(start_digest(sr.schedule), r.min_fu_digest)
+        << at << " actual 0x" << std::hex << start_digest(sr.schedule);
+    const Schedule fds = force_directed_schedule(g, hw, r.len);
+    EXPECT_EQ(start_digest(fds), r.fds_digest)
+        << at << " actual 0x" << std::hex << start_digest(fds);
   }
 }
 
