@@ -5,6 +5,7 @@
 
 #include "analysis/digest.h"
 #include "sched/asap_alap.h"
+#include "sched/fu_search.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -282,29 +283,20 @@ GeneratedDesign generate_design(const GenParams& p) {
   d.graph = std::make_unique<Cdfg>(generate_cdfg(p));
   const Cdfg& g = *d.graph;
 
-  HwSpec hw;
-  int alu_ops = 0, mul_ops = 0;
-  for (NodeId n : g.operations())
-    (fu_class_of(g.node(n).kind) == FuClass::kMul ? mul_ops : alu_ops)++;
-  d.num_ops = alu_ops + mul_ops;
+  const HwSpec hw;
+  d.num_ops = static_cast<int>(g.operations().size());
 
-  // Length: critical path plus a slack margin. Budget: per-class occupancy
-  // (multiplies hold their unit for mul_delay steps when not pipelined)
-  // spread over the length, plus 1/8 headroom — list scheduling is a
-  // heuristic, so infeasibility grows the budget (and, every other retry,
-  // the length) deterministically until a schedule fits.
+  // Length: critical path plus a slack margin. Budget: the occupancy bound
+  // at that length plus 1/8 headroom — list scheduling is a heuristic, so
+  // infeasibility grows the budget (and, every other retry, the length)
+  // deterministically until a schedule fits.
   const int minlen = min_schedule_length(g, hw);
   constexpr int kSlackEighths = 2;  // margin over the critical path: +25%
   int length = minlen + (minlen * kSlackEighths) / 8 + 2;
-  const long mul_occ = static_cast<long>(mul_ops) *
-                       (hw.pipelined_mul ? 1 : hw.mul_delay);
-  FuBudget budget;
-  auto for_length = [&](long occ) {
-    const long base = (occ + length - 1) / length;
-    return static_cast<int>(base + base / 8 + 1);
-  };
-  budget.alu = for_length(alu_ops);
-  budget.mul = mul_ops == 0 ? 0 : for_length(mul_occ);
+  const FuBudget occ = occupancy_bound(g, hw, length);
+  auto with_headroom = [](int base) { return base + base / 8 + 1; };
+  FuBudget budget{with_headroom(occ.alu),
+                  occ.mul == 0 ? 0 : with_headroom(occ.mul)};
 
   for (int attempt = 0;; ++attempt) {
     std::optional<Schedule> sched = list_schedule(g, hw, length, budget);

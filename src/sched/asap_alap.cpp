@@ -2,140 +2,135 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 namespace salsa {
 
-namespace {
-
-// One difference constraint: start(to) >= start(from) + weight.
-struct ConstraintEdge {
-  NodeId from;
-  NodeId to;
-  int weight;
-};
-
-std::vector<ConstraintEdge> constraint_edges(const Cdfg& g, const HwSpec& hw) {
-  std::vector<ConstraintEdge> edges;
-  for (NodeId id = 0; id < g.num_nodes(); ++id) {
-    const Node& n = g.node(id);
-    for (ValueId in : n.ins) {
-      if (g.is_const_value(in)) continue;
-      const NodeId p = g.producer(in);
-      edges.push_back({p, id, hw.delay(g.node(p).kind)});
+TimingModel::TimingModel(const Cdfg& g, const HwSpec& hw) {
+  const auto n = static_cast<size_t>(g.num_nodes());
+  // Visits every constraint as (target, edge): the operand dependences, then
+  // the state anti-dependences. Run once to size the groups, once to fill.
+  auto for_each_edge = [&](auto&& emit) {
+    for (NodeId id = 0; id < g.num_nodes(); ++id)
+      for (ValueId in : g.node(id).ins) {
+        if (g.is_const_value(in)) continue;
+        const NodeId p = g.producer(in);
+        emit(id, Edge{p, hw.delay(g.node(p).kind)});
+      }
+    for (NodeId sn : g.state_nodes()) {
+      const Node& s = g.node(sn);
+      if (s.state_next == kInvalidId)
+        fail("CDFG '" + g.name() + "': state '" + s.name +
+             "' has no next-iteration value");
+      const NodeId pn = g.producer(s.state_next);
+      const int d = hw.delay(g.node(pn).kind);
+      for (NodeId c : g.value(s.out).consumers) emit(pn, Edge{c, 1 - d});
     }
+  };
+  begin_.assign(n + 1, 0);
+  for_each_edge(
+      [&](NodeId to, Edge) { ++begin_[static_cast<size_t>(to) + 1]; });
+  std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+  edges_.resize(static_cast<size_t>(begin_.back()));
+  std::vector<int> fill(begin_.begin(), begin_.end() - 1);
+  for_each_edge([&](NodeId to, Edge e) {
+    edges_[static_cast<size_t>(fill[static_cast<size_t>(to)]++)] = e;
+  });
+
+  // A result must be ready by length-1 if it is read or sampled in the
+  // iteration, by length if it only feeds a state (latched at the final
+  // step edge); an output samples by length-1.
+  offset_.resize(n);
+  for (NodeId id = 0; id < g.num_nodes(); ++id) {
+    const Node& nd = g.node(id);
+    int& off = offset_[static_cast<size_t>(id)];
+    if (is_operation(nd.kind))
+      off = hw.delay(nd.kind) + (g.value(nd.out).consumers.empty() ? 0 : 1);
+    else
+      off = nd.kind == OpKind::kOutput ? 1 : kPinned;
   }
-  // State anti-dependences: the producer of the next content may not make the
-  // new value ready while the old content is still being read:
-  //   start(prod_next) + delay(prod_next) >= start(consumer) + 1.
-  for (NodeId sn : g.state_nodes()) {
-    const Node& s = g.node(sn);
-    const NodeId pn = g.producer(s.state_next);
-    const int d = hw.delay(g.node(pn).kind);
-    for (NodeId c : g.value(s.out).consumers)
-      edges.push_back({c, pn, 1 - d});
-  }
-  return edges;
+
+  asap_.assign(n, 0);
+  if (!relax_lower(asap_))
+    fail("CDFG '" + g.name() + "' has an infeasible dependence cycle");
 }
 
-}  // namespace
-
-std::vector<int> asap_starts(const Cdfg& g, const HwSpec& hw) {
-  const auto edges = constraint_edges(g, hw);
-  std::vector<int> start(static_cast<size_t>(g.num_nodes()), 0);
-  // Bellman-Ford longest-path relaxation; the graph is tiny.
-  for (int pass = 0; pass <= g.num_nodes(); ++pass) {
+// Bellman-Ford over the edge groups in node order, which settles the forward
+// operand edges in one pass.
+bool TimingModel::relax_lower(std::vector<int>& lo) const {
+  const auto n = static_cast<NodeId>(offset_.size());
+  for (int pass = 0; pass <= n; ++pass) {
     bool changed = false;
-    for (const auto& e : edges) {
-      const int lb = start[static_cast<size_t>(e.from)] + e.weight;
-      if (lb > start[static_cast<size_t>(e.to)]) {
-        start[static_cast<size_t>(e.to)] = lb;
-        changed = true;
+    for (NodeId to = 0; to < n; ++to) {
+      int& t = lo[static_cast<size_t>(to)];
+      for (const Edge& e : edges_into(to)) {
+        const int lb = lo[static_cast<size_t>(e.from)] + e.weight;
+        if (lb > t) {
+          t = lb;
+          changed = true;
+        }
       }
     }
-    if (!changed) return start;
+    if (!changed) return true;
   }
-  fail("CDFG '" + g.name() + "' has an infeasible dependence cycle");
+  return false;
 }
 
-std::optional<std::vector<int>> alap_starts(const Cdfg& g, const HwSpec& hw,
-                                            int length) {
-  const auto edges = constraint_edges(g, hw);
-  constexpr int kInf = std::numeric_limits<int>::max() / 4;
-  std::vector<int> ub(static_cast<size_t>(g.num_nodes()), kInf);
-  for (NodeId id = 0; id < g.num_nodes(); ++id) {
-    const Node& n = g.node(id);
-    if (is_operation(n.kind)) {
-      const bool read_in_iter = !g.value(n.out).consumers.empty();
-      // Result must be ready by length-1 if read, by length otherwise
-      // (value feeding only a state may be latched at the final step edge).
-      ub[static_cast<size_t>(id)] =
-          length - hw.delay(n.kind) - (read_in_iter ? 1 : 0);
-    } else if (n.kind == OpKind::kOutput) {
-      ub[static_cast<size_t>(id)] = length - 1;
-    } else {
-      ub[static_cast<size_t>(id)] = 0;
-    }
-    if (ub[static_cast<size_t>(id)] < 0) return std::nullopt;
-  }
-  for (int pass = 0; pass <= g.num_nodes(); ++pass) {
+// The same loop in reverse node order: start(to) >= start(from) + weight
+// caps hi(from) at hi(to) - weight.
+bool TimingModel::relax_upper(std::vector<int>& hi) const {
+  const auto n = static_cast<NodeId>(offset_.size());
+  for (int pass = 0; pass <= n; ++pass) {
     bool changed = false;
-    for (const auto& e : edges) {
-      // start(to) >= start(from) + w  =>  ub(from) <= ub(to) - w.
-      const int cap = ub[static_cast<size_t>(e.to)] - e.weight;
-      if (cap < ub[static_cast<size_t>(e.from)]) {
-        ub[static_cast<size_t>(e.from)] = cap;
-        changed = true;
+    for (NodeId to = n - 1; to >= 0; --to) {
+      const int t = hi[static_cast<size_t>(to)];
+      for (const Edge& e : edges_into(to)) {
+        int& f = hi[static_cast<size_t>(e.from)];
+        if (t - e.weight < f) {
+          f = t - e.weight;
+          changed = true;
+        }
       }
     }
-    if (!changed) break;
-    if (pass == g.num_nodes()) return std::nullopt;  // negative cycle
+    if (!changed) return true;
   }
-  const auto asap = asap_starts(g, hw);
-  for (NodeId id = 0; id < g.num_nodes(); ++id)
-    if (ub[static_cast<size_t>(id)] < asap[static_cast<size_t>(id)])
-      return std::nullopt;
-  return ub;
+  return false;
+}
+
+std::optional<std::vector<int>> TimingModel::alap(int length) const {
+  std::vector<int> hi(offset_.size());
+  for (size_t i = 0; i < hi.size(); ++i)
+    hi[i] = deadline(static_cast<NodeId>(i), length);
+  if (!relax_upper(hi)) return std::nullopt;
+  for (size_t i = 0; i < hi.size(); ++i)
+    if (hi[i] < asap_[i]) return std::nullopt;
+  return hi;
 }
 
 int min_schedule_length(const Cdfg& g, const HwSpec& hw) {
-  const auto asap = asap_starts(g, hw);
+  const TimingModel tm(g, hw);
+  // Each node that is not pinned must meet its deadline at its ASAP start;
+  // deadline(n, 0) is minus n's offset. The bound is necessary, and
+  // anti-dependences can in principle push the length further.
   int len = 1;
-  for (NodeId id = 0; id < g.num_nodes(); ++id) {
-    const Node& n = g.node(id);
-    if (is_operation(n.kind)) {
-      const bool read_in_iter = !g.value(n.out).consumers.empty();
-      len = std::max(len, asap[static_cast<size_t>(id)] + hw.delay(n.kind) +
-                              (read_in_iter ? 1 : 0));
-    } else if (n.kind == OpKind::kOutput) {
-      len = std::max(len, asap[static_cast<size_t>(id)] + 1);
-    }
-  }
-  // The bound above is necessary; verify sufficiency (anti-dependences can in
-  // principle push it further).
-  if (alap_starts(g, hw, len).has_value()) return len;
+  for (NodeId id = 0; id < g.num_nodes(); ++id)
+    if (!tm.pinned(id))
+      len = std::max(len,
+                     tm.asap()[static_cast<size_t>(id)] - tm.deadline(id, 0));
+  if (tm.alap(len).has_value()) return len;
   // Feasibility only grows with the length, so a design that fails with no
   // op or output deadline fits no length at all: a state anti-dependence
   // asks a node pinned to step 0 (a state or an input feeding a state) to
   // start later. Reject it once, or the search below never ends.
   constexpr int kNoDeadline = std::numeric_limits<int>::max() / 8;
-  if (!alap_starts(g, hw, kNoDeadline).has_value())
+  if (!tm.alap(kNoDeadline).has_value())
     fail("CDFG '" + g.name() +
          "' fits no schedule length: a state's next value is a state or "
          "input value, which cannot wait for the state's last read");
   do {
     ++len;
-  } while (!alap_starts(g, hw, len).has_value());
+  } while (!tm.alap(len).has_value());
   return len;
-}
-
-std::optional<std::vector<int>> node_slack(const Cdfg& g, const HwSpec& hw,
-                                           int length) {
-  const auto alap = alap_starts(g, hw, length);
-  if (!alap) return std::nullopt;
-  const auto asap = asap_starts(g, hw);
-  std::vector<int> slack(asap.size());
-  for (size_t i = 0; i < asap.size(); ++i) slack[i] = (*alap)[i] - asap[i];
-  return slack;
 }
 
 }  // namespace salsa

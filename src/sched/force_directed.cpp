@@ -16,71 +16,18 @@ struct Frames {
   std::vector<int> hi;  // latest start per node
 };
 
-// A difference constraint start[to] >= start[from] + w.
-struct Edge {
-  NodeId from, to;
-  int w;
-};
-
-// The pin-independent half of the frame analysis: the unpinned ASAP/ALAP
-// frames and every difference constraint.
-struct FrameBasis {
-  Frames unpinned;
-  std::vector<Edge> edges;
-};
-
-// nullopt if `length` is below the critical path.
-std::optional<FrameBasis> frame_basis(const Cdfg& g, const HwSpec& hw,
-                                      int length) {
-  const auto alap = alap_starts(g, hw, length);
-  if (!alap) return std::nullopt;
-  FrameBasis b;
-  b.unpinned = {asap_starts(g, hw), *alap};
-  for (NodeId id = 0; id < g.num_nodes(); ++id) {
-    for (ValueId in : g.node(id).ins) {
-      if (g.is_const_value(in)) continue;
-      const NodeId p = g.producer(in);
-      b.edges.push_back({p, id, hw.delay(g.node(p).kind)});
-    }
-  }
-  for (NodeId sn : g.state_nodes()) {
-    const Node& s = g.node(sn);
-    const NodeId pn = g.producer(s.state_next);
-    const int d = hw.delay(g.node(pn).kind);
-    for (NodeId c : g.value(s.out).consumers) b.edges.push_back({c, pn, 1 - d});
-  }
-  return b;
-}
-
-// Recomputes mobility frames with some nodes pinned to fixed steps.
-// pins[i] >= 0 pins node i. Returns false if the pin set is infeasible.
-bool frames_with_pins(const FrameBasis& basis, const std::vector<int>& pins,
-                      Frames& out) {
-  // Start from the unpinned analysis, then clamp and re-relax.
-  out = basis.unpinned;
+// The frames with every pinned node (pins[i] >= 0) clamped to its step and
+// the constraints re-relaxed from the unpinned frames. Returns false if a pin
+// falls outside its frame or the pins leave some node without a step.
+bool pin_frames(const TimingModel& tm, const Frames& unpinned,
+                const std::vector<int>& pins, Frames& out) {
+  out = unpinned;
   for (size_t i = 0; i < pins.size(); ++i) {
     if (pins[i] < 0) continue;
     if (pins[i] < out.lo[i] || pins[i] > out.hi[i]) return false;
     out.lo[i] = out.hi[i] = pins[i];
   }
-  // Re-relax both bounds against all difference constraints.
-  const int num_nodes = static_cast<int>(pins.size());
-  for (int pass = 0; pass <= num_nodes; ++pass) {
-    bool changed = false;
-    for (const auto& e : basis.edges) {
-      const size_t f = static_cast<size_t>(e.from), t = static_cast<size_t>(e.to);
-      if (out.lo[f] + e.w > out.lo[t]) {
-        out.lo[t] = out.lo[f] + e.w;
-        changed = true;
-      }
-      if (out.hi[t] - e.w < out.hi[f]) {
-        out.hi[f] = out.hi[t] - e.w;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-    if (pass == num_nodes) return false;
-  }
+  if (!tm.relax_lower(out.lo) || !tm.relax_upper(out.hi)) return false;
   for (size_t i = 0; i < out.lo.size(); ++i)
     if (out.lo[i] > out.hi[i]) return false;
   return true;
@@ -89,16 +36,15 @@ bool frames_with_pins(const FrameBasis& basis, const std::vector<int>& pins,
 }  // namespace
 
 Schedule force_directed_schedule(const Cdfg& g, const HwSpec& hw, int length) {
+  const TimingModel tm(g, hw);
   std::vector<int> pins(static_cast<size_t>(g.num_nodes()), -1);
-  // Non-operations are pinned: sources at 0; outputs handled at the end.
-  for (NodeId id = 0; id < g.num_nodes(); ++id) {
-    const Node& n = g.node(id);
-    if (!is_operation(n.kind) && n.kind != OpKind::kOutput)
-      pins[static_cast<size_t>(id)] = 0;
-  }
-  const std::optional<FrameBasis> basis = frame_basis(g, hw, length);
-  Frames fr;
-  if (!basis || !frames_with_pins(*basis, pins, fr))
+  // Pinned nodes sit at step 0; outputs are placed at the end.
+  for (NodeId id = 0; id < g.num_nodes(); ++id)
+    if (tm.pinned(id)) pins[static_cast<size_t>(id)] = 0;
+  std::optional<std::vector<int>> alap = tm.alap(length);
+  Frames base, fr;
+  if (alap) base = {tm.asap(), std::move(*alap)};
+  if (!alap || !pin_frames(tm, base, pins, fr))
     fail("force_directed_schedule: length " + std::to_string(length) +
          " is infeasible for '" + g.name() + "'");
 
@@ -158,7 +104,7 @@ Schedule force_directed_schedule(const Cdfg& g, const HwSpec& hw, int length) {
     // Pin and recompute frames + distributions.
     pins[static_cast<size_t>(best_op)] = best_step;
     Frames nf;
-    const bool ok = frames_with_pins(*basis, pins, nf);
+    const bool ok = pin_frames(tm, base, pins, nf);
     SALSA_CHECK_MSG(ok, "force-directed pin produced infeasible frames");
     for (NodeId id : ops) add_distribution(id, -1.0);
     fr = nf;

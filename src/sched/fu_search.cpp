@@ -31,6 +31,21 @@ FuBudget peak_fu_demand(const Schedule& sched) {
   return peak;
 }
 
+FuBudget occupancy_bound(const Cdfg& g, const HwSpec& hw, int length) {
+  int ops[2] = {0, 0}, busy[2] = {0, 0};
+  for (NodeId id : g.operations()) {
+    const OpKind k = g.node(id).kind;
+    const auto cls = static_cast<size_t>(fu_class_of(k));
+    ++ops[cls];
+    busy[cls] += hw.occupancy(k);
+  }
+  auto bound = [&](FuClass c) {
+    const auto cls = static_cast<size_t>(c);
+    return std::max(ops[cls] > 0 ? 1 : 0, (busy[cls] + length - 1) / length);
+  };
+  return FuBudget{bound(FuClass::kAlu), bound(FuClass::kMul)};
+}
+
 FuSearchResult schedule_min_fu(const Cdfg& g, const HwSpec& hw, int length,
                                double alu_cost, double mul_cost,
                                const Parallelism& /*inert*/) {
@@ -39,23 +54,13 @@ FuSearchResult schedule_min_fu(const Cdfg& g, const HwSpec& hw, int length,
   Schedule best = fds;
   double best_cost = alu_cost * best_fus.alu + mul_cost * best_fus.mul;
 
-  // Occupancy lower bounds: total busy-steps / length, rounded up.
-  int alu_occ = 0, mul_occ = 0;
-  for (NodeId id : g.operations()) {
-    const OpKind k = g.node(id).kind;
-    (fu_class_of(k) == FuClass::kAlu ? alu_occ : mul_occ) += hw.occupancy(k);
-  }
-  const int alu_lb = std::max(g.count(OpKind::kAdd) + g.count(OpKind::kSub) +
-                                      g.count(OpKind::kNop) > 0 ? 1 : 0,
-                              (alu_occ + length - 1) / length);
-  const int mul_lb = std::max(g.count(OpKind::kMul) > 0 ? 1 : 0,
-                              (mul_occ + length - 1) / length);
+  const FuBudget lb = occupancy_bound(g, hw, length);
 
   // The walk prunes against a running best: the cost gate and the loop's
   // upper bounds shrink as better envelopes are found, and each point is
   // list-scheduled only when the walk reaches it.
-  for (int alu = alu_lb; alu <= std::max(best_fus.alu, alu_lb); ++alu) {
-    for (int mul = mul_lb; mul <= std::max(best_fus.mul, mul_lb); ++mul) {
+  for (int alu = lb.alu; alu <= std::max(best_fus.alu, lb.alu); ++alu) {
+    for (int mul = lb.mul; mul <= std::max(best_fus.mul, lb.mul); ++mul) {
       const double cost = alu_cost * alu + mul_cost * mul;
       if (cost >= best_cost) continue;
       const std::optional<Schedule> s =

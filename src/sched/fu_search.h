@@ -18,6 +18,11 @@ struct FuSearchResult {
 /// Peak per-class FU demand of a schedule.
 FuBudget peak_fu_demand(const Schedule& sched);
 
+/// Occupancy lower bound on the FUs any schedule of `length` steps needs:
+/// per class, the busy steps of its operations spread over the length,
+/// rounded up, and at least one unit when the class has an operation.
+FuBudget occupancy_bound(const Cdfg& cdfg, const HwSpec& hw, int length);
+
 /// Finds a schedule of `length` steps minimising alu_cost*#ALU +
 /// mul_cost*#MUL. Throws if `length` is infeasible. The candidate FU
 /// lattice is walked sequentially with the list scheduler. The Parallelism

@@ -13,7 +13,8 @@ FuClass fu_class_of(OpKind k) {
 std::optional<Schedule> list_schedule(const Cdfg& g, const HwSpec& hw,
                                       int length, const FuBudget& budget,
                                       Rng* jitter) {
-  const auto alap_opt = alap_starts(g, hw, length);
+  const TimingModel tm(g, hw);
+  const auto alap_opt = tm.alap(length);
   if (!alap_opt) return std::nullopt;
   const auto& alap = *alap_opt;
   // Optional priority noise: breaks ties (and mildly reorders near-ties) so
@@ -24,61 +25,31 @@ std::optional<Schedule> list_schedule(const Cdfg& g, const HwSpec& hw,
 
   Schedule sched(g, hw, length);
   std::vector<bool> done(static_cast<size_t>(g.num_nodes()), false);
-  // Non-operations other than outputs sit at step 0 and are "done" upfront.
+  // Pinned nodes sit at step 0 and are "done" upfront.
   int remaining = 0;
   for (NodeId id = 0; id < g.num_nodes(); ++id) {
-    const Node& n = g.node(id);
-    if (is_operation(n.kind) || n.kind == OpKind::kOutput) {
-      ++remaining;
-    } else {
+    if (tm.pinned(id))
       done[static_cast<size_t>(id)] = true;
-    }
-  }
-
-  // Anti-dependence bookkeeping: producer of a state's next content may only
-  // be scheduled once every consumer of the old content is scheduled.
-  std::vector<std::vector<NodeId>> anti_preds(
-      static_cast<size_t>(g.num_nodes()));
-  for (NodeId sn : g.state_nodes()) {
-    const Node& s = g.node(sn);
-    const NodeId pn = g.producer(s.state_next);
-    for (NodeId c : g.value(s.out).consumers)
-      anti_preds[static_cast<size_t>(pn)].push_back(c);
+    else
+      ++remaining;
   }
 
   std::vector<std::vector<int>> busy(2, std::vector<int>(
                                             static_cast<size_t>(length), 0));
 
   for (int step = 0; step < length && remaining > 0; ++step) {
-    // Collect candidates whose dependences allow a start at `step`.
+    // Candidates: every constraint on the node met by a placed node, and the
+    // node's deadline not yet passed.
     std::vector<NodeId> cands;
     for (NodeId id = 0; id < g.num_nodes(); ++id) {
-      if (done[static_cast<size_t>(id)]) continue;
-      const Node& n = g.node(id);
-      bool ok = true;
-      for (ValueId in : n.ins) {
-        if (g.is_const_value(in)) continue;
-        const NodeId p = g.producer(in);
-        if (!done[static_cast<size_t>(p)] || sched.ready(p) > step) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      const int d = hw.delay(n.kind);
-      for (NodeId c : anti_preds[static_cast<size_t>(id)]) {
-        if (!done[static_cast<size_t>(c)] ||
-            step < sched.start(c) + 1 - d) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      if (is_operation(n.kind)) {
-        const bool read_in_iter = !g.value(n.out).consumers.empty();
-        if (step + d + (read_in_iter ? 1 : 0) > length) continue;  // too late
-      }
-      cands.push_back(id);
+      if (done[static_cast<size_t>(id)] || step > tm.deadline(id, length))
+        continue;
+      const auto edges = tm.edges_into(id);
+      if (std::all_of(edges.begin(), edges.end(), [&](const auto& e) {
+            return done[static_cast<size_t>(e.from)] &&
+                   step >= sched.start(e.from) + e.weight;
+          }))
+        cands.push_back(id);
     }
     // Most urgent first; outputs cost nothing and are placed unconditionally.
     std::sort(cands.begin(), cands.end(), [&](NodeId a, NodeId b) {

@@ -63,8 +63,6 @@ class Schedule {
   int start(NodeId n) const { return start_[static_cast<size_t>(n)]; }
   void set_start(NodeId n, int step) { start_[static_cast<size_t>(n)] = step; }
 
-  /// Last step the node occupies its FU / executes (start for delay 0).
-  int finish(NodeId n) const;
   /// First step the node's result value can be read.
   int ready(NodeId n) const;
 

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <regex>
-
 #include "bench_suite/diffeq.h"
 #include "bench_suite/ewf.h"
 #include "core/initial.h"
@@ -165,14 +163,20 @@ TEST(Verilog, StepCounterHoldsLongSchedules) {
   EXPECT_NE(v.find("(step == 69999) ? 17'd0 : step + 17'd1;"),
             std::string::npos);
   EXPECT_NE(v.find("if (step == 17'd69990) out_y <= r"), std::string::npos);
-  // Every sized decimal literal fits its declared width.
-  const std::regex literal(R"((\d+)'d(\d+))");
+  // Every sized decimal literal (a digit run, 'd, a digit run) fits its
+  // declared width.
+  auto digit = [](char c) { return c >= '0' && c <= '9'; };
   int literals = 0;
-  for (auto it = std::sregex_iterator(v.begin(), v.end(), literal);
-       it != std::sregex_iterator(); ++it, ++literals) {
-    const int bits = std::stoi((*it)[1]);
-    const long long value = std::stoll((*it)[2]);
-    EXPECT_LT(value, 1LL << bits) << it->str();
+  for (size_t at = v.find("'d"); at != std::string::npos;
+       at = v.find("'d", at + 2)) {
+    size_t begin = at, end = at + 2;
+    while (begin > 0 && digit(v[begin - 1])) --begin;
+    while (end < v.size() && digit(v[end])) ++end;
+    if (begin == at || end == at + 2) continue;
+    const int bits = std::stoi(v.substr(begin, at - begin));
+    const long long value = std::stoll(v.substr(at + 2, end - at - 2));
+    EXPECT_LT(value, 1LL << bits) << v.substr(begin, end - begin);
+    ++literals;
   }
   EXPECT_GT(literals, 0);
 
