@@ -43,6 +43,9 @@ TEST(Generate, DeterministicAndDigestPinned) {
       {GenFamily::kLayeredDag, 1000, 1, 0x2c6e914813213111ull},
       {GenFamily::kLayeredDag, 1000, 2, 0x4a72b58d7a9b7e66ull},
       {GenFamily::kMemoryTraffic, 1000, 1, 0x41f8a8fe6555653eull},
+      // perfbench's cascade3k and dag5k designs (its design_digest line).
+      {GenFamily::kFilterCascade, 3000, 1, 0x82e59cc8f5e44b78ull},
+      {GenFamily::kLayeredDag, 5000, 1, 0xb487fcb59309b858ull},
   };
   for (const Pin& pin : pins) {
     const GenParams p = params_for(pin.family, pin.target, pin.seed);
@@ -51,7 +54,8 @@ TEST(Generate, DeterministicAndDigestPinned) {
     EXPECT_EQ(design_digest(a), design_digest(b))
         << gen_family_name(pin.family) << " seed " << pin.seed;
     EXPECT_EQ(design_digest(a), pin.digest)
-        << gen_family_name(pin.family) << " seed " << pin.seed
+        << gen_family_name(pin.family) << " seed " << pin.seed << " actual 0x"
+        << std::hex << design_digest(a) << std::dec
         << ": the generated corpus drifted — every committed scaling wall "
            "measures a different design now";
   }

@@ -298,6 +298,38 @@ TEST(Golden, ScheduleEnvelopesArePinned) {
   }
 }
 
+// Force-directed schedules past the paper's sizes and lengths: a generated
+// ~200-op filter cascade at the generator's own length, and a four-node
+// design (x*3 + x) at 1,000 steps, where every class's distribution is flat
+// and most candidate steps tie.
+TEST(Golden, ForceDirectedStartsArePinned) {
+  const GeneratedDesign d = generate_design(
+      GenParams{.family = GenFamily::kFilterCascade, .target_ops = 200});
+  Cdfg tiny("tiny");
+  const ValueId x = tiny.add_input("x");
+  const ValueId p = tiny.add_op(OpKind::kMul, x, tiny.add_const(3, "k"), "p");
+  tiny.add_output(tiny.add_op(OpKind::kAdd, p, x, "q"), "y");
+  tiny.validate();
+  struct Row {
+    const char* name;
+    const Cdfg* g;
+    int len;
+    uint64_t digest;
+  };
+  // Frozen on 2026-10-19.
+  const Row rows[] = {
+      {"cascade200", d.graph.get(), d.schedule->length(),
+       0xa7dbf83278d434e0ull},
+      {"tiny", &tiny, 1000, 0x4c8b84f6488867c4ull},
+  };
+  for (const Row& r : rows) {
+    const Schedule s = force_directed_schedule(*r.g, HwSpec{}, r.len);
+    EXPECT_EQ(start_digest(s), r.digest)
+        << r.name << " at " << r.len << " actual 0x" << std::hex
+        << start_digest(s);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Golden VCD waveforms. The full dump — header, signal declarations, every
 // value change of every register over five iterations — is pinned as an
