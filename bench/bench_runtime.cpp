@@ -21,6 +21,7 @@
 #include "datapath/simulator.h"
 #include "frontend/generate.h"
 #include "sched/force_directed.h"
+#include "sched/list_scheduler.h"
 #include "util/bitplane.h"
 #include "util/flat_map.h"
 
@@ -358,13 +359,42 @@ BENCHMARK(BM_ScalingMoves)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(50000);
 
+// Force-directed scheduling: arg 0 is EWF at 19 steps, any other arg a
+// generated filter cascade of that many operators at the generator's length.
 void BM_ForceDirectedSchedule(benchmark::State& state) {
-  Cdfg g = make_ewf();
-  HwSpec hw;
+  const int target = static_cast<int>(state.range(0));
+  const Cdfg ewf = make_ewf();
+  const GeneratedDesign* d = target == 0 ? nullptr : &scaling_design(1, target);
+  const Cdfg& g = d == nullptr ? ewf : *d->graph;
+  const int length = d == nullptr ? 19 : d->schedule->length();
   for (auto _ : state)
-    benchmark::DoNotOptimize(force_directed_schedule(g, hw, 19).length());
+    benchmark::DoNotOptimize(
+        force_directed_schedule(g, HwSpec{}, length).length());
+  state.counters["design_ops"] = static_cast<double>(g.operations().size());
+  state.counters["sched_len"] = length;
 }
-BENCHMARK(BM_ForceDirectedSchedule);
+BENCHMARK(BM_ForceDirectedSchedule)
+    ->Arg(0)
+    ->Arg(800)
+    ->Unit(benchmark::kMillisecond);
+
+// One list_schedule call on a generated design (arg 0: 1 = filter cascade,
+// 2 = layered DAG; arg 1: target operators) at the length and FU budget
+// generate_design settled on: perfbench's cascade3k and dag5k designs.
+void BM_ListSchedule(benchmark::State& state) {
+  const GeneratedDesign& d = scaling_design(static_cast<int>(state.range(0)),
+                                            static_cast<int>(state.range(1)));
+  const int length = d.schedule->length();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        list_schedule(*d.graph, HwSpec{}, length, d.fus).has_value());
+  state.counters["design_ops"] = d.num_ops;
+  state.counters["sched_len"] = length;
+}
+BENCHMARK(BM_ListSchedule)
+    ->Args({1, 3000})
+    ->Args({2, 5000})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SimulateIteration(benchmark::State& state) {
   Binding b = initial_allocation(*ewf17().problem);

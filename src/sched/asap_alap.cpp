@@ -36,6 +36,15 @@ TimingModel::TimingModel(const Cdfg& g, const HwSpec& hw) {
   for_each_edge([&](NodeId to, Edge e) {
     edges_[static_cast<size_t>(fill[static_cast<size_t>(to)]++)] = e;
   });
+  out_begin_.assign(n + 1, 0);
+  for (const Edge& e : edges_) ++out_begin_[static_cast<size_t>(e.from) + 1];
+  std::partial_sum(out_begin_.begin(), out_begin_.end(), out_begin_.begin());
+  out_.resize(edges_.size());
+  fill.assign(out_begin_.begin(), out_begin_.end() - 1);
+  for (NodeId to = 0; to < g.num_nodes(); ++to)
+    for (const Edge& e : edges_into(to))
+      out_[static_cast<size_t>(fill[static_cast<size_t>(e.from)]++)] =
+          OutEdge{to, e.weight};
 
   // A result must be ready by length-1 if it is read or sampled in the
   // iteration, by length if it only feeds a state (latched at the final

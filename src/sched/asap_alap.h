@@ -2,8 +2,8 @@
 // once per (graph, HwSpec): the one place where the dependence, state
 // anti-dependence and deadline rules become numbers. ASAP starts, the ALAP
 // frames at a length (mobility windows, list-scheduling priorities),
-// force-directed scheduling's pinned frames, the list scheduler's readiness
-// test and min_schedule_length() all read it. Schedule::first_violation()
+// force-directed scheduling's pinned frames, the list scheduler's ready
+// steps and min_schedule_length() all read it. Schedule::first_violation()
 // states the same rules on its own, as the independent check every
 // scheduler's output passes.
 #pragma once
@@ -35,6 +35,18 @@ class TimingModel {
   std::span<const Edge> edges_into(NodeId n) const {
     const auto i = static_cast<size_t>(n);
     return {edges_.data() + begin_[i], edges_.data() + begin_[i + 1]};
+  }
+
+  /// One constraint start(to) >= start(n) + weight, seen from its source n.
+  struct OutEdge {
+    NodeId to;
+    int weight;
+  };
+
+  /// The same constraints grouped by source: every edge whose `from` is n.
+  std::span<const OutEdge> edges_out_of(NodeId n) const {
+    const auto i = static_cast<size_t>(n);
+    return {out_.data() + out_begin_[i], out_.data() + out_begin_[i + 1]};
   }
 
   /// Whether node n sits at step 0 in every schedule (inputs, constants,
@@ -69,6 +81,8 @@ class TimingModel {
 
   std::vector<int> begin_;  ///< edges_into(n) = edges_[begin_[n], begin_[n+1])
   std::vector<Edge> edges_;
+  std::vector<int> out_begin_;  ///< the same layout for edges_out_of(n)
+  std::vector<OutEdge> out_;
   std::vector<int> offset_;  ///< deadline offset per node, or kPinned
   std::vector<int> asap_;
 };

@@ -1,6 +1,7 @@
 #include "sched/list_scheduler.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "sched/asap_alap.h"
 
@@ -17,71 +18,97 @@ std::optional<Schedule> list_schedule(const Cdfg& g, const HwSpec& hw,
   const auto alap_opt = tm.alap(length);
   if (!alap_opt) return std::nullopt;
   const auto& alap = *alap_opt;
+  const auto n = static_cast<size_t>(g.num_nodes());
   // Optional priority noise: breaks ties (and mildly reorders near-ties) so
   // repeated calls yield distinct but equally resource-bounded schedules.
-  std::vector<int> noise(static_cast<size_t>(g.num_nodes()), 0);
+  std::vector<int> noise(n, 0);
   if (jitter != nullptr)
-    for (auto& n : noise) n = jitter->uniform(3);
+    for (auto& x : noise) x = jitter->uniform(3);
 
-  Schedule sched(g, hw, length);
-  std::vector<bool> done(static_cast<size_t>(g.num_nodes()), false);
-  // Pinned nodes sit at step 0 and are "done" upfront.
+  // A node becomes a candidate at its ready step: the first step at which
+  // every constraint on it is met by a node placed at an earlier step
+  // (pinned nodes sit at step 0 and count as placed upfront). `unplaced`
+  // counts its edges from nodes not yet placed, `ready` is the bound from
+  // the placed ones, and the node joins the bucket of its ready step once
+  // the count reaches zero. Buckets are intrusive lists (`head`, `next`).
+  std::vector<int> unplaced(n, 0), ready(n, 0);
+  std::vector<NodeId> head(static_cast<size_t>(length), kInvalidId);
+  std::vector<NodeId> next(n, kInvalidId);
+  auto arrive = [&](NodeId id) {
+    const auto i = static_cast<size_t>(id);
+    if (ready[i] >= length) return;  // never a candidate
+    next[i] = head[static_cast<size_t>(ready[i])];
+    head[static_cast<size_t>(ready[i])] = id;
+  };
   int remaining = 0;
   for (NodeId id = 0; id < g.num_nodes(); ++id) {
-    if (tm.pinned(id))
-      done[static_cast<size_t>(id)] = true;
-    else
-      ++remaining;
+    if (tm.pinned(id)) continue;
+    ++remaining;
+    const auto i = static_cast<size_t>(id);
+    for (const auto& e : tm.edges_into(id)) {
+      if (tm.pinned(e.from))
+        ready[i] = std::max(ready[i], e.weight);
+      else
+        ++unplaced[i];
+    }
+    if (unplaced[i] == 0) arrive(id);
   }
 
-  std::vector<std::vector<int>> busy(2, std::vector<int>(
-                                            static_cast<size_t>(length), 0));
+  Schedule sched(g, hw, length);
+  auto place = [&](NodeId id, int step) {
+    sched.set_start(id, step);
+    --remaining;
+    for (const auto& e : tm.edges_out_of(id)) {
+      if (tm.pinned(e.to)) continue;
+      const auto j = static_cast<size_t>(e.to);
+      ready[j] = std::max(ready[j], step + std::max(e.weight, 1));
+      if (--unplaced[j] == 0) arrive(e.to);
+    }
+  };
+
+  // Per FU class, the waiting operations as a min-heap on (ALAP + noise,
+  // id), the order the candidates are tried in. Every operation of a class
+  // has the same occupancy, so once the most urgent one does not fit, none
+  // of the class fits at this step.
+  const OpKind kind_of[2] = {OpKind::kAdd, OpKind::kMul};
+  std::vector<uint64_t> waiting[2];
+  std::vector<int> busy[2];
+  for (auto& b : busy) b.assign(static_cast<size_t>(length), 0);
+  const auto later = std::greater<uint64_t>();
 
   for (int step = 0; step < length && remaining > 0; ++step) {
-    // Candidates: every constraint on the node met by a placed node, and the
-    // node's deadline not yet passed.
-    std::vector<NodeId> cands;
-    for (NodeId id = 0; id < g.num_nodes(); ++id) {
-      if (done[static_cast<size_t>(id)] || step > tm.deadline(id, length))
-        continue;
-      const auto edges = tm.edges_into(id);
-      if (std::all_of(edges.begin(), edges.end(), [&](const auto& e) {
-            return done[static_cast<size_t>(e.from)] &&
-                   step >= sched.start(e.from) + e.weight;
-          }))
-        cands.push_back(id);
+    for (NodeId id = head[static_cast<size_t>(step)]; id != kInvalidId;) {
+      const NodeId following = next[static_cast<size_t>(id)];
+      const OpKind k = g.node(id).kind;
+      // Outputs cost nothing and are placed the step they become ready.
+      if (k == OpKind::kOutput) {
+        place(id, step);
+      } else {
+        const auto i = static_cast<size_t>(id);
+        auto& w = waiting[static_cast<size_t>(fu_class_of(k))];
+        w.push_back(static_cast<uint64_t>(alap[i] + noise[i]) << 32 |
+                    static_cast<uint32_t>(id));
+        std::push_heap(w.begin(), w.end(), later);
+      }
+      id = following;
     }
-    // Most urgent first; outputs cost nothing and are placed unconditionally.
-    std::sort(cands.begin(), cands.end(), [&](NodeId a, NodeId b) {
-      const int pa = alap[static_cast<size_t>(a)] + noise[static_cast<size_t>(a)];
-      const int pb = alap[static_cast<size_t>(b)] + noise[static_cast<size_t>(b)];
-      return pa != pb ? pa < pb : a < b;
-    });
-    for (NodeId id : cands) {
-      const Node& n = g.node(id);
-      if (n.kind == OpKind::kOutput) {
-        sched.set_start(id, step);
-        done[static_cast<size_t>(id)] = true;
-        --remaining;
-        continue;
+    for (size_t cls = 0; cls < 2; ++cls) {
+      auto& w = waiting[cls];
+      const int occ = hw.occupancy(kind_of[cls]);
+      const int cap = budget.of(static_cast<FuClass>(cls));
+      while (!w.empty() && step + occ <= length &&
+             std::all_of(busy[cls].begin() + step,
+                         busy[cls].begin() + step + occ,
+                         [&](int b) { return b < cap; })) {
+        const auto id = static_cast<NodeId>(w.front() & 0xffffffffu);
+        // An operation past its deadline is never placed: no schedule.
+        if (step > tm.deadline(id, length)) return std::nullopt;
+        std::pop_heap(w.begin(), w.end(), later);
+        w.pop_back();
+        for (int t = step; t < step + occ; ++t)
+          ++busy[cls][static_cast<size_t>(t)];
+        place(id, step);
       }
-      const FuClass cls = fu_class_of(n.kind);
-      const int occ = hw.occupancy(n.kind);
-      bool fits = true;
-      for (int t = step; t < step + occ; ++t) {
-        if (t >= length ||
-            busy[static_cast<size_t>(cls)][static_cast<size_t>(t)] >=
-                budget.of(cls)) {
-          fits = false;
-          break;
-        }
-      }
-      if (!fits) continue;
-      for (int t = step; t < step + occ; ++t)
-        ++busy[static_cast<size_t>(cls)][static_cast<size_t>(t)];
-      sched.set_start(id, step);
-      done[static_cast<size_t>(id)] = true;
-      --remaining;
     }
   }
   if (remaining > 0) return std::nullopt;
